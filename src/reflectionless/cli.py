@@ -208,17 +208,6 @@ def emit_csv(header, rows, path):
         raise IoError(f"cannot write {path}: {exc}") from None
 
 
-def emit(report, format_name, path):
-    """Write one artifact; report is a JSON-able object or (header, rows)."""
-    if format_name == "json":
-        emit_json(report, path)
-    elif format_name == "csv":
-        header, rows = report
-        emit_csv(header, rows, path)
-    else:
-        raise IoError(f"unknown format {format_name!r}")
-
-
 # ---------------------------------------------------------------------------
 # commands
 

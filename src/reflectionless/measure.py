@@ -221,19 +221,27 @@ def moment(mu, n):
     convention 0^0 = 1 makes moment(mu, 0) the total mass even for an atom
     pinned at the origin.
     """
-    if n < 0 and not mu.is_zero and support_bounds(mu).distance_to_zero <= 0.0:
-        raise NegativeMomentAtZero(f"moment {n} undefined: support touches t = 0")
-    total = 0.0
+    return float(moments(mu, [n])[0])
+
+
+def moments(mu, ns):
+    """moment(mu, n) for every n in ns: one vectorized pass over the atoms,
+    per-n quadrature on the pieces."""
+    ns = np.asarray(ns, dtype=int)
+    if np.any(ns < 0) and not mu.is_zero and support_bounds(mu).distance_to_zero <= 0.0:
+        raise NegativeMomentAtZero(f"moment {ns.min()} undefined: support touches t = 0")
+    total = np.zeros(len(ns))
     ts, ws = mu.atom_arrays()
     if len(ts):
-        total += float(np.sum(ws * np.float_power(ts, n))) if n != 0 else float(np.sum(ws))
+        total += np.sum(ws[:, None] * np.float_power(ts[:, None], ns), axis=0)
     for p in mu.pieces:
-        if n >= 0:
-            total += _piece_polynomial_integral(p, n)
-        else:
-            total += adaptive_gauss_legendre(
-                lambda t: t ** float(n) * p.density(t), p.a, p.b
-            ).real
+        for i, n in enumerate(ns.tolist()):
+            if n >= 0:
+                total[i] += _piece_polynomial_integral(p, n)
+            else:
+                total[i] += adaptive_gauss_legendre(
+                    lambda t: t ** float(n) * p.density(t), p.a, p.b
+                ).real
     return total
 
 

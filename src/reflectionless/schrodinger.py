@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import _kernels
 from .errors import (
@@ -93,10 +92,6 @@ def flow_derivative(state):
     return np.asarray(
         _kernels.moment_derivative(np.asarray(state.s, dtype=float)), dtype=float
     )
-
-
-def closure_defect_bound(N, R):
-    return 2.0 * R ** (N + 3)
 
 
 def _truncation_envelope(N, R, x):
@@ -195,6 +190,9 @@ def riccati_oracle(trace, w, x_max=None, substep=2):
     the integrated range.  Raises RiccatiBlowUp when |p| exceeds 10 R, the
     sign of leaving the analyticity domain.
     """
+    # imported here: scipy.interpolate costs more than the rest of the package
+    from scipy.interpolate import CubicSpline
+
     w = complex(w)
     if abs(w) >= 1.0 / trace.R:
         raise ValueError("w must lie inside the convergence disk |w| < 1/R")

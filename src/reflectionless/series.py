@@ -24,12 +24,9 @@ DEFAULT_ORDER = 64
 def _conv(a, b, n):
     """Cauchy product of dense coefficient arrays, truncated to length n."""
     out = np.zeros(n)
-    top_a = min(len(a), n)
-    for i in range(top_a):
-        ai = a[i]
-        if ai != 0.0:
-            m = min(n - i, len(b))
-            out[i:i + m] += ai * b[:m]
+    if n > 0 and len(a) and len(b):
+        full = np.convolve(a[:n], b[:n])[:n]
+        out[:len(full)] = full
     return out
 
 

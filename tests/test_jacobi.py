@@ -15,6 +15,10 @@ from reflectionless.herglotz import Setting, m_value
 from reflectionless.jacobi import (
     AsymptoticMoments,
     JacobiWindow,
+    _f_taylor_dense,
+    _lambda_of_u,
+    _lambda_small_of_v,
+    _positive_moment_gen_dense,
     _recurrence_via_cholesky,
     m_oracle,
     moments_to_recurrence,
@@ -25,6 +29,7 @@ from reflectionless.jacobi import (
 )
 from reflectionless.measure import Measure, moment
 from reflectionless.presets import soliton
+from reflectionless.series import _compose_dense
 
 ZERO = Measure.zero()
 JAC2 = Setting.jacobi(2.0)
@@ -148,6 +153,20 @@ class TestRhoMinusMoments:
             assert r2 * s0 < s2 < s0 / r2
 
 
+class TestCompositionOperators:
+    @pytest.mark.parametrize("order", [88, 168, 328])
+    def test_product_matches_horner(self, order):
+        rng = np.random.RandomState(39)
+        sigma, setting = random_jacobi_measure(rng, r_lo=2.002, r_hi=2.004)
+        outers = (_f_taylor_dense(sigma, order), _positive_moment_gen_dense(sigma, order))
+        for M in (_lambda_of_u(order), _lambda_small_of_v(setting.R, order)):
+            for f in outers:
+                horner = _compose_dense(f, M[:, 1], order)
+                # rounding scale of the product: the same sum on |M| and |f|
+                scale = np.abs(M) @ np.abs(f)
+                assert np.all(np.abs(M @ f - horner) <= 1e-14 * scale)
+
+
 class TestMomentsToRecurrence:
     def test_free_rows(self):
         m = rho_plus_moments(ZERO, JAC2, 24)
@@ -231,6 +250,15 @@ class TestReconstruct:
         window = reconstruct(sigma, setting, 16)
         report = prop311_check(window, setting.r)
         assert report.passed
+
+    @pytest.mark.parametrize("N", [80, 160])
+    def test_deep_window(self, N):
+        rng = np.random.RandomState(41)
+        sigma, setting = random_jacobi_measure(rng, r_lo=2.002, r_hi=2.004)
+        window = reconstruct(sigma, setting, N)
+        assert np.min(window.a) >= 1.0
+        assert prop311_check(window, setting.r).passed
+        assert oracle_vs_direct(window, sigma, setting) <= 1e-6
 
     def test_inadmissible_rejected(self):
         with pytest.raises(AdmissibilityRequired):

@@ -17,6 +17,7 @@ from reflectionless.measure import (
     Measure,
     cauchy,
     moment,
+    moments,
     solve_r,
     support_bounds,
     validate,
@@ -136,6 +137,10 @@ class TestMoment:
             for n in range(-5, 0):
                 limit = mass * info.distance_to_zero ** n
                 assert abs(moment(mu, n)) <= limit * (1 + 1e-12)
+            # the vectorized pass over atoms against a per-n loop
+            ns = np.arange(-5, 6)
+            expect = [sum(w * t ** float(n) for t, w in zip(ts, ws)) for n in ns]
+            assert moments(mu, ns) == pytest.approx(expect, rel=1e-14)
 
 
 class TestCauchy:

@@ -3,6 +3,7 @@ import pytest
 
 from reflectionless.series import (
     TruncatedSeries,
+    _conv,
     monomial,
     ts_add,
     ts_compose,
@@ -47,6 +48,19 @@ class TestAdd:
     def test_order_is_min(self):
         s = ts_add(ts_poly([1], order=5), ts_poly([1], order=9))
         assert s.order == 5
+
+
+class TestConv:
+    @pytest.mark.parametrize("len_a, len_b", [(9, 3), (3, 9), (6, 6), (12, 14), (2, 3), (0, 5), (5, 0)])
+    def test_against_brute_force(self, len_a, len_b):
+        n = 6
+        rng = np.random.RandomState(len_a * 17 + len_b)
+        a = rng.randint(-5, 6, size=len_a).astype(float)
+        b = rng.randint(-5, 6, size=len_b).astype(float)
+        out = _conv(a, b, n)
+        expect = brute_convolution(a, 0, b, 0)
+        assert len(out) == n
+        assert all(out[e] == expect.get(e, 0.0) for e in range(n))
 
 
 class TestMul:
