@@ -1,19 +1,11 @@
-"""Hot numeric kernels: numba fast path with a pure-numpy fallback.
+"""Hot numeric kernels: continued fractions, moment-flow RK4 and Riccati paths.
 
-Selection is controlled by the REFLECTIONLESS_NUMBA environment variable:
-
-  "1" / "true"   force the numba path (import error if numba is missing)
-  "0" / "false"  force the pure-numpy path
-  unset / "auto" use numba when importable
-
-Both implementations are importable for side-by-side benchmarking (see
-benchmarks/bench_kernels.py); the public names ``cf_plus``, ``cf_minus``,
-``flow_integrate`` and ``riccati_path`` point at the selected path.
+All are vectorized numpy.  The RK4 step looks up ``_deriv_numpy`` as a module
+global on every call, so a wrapper swapped in under that name sees every
+derivative evaluation.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -22,151 +14,16 @@ FLOW_BOUND_VIOLATED = 1
 FLOW_STEP_TOO_LARGE = 2
 
 
-def _numba_requested():
-    flag = os.environ.get("REFLECTIONLESS_NUMBA", "auto").strip().lower()
-    if flag in ("1", "true", "yes", "on"):
-        return True
-    if flag in ("0", "false", "no", "off"):
-        return False
-    return None  # auto
-
-
-# ---------------------------------------------------------------------------
-# loop implementations (numba-compilable as written)
-
-
-def _cf_plus_loops(a, b, z, seed):
-    # descend m_n = -1/(z - b_{n+1} + a_{n+1}^2 m_{n+1}); index i <-> site i+1.
-    # division-free numerator/denominator sweep with overflow rescaling
-    out = np.empty_like(z)
-    for j in range(z.size):
-        zz = z[j]
-        p = seed[j]
-        q = 1.0 + 0.0j
-        for i in range(a.size - 1, -1, -1):
-            pn = -q
-            q = (zz - b[i]) * q + (a[i] * a[i]) * p
-            p = pn
-            m = abs(p.real) + abs(p.imag) + abs(q.real) + abs(q.imag)
-            if m > 1e100:
-                p *= 1e-100
-                q *= 1e-100
-        out[j] = p / q
-    return out
-
-
-def _cf_minus_loops(a, b, z, seed):
-    # ascend a_n^2 m_n = z - b_n - 1/m_{n-1}; arrays ordered along the sweep
-    out = np.empty_like(z)
-    for j in range(z.size):
-        zz = z[j]
-        p = seed[j]
-        q = 1.0 + 0.0j
-        for i in range(a.size):
-            pn = (zz - b[i]) * p - q
-            q = (a[i] * a[i]) * p
-            p = pn
-            m = abs(p.real) + abs(p.imag) + abs(q.real) + abs(q.imag)
-            if m > 1e100:
-                p *= 1e-100
-                q *= 1e-100
-        out[j] = p / q
-    return out
-
-
-def _deriv_loops(s):
-    # s0' = -2 s1 ; sn' = -2 s_{n+1} + sum_{j<n} s_j s_{n-1-j} ; closure s_{N+1}=0
-    n1 = s.size
-    ds = np.zeros(n1)
-    for n in range(n1):
-        acc = 0.0
-        for j in range(n):
-            acc += s[j] * s[n - 1 - j]
-        nxt = s[n + 1] if n + 1 < n1 else 0.0
-        ds[n] = acc - 2.0 * nxt
-    return ds
-
-
-def _rk4_loops(s, h):
-    k1 = _deriv_loops(s)
-    k2 = _deriv_loops(s + 0.5 * h * k1)
-    k3 = _deriv_loops(s + 0.5 * h * k2)
-    k4 = _deriv_loops(s + h * k3)
-    return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _flow_loops(s0, h, n_steps, bounds, err_tol):
-    n1 = s0.size
-    states = np.empty((n_steps + 1, n1))
-    states[0] = s0
-    status = FLOW_OK
-    bad_step = -1
-    worst_err = 0.0
-    y = s0.copy()
-    done = 0
-    for k in range(n_steps):
-        y_full = _rk4_loops(y, h)
-        y_half = _rk4_loops(_rk4_loops(y, 0.5 * h), 0.5 * h)
-        err = 0.0
-        for n in range(n1):
-            d = abs(y_half[n] - y_full[n]) / bounds[n]
-            if d > err:
-                err = d
-        err /= 15.0
-        if err > worst_err:
-            worst_err = err
-        if err > err_tol:
-            status = FLOW_STEP_TOO_LARGE
-            bad_step = k
-            break
-        y = y_half
-        ok = True
-        for n in range(n1):
-            if abs(y[n]) > bounds[n]:
-                ok = False
-        states[k + 1] = y
-        done = k + 1
-        if not ok:
-            status = FLOW_BOUND_VIOLATED
-            bad_step = k + 1
-            break
-    return states[: done + 1], status, bad_step, worst_err
-
-
-def _riccati_loops(p0, v_nodes, v_mids, h, w):
-    # dp/dx = -V + p^2 - (2/w) p, one column per w value
-    n_steps = v_mids.size
-    nw = w.size
-    path = np.empty((n_steps + 1, nw), dtype=np.complex128)
-    for j in range(nw):
-        path[0, j] = p0[j]
-    for k in range(n_steps):
-        for j in range(nw):
-            c = 2.0 / w[j]
-            p = path[k, j]
-            k1 = -v_nodes[k] + p * p - c * p
-            q = p + 0.5 * h * k1
-            k2 = -v_mids[k] + q * q - c * q
-            q = p + 0.5 * h * k2
-            k3 = -v_mids[k] + q * q - c * q
-            q = p + h * k3
-            k4 = -v_nodes[k + 1] + q * q - c * q
-            path[k + 1, j] = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return path
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy implementations
-
-
-def _cf_plus_numpy(a, b, z, seed):
+def cf_plus(a, b, z, seed):
+    # descend m_n = -1/(z - b_{n+1} + a_{n+1}^2 m_{n+1}); index i <-> site i+1
     m = seed.astype(np.complex128).copy()
     for i in range(a.size - 1, -1, -1):
         m = -1.0 / (z - b[i] + a[i] * a[i] * m)
     return m
 
 
-def _cf_minus_numpy(a, b, z, seed):
+def cf_minus(a, b, z, seed):
+    # ascend a_n^2 m_n = z - b_n - 1/m_{n-1}; arrays ordered along the sweep
     m = seed.astype(np.complex128).copy()
     for i in range(a.size):
         m = (z - b[i] - 1.0 / m) / (a[i] * a[i])
@@ -174,6 +31,7 @@ def _cf_minus_numpy(a, b, z, seed):
 
 
 def _deriv_numpy(s):
+    # s0' = -2 s1 ; sn' = -2 s_{n+1} + sum_{j<n} s_j s_{n-1-j} ; closure s_{N+1}=0
     ds = np.empty_like(s)
     conv = np.convolve(s, s)[: s.size]
     ds[:-1] = -2.0 * s[1:]
@@ -182,7 +40,7 @@ def _deriv_numpy(s):
     return ds
 
 
-def _rk4_numpy(s, h):
+def _rk4(s, h):
     k1 = _deriv_numpy(s)
     k2 = _deriv_numpy(s + 0.5 * h * k1)
     k3 = _deriv_numpy(s + 0.5 * h * k2)
@@ -190,15 +48,15 @@ def _rk4_numpy(s, h):
     return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _flow_numpy(s0, h, n_steps, bounds, err_tol):
+def flow_integrate(s0, h, n_steps, bounds, err_tol):
     states = [s0.copy()]
     status = FLOW_OK
     bad_step = -1
     worst_err = 0.0
     y = s0.copy()
     for k in range(n_steps):
-        y_full = _rk4_numpy(y, h)
-        y_half = _rk4_numpy(_rk4_numpy(y, 0.5 * h), 0.5 * h)
+        y_full = _rk4(y, h)
+        y_half = _rk4(_rk4(y, 0.5 * h), 0.5 * h)
         err = float(np.max(np.abs(y_half - y_full) / bounds)) / 15.0
         worst_err = max(worst_err, err)
         if err > err_tol:
@@ -214,7 +72,8 @@ def _flow_numpy(s0, h, n_steps, bounds, err_tol):
     return np.asarray(states), status, bad_step, worst_err
 
 
-def _riccati_numpy(p0, v_nodes, v_mids, h, w):
+def riccati_path(p0, v_nodes, v_mids, h, w):
+    # dp/dx = -V + p^2 - (2/w) p, one column per w value
     c = 2.0 / w
     path = np.empty((v_mids.size + 1, w.size), dtype=np.complex128)
     path[0] = p0
@@ -232,40 +91,4 @@ def _riccati_numpy(p0, v_nodes, v_mids, h, w):
     return path
 
 
-# ---------------------------------------------------------------------------
-# path selection
-
-_requested = _numba_requested()
-NUMBA_ENABLED = False
-if _requested is not False:
-    try:
-        from numba import njit
-
-        _deriv_loops = njit(cache=True)(_deriv_loops)
-        _rk4_loops = njit(cache=True)(_rk4_loops)
-        cf_plus_numba = njit(cache=True)(_cf_plus_loops)
-        cf_minus_numba = njit(cache=True)(_cf_minus_loops)
-        flow_integrate_numba = njit(cache=True)(_flow_loops)
-        riccati_path_numba = njit(cache=True)(_riccati_loops)
-        NUMBA_ENABLED = True
-    except ImportError:
-        if _requested is True:
-            raise
-
-cf_plus_numpy = _cf_plus_numpy
-cf_minus_numpy = _cf_minus_numpy
-flow_integrate_numpy = _flow_numpy
-riccati_path_numpy = _riccati_numpy
-
-if NUMBA_ENABLED:
-    cf_plus = cf_plus_numba
-    cf_minus = cf_minus_numba
-    flow_integrate = flow_integrate_numba
-    riccati_path = riccati_path_numba
-    moment_derivative = _deriv_loops
-else:
-    cf_plus = cf_plus_numpy
-    cf_minus = cf_minus_numpy
-    flow_integrate = flow_integrate_numpy
-    riccati_path = riccati_path_numpy
-    moment_derivative = _deriv_numpy
+moment_derivative = _deriv_numpy

@@ -74,6 +74,25 @@ def _require(obj, key, kinds, pointer):
     return val
 
 
+def _finite(val, pointer):
+    """A JSON number as a float, refused unless it is finite."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        raise SchemaError(pointer, f"expected a number, got {type(val).__name__}")
+    try:
+        val = float(val)
+    except OverflowError:  # an integer beyond the float range
+        val = math.inf
+    if not math.isfinite(val):
+        raise SchemaError(pointer, f"expected a finite number, got {val!r}")
+    return val
+
+
+def _require_finite(obj, key, pointer):
+    if key not in obj:
+        raise SchemaError(f"{pointer}/{key}", "missing required field")
+    return _finite(obj[key], f"{pointer}/{key}")
+
+
 _PARAM_KEYS = ("N", "eta", "grid", "x_max", "step")
 
 
@@ -112,7 +131,7 @@ def parse_input(json_text):
         setting_kind = _require(obj, "setting", str, "")
         if setting_kind not in ("jacobi", "schrodinger"):
             raise SchemaError("/setting", f"unknown setting {setting_kind!r}")
-        R = float(_require(obj, "R", (int, float), ""))
+        R = _require_finite(obj, "R", "")
         atoms = obj.get("atoms", [])
         if not isinstance(atoms, list):
             raise SchemaError("/atoms", "expected a list")
@@ -120,9 +139,9 @@ def parse_input(json_text):
         for i, atom in enumerate(atoms):
             if not isinstance(atom, dict):
                 raise SchemaError(f"/atoms/{i}", "expected an object")
-            t = _require(atom, "t", (int, float), f"/atoms/{i}")
-            w = _require(atom, "w", (int, float), f"/atoms/{i}")
-            parsed_atoms.append((float(t), float(w)))
+            t = _require_finite(atom, "t", f"/atoms/{i}")
+            w = _require_finite(atom, "w", f"/atoms/{i}")
+            parsed_atoms.append((t, w))
         pieces = obj.get("pieces", [])
         if not isinstance(pieces, list):
             raise SchemaError("/pieces", "expected a list")
@@ -130,23 +149,25 @@ def parse_input(json_text):
         for i, piece in enumerate(pieces):
             if not isinstance(piece, dict):
                 raise SchemaError(f"/pieces/{i}", "expected an object")
-            a = _require(piece, "a", (int, float), f"/pieces/{i}")
-            b = _require(piece, "b", (int, float), f"/pieces/{i}")
+            a = _require_finite(piece, "a", f"/pieces/{i}")
+            b = _require_finite(piece, "b", f"/pieces/{i}")
             cheb = _require(piece, "cheb", list, f"/pieces/{i}")
-            for j, c in enumerate(cheb):
-                if not isinstance(c, (int, float)) or isinstance(c, bool):
-                    raise SchemaError(f"/pieces/{i}/cheb/{j}", "expected a number")
-            parsed_pieces.append((float(a), float(b), tuple(float(c) for c in cheb)))
+            cheb = tuple(_finite(c, f"/pieces/{i}/cheb/{j}") for j, c in enumerate(cheb))
+            parsed_pieces.append((a, b, cheb))
         measure = Measure.with_pieces(parsed_atoms, parsed_pieces)
         setting = Setting.jacobi(R) if setting_kind == "jacobi" else Setting.schrodinger(R)
         params = default_params(command, R)
 
     for key in _PARAM_KEYS:
         if key in obj:
-            val = obj[key]
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise SchemaError(f"/{key}", "expected a number")
-            params[key] = int(val) if key in ("N", "grid") else float(val)
+            val = _finite(obj[key], f"/{key}")
+            if key in ("N", "grid"):
+                val = int(val)
+                if val < 1:
+                    raise SchemaError(f"/{key}", f"must be at least 1, got {val}")
+            elif not val > 0.0:
+                raise SchemaError(f"/{key}", f"must be positive, got {val!r}")
+            params[key] = val
 
     return Job(
         command=command,

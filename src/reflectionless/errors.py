@@ -41,7 +41,7 @@ class BranchAmbiguity(ReflectionlessError):
 
 
 class MomentMismatch(ReflectionlessError):
-    """Normalization check mu_0 = 1 failed for an extracted moment sequence."""
+    """Normalization check nu_0 = 1 failed for an extracted moment sequence."""
 
 
 class InadmissibleSigma(ReflectionlessError):

@@ -3,12 +3,13 @@
 The route: the measure determines F; the expansions of F at lambda -> 0 and
 |lambda| -> infinity are the 1/z expansions of the two half-line m functions,
 whose representing probability measures rho+- have three-term recurrence
-coefficients equal to the half-line Jacobi parameters.  Power moments come
-out of the series engine by compositional reversion; the recurrence rows are
-produced by the modified Chebyshev algorithm with auxiliary Chebyshev
+coefficients equal to the half-line Jacobi parameters.  The recurrence rows
+are produced by the modified Chebyshev algorithm with auxiliary Chebyshev
 polynomials rescaled to [-R, R], whose modified moments are read directly
 off the expansion of the m function in the inverse Joukowski variable of
-[-R, R] (going through raw power moments is exponentially unstable).
+[-R, R] (going through raw power moments is exponentially unstable).  Power
+moments are derived from the Chebyshev moments on demand, for inspection
+and cross-checks only.
 
 An independent continued-fraction oracle evaluates the m functions of a
 finite coefficient window padded by the free operator, which pins the index
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .herglotz import admissible_discrete
 from .measure import moments
-from .series import DEFAULT_ORDER, _conv, ts_poly, ts_revert
+from .series import DEFAULT_ORDER, _conv
 
 ORACLE_PAD = 200
 CLAMP_TOL = 1e-6
@@ -74,53 +75,47 @@ class JacobiWindow:
 class AsymptoticMoments:
     """Moment data of one half-line spectral measure.
 
-    mu are the power moments (mu[0] = 1 for probability normalization);
-    cheb_mu are moments against Chebyshev polynomials rescaled to [-R, R],
-    which is what the recurrence extraction actually consumes.  a0/b0 are the
-    site-0 coefficients determined by the measure; a_minus1 only exists on
-    the minus side.
+    cheb_mu are the moments nu_k = int T_k(t/R) d rho against Chebyshev
+    polynomials rescaled to [-R, R] (nu_0 = 1 for probability
+    normalization), which is what the recurrence extraction consumes.
+    a0/b0 are the site-0 coefficients determined by the measure; a_minus1
+    only exists on the minus side.
     """
 
     side: str
-    mu: tuple
     a0: float
     b0: float
     a_minus1: float
     R: float
     cheb_mu: tuple
 
+    @property
+    def mu(self):
+        """Power moments mu_k = int t^k d rho, k < len(cheb_mu), from
+        (t/R)^k = 2^(1-k) sum_i C(k, i) T_{k-2i}(t/R) with the T_0 term
+        halved.  The weights are positive and sum to one, so this direction
+        does not amplify errors in cheb_mu."""
+        nu = np.asarray(self.cheb_mu, dtype=float)
+        mu = np.empty(len(nu))
+        for k in range(len(nu)):
+            i = np.arange(k // 2 + 1)
+            w = np.array([math.comb(k, j) for j in i], dtype=float) * 2.0 ** (1 - k)
+            if k % 2 == 0:
+                w[-1] *= 0.5
+            mu[k] = self.R ** k * np.dot(w, nu[k - 2 * i])
+        return tuple(mu)
+
 
 # ---------------------------------------------------------------------------
 # cached universal series
 
 
-def _composition_operator(lam):
-    """M[k, j] = [x^k] lam^j.  With lam fixed, f -> f(lam) is linear in the
-    coefficients of f, so every composition with lam is the product M @ f."""
-    order = len(lam)
-    M = np.zeros((order, order))
-    M[0, 0] = 1.0
-    for j in range(1, order):
-        M[:, j] = _conv(M[:, j - 1], lam, order)
-    return M
-
-
-@lru_cache(maxsize=8)
-def _lambda_of_u(order):
-    """Composition operator of the reversion of u(lambda) = 1/phi(lambda) =
-    -lambda/(1+lambda^2); column 1 is the series lambda(u) itself."""
-    coeffs = np.zeros(order - 1)
-    coeffs[0::4] = -1.0
-    coeffs[2::4] = 1.0
-    lam = np.zeros(order)
-    lam[1:] = ts_revert(ts_poly(coeffs, lead=1, order=order)).array()
-    return _composition_operator(lam)
-
-
 @lru_cache(maxsize=8)
 def _lambda_small_of_v(R, order):
-    """Composition operator of the unit-disk root of lam^2 + z lam + 1 = 0
-    along z = R(v + 1/v)/2; column 1 is the series lam(v) itself.
+    """Composition operator M[k, j] = [v^k] lam^j of the unit-disk root of
+    lam^2 + z lam + 1 = 0 along z = R(v + 1/v)/2; column 1 is the series
+    lam(v) itself.  With lam fixed, f -> f(lam) is linear in the
+    coefficients of f, so every composition with lam is the product M @ f.
 
     Dense fixed-point iteration on lam = -(2v/R)(1 + lam^2)/(1 + v^2); all
     coefficients stay O(1) because the series has unit radius.  The cache
@@ -139,7 +134,11 @@ def _lambda_small_of_v(R, order):
         if prev is not None and np.array_equal(new, prev):
             break
         prev = lam = new
-    return _composition_operator(lam)
+    M = np.zeros((order, order))
+    M[0, 0] = 1.0
+    for j in range(1, order):
+        M[:, j] = _conv(M[:, j - 1], lam, order)
+    return M
 
 
 def _f_taylor_dense(sigma, order):
@@ -179,29 +178,27 @@ def _cheb_moments_from_m_series(mser_lead1, R, count):
 
 
 def rho_plus_moments(sigma, setting, K, order=None):
-    """Moments of rho+ from the lambda -> 0 expansion of F.
+    """Chebyshev moments nu_0..nu_K of rho+ from the lambda -> 0 expansion of F.
 
-    Reverts the coordinate u = 1/phi(lambda), composes with the Taylor
-    series of F, and reads mu_k from m_plus(z) = -sum mu_k z^{-k-1}.
+    Composes the Taylor series of F with the small root lam(v), which gives
+    m_plus(z(v)) = F(lam(v)) in the inverse Joukowski variable v of [-R, R].
     """
     order = order if order is not None else max(DEFAULT_ORDER, K + 6)
     f = _f_taylor_dense(sigma, order)
-    mu = -(_lambda_of_u(order) @ f)[1:K + 2]
-    if abs(mu[0] - 1.0) > 1e-10:
-        raise MomentMismatch(f"rho+ normalization check failed: mu0 = {mu[0]!r}")
     mv = _lambda_small_of_v(setting.R, order) @ f
     nu = _cheb_moments_from_m_series(mv, setting.R, K + 1)
+    if abs(nu[0] - 1.0) > 1e-10:
+        raise MomentMismatch(f"rho+ normalization check failed: nu0 = {nu[0]!r}")
     s1, s2 = moments(sigma, [-1, -2])
     a0 = (1.0 - s2) ** -0.5 if s2 < 1.0 else math.nan
     b0 = -s1 / (1.0 - s2) if s2 < 1.0 else math.nan
     return AsymptoticMoments(
-        side="plus", mu=tuple(mu), a0=a0, b0=b0, a_minus1=None,
-        R=setting.R, cheb_mu=tuple(nu),
+        side="plus", a0=a0, b0=b0, a_minus1=None, R=setting.R, cheb_mu=tuple(nu),
     )
 
 
 def rho_minus_moments(sigma, setting, K, order=None):
-    """Moments of rho- plus the boundary coefficients (a0, b0, a_{-1}).
+    """Chebyshev moments of rho- plus the boundary coefficients (a0, b0, a_{-1}).
 
     a0 = (1 - s_{-2})^{-1/2} and b0 = -s_{-1}/(1 - s_{-2}); the |lambda| ->
     infinity Laurent expansion of -F then carries rho- through
@@ -218,28 +215,11 @@ def rho_minus_moments(sigma, setting, K, order=None):
         raise InadmissibleSigma(f"needs 1 - s_{{-2}} + s_0 > 0, got {q}")
     a_minus1 = a0 * math.sqrt(q)
 
-    M_u = _lambda_of_u(order)
-    g = _positive_moment_gen_dense(sigma, order)
-    # at the large root v = -1/u - lam(u) (lam_small * v = 1, lam_small + v =
-    # -1/u), -F(v) = s1 - (1 - s2) v + G(lam(u)); mser holds exponents -1 ..
-    # order-1 of a0^2 m_-(z(u)) = -a0^2 F(v)
+    # -F at the large root 1/lam(v) = -z(v) - lam(v) is s1 - (1 - s2)/lam +
+    # G(lam), so g(z(v)) = (a0^2 m_-(z(v)) - z(v) + b0)/a_{-1}^2 carries the
+    # Chebyshev moments of rho-
     c = 1.0 - s2
-    mser = np.zeros(order + 1)
-    mser[0] = c
-    mser[1:] = c * M_u[:, 1] + M_u @ g
-    mser[1] += s1
-    mser *= a0 ** 2
-    lead_c = mser[0]
-    const_c = mser[1]
-    if abs(lead_c - 1.0) > 1e-10 or abs(const_c - (-b0)) > 1e-8 * max(1.0, abs(b0)):
-        raise MomentMismatch(
-            f"rho- expansion inconsistent: z-coefficient {lead_c}, constant {const_c}"
-        )
-    mu = -mser[2:K + 3] / a_minus1 ** 2
-    if abs(mu[0] - 1.0) > 1e-10:
-        raise MomentMismatch(f"rho- normalization check failed: mu0 = {mu[0]!r}")
-
-    # Chebyshev moments of rho- from g(z(v)) = (a0^2 m_-(z(v)) - z(v) + b0)/a_{-1}^2
+    g = _positive_moment_gen_dense(sigma, order)
     R = setting.R
     M_v = _lambda_small_of_v(R, order)
     lam_v = M_v[:, 1]
@@ -256,38 +236,15 @@ def rho_minus_moments(sigma, setting, K, order=None):
     if abs(ser[0]) > 1e-9 or abs(ser[1]) > 1e-7 * max(1.0, abs(b0)):
         raise MomentMismatch("rho- Chebyshev expansion lost its leading cancellation")
     nu = _cheb_moments_from_m_series(ser[1:] / a_minus1 ** 2, R, K + 1)
+    if abs(nu[0] - 1.0) > 1e-10:
+        raise MomentMismatch(f"rho- normalization check failed: nu0 = {nu[0]!r}")
     return AsymptoticMoments(
-        side="minus", mu=tuple(mu), a0=a0, b0=b0, a_minus1=a_minus1,
-        R=R, cheb_mu=tuple(nu),
+        side="minus", a0=a0, b0=b0, a_minus1=a_minus1, R=R, cheb_mu=tuple(nu),
     )
 
 
 # ---------------------------------------------------------------------------
 # recurrence extraction (modified Chebyshev)
-
-
-def _modified_from_power(mu, R, count):
-    """Fallback: monic-Chebyshev moments by expanding in the power basis.
-
-    Exponentially lossy with depth; fine for shallow windows when only raw
-    power moments are available.
-    """
-    nu = np.zeros(count)
-    pm1 = np.zeros(count + 1)
-    pm1[0] = 1.0
-    p = np.zeros(count + 1)
-    p[1] = 1.0
-    m_arr = np.asarray(mu, dtype=float)
-    nu[0] = m_arr[0]
-    if count > 1:
-        nu[1] = m_arr[1]
-    for k in range(2, count):
-        bhat = R * R / (2.0 if k == 2 else 4.0)
-        pn = np.roll(p, 1) - bhat * pm1
-        pm1, p = p, pn
-        n = min(len(p), len(m_arr))
-        nu[k] = float(np.dot(p[:n], m_arr[:n]))
-    return nu
 
 
 def _recurrence_via_cholesky(mu, N):
@@ -354,14 +311,11 @@ def moments_to_recurrence(m, N, allow_early_stop=False):
     pivot unless allow_early_stop is set, in which case the valid row count
     is returned as a third element.
     """
-    if m.cheb_mu is not None and len(m.cheb_mu) >= 2 * N:
-        nu = np.asarray(m.cheb_mu[: 2 * N], dtype=float).copy()
-        k = np.arange(1, 2 * N)
-        nu[1:] *= m.R ** k * 2.0 ** (1 - k)
-    else:
-        if len(m.mu) < 2 * N:
-            raise HankelBreakdown(N, f"need {2 * N} moments for {N} rows, have {len(m.mu)}")
-        nu = _modified_from_power(np.asarray(m.mu, dtype=float), m.R, 2 * N)
+    if len(m.cheb_mu) < 2 * N:
+        raise HankelBreakdown(N, f"need {2 * N} moments for {N} rows, have {len(m.cheb_mu)}")
+    nu = np.asarray(m.cheb_mu[: 2 * N], dtype=float).copy()
+    k = np.arange(1, 2 * N)
+    nu[1:] *= m.R ** k * 2.0 ** (1 - k)
     alpha, beta = _wheeler(nu, N, m.R)
     n_valid = N
     tol = BREAKDOWN_TOL * max(1.0, m.R ** 2 / 4.0)

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import reflectionless
 from reflectionless.cli import job_to_json, main, parse_input, run
 from reflectionless.errors import SchemaError, UnknownCommand
 
@@ -28,6 +32,29 @@ class TestParseInput:
         with pytest.raises(SchemaError) as err:
             parse_input('{"command":"check","setting":"jacobi","R":4,"atoms":[{"t":1}]}')
         assert err.value.pointer == "/atoms/0/w"
+
+    @pytest.mark.parametrize(
+        "fields, pointer",
+        [
+            ('"R":NaN', "/R"),
+            ('"R":Infinity', "/R"),
+            ('"R":4,"atoms":[{"t":NaN,"w":0.5}]', "/atoms/0/t"),
+            ('"R":4,"atoms":[{"t":1,"w":-Infinity}]', "/atoms/0/w"),
+            ('"R":' + "9" * 400, "/R"),
+            ('"R":4,"pieces":[{"a":NaN,"b":0.6,"cheb":[1]}]', "/pieces/0/a"),
+            ('"R":4,"pieces":[{"a":0.5,"b":0.6,"cheb":[1,NaN]}]', "/pieces/0/cheb/1"),
+            ('"R":4,"N":0', "/N"),
+            ('"R":4,"grid":-3', "/grid"),
+            ('"R":4,"N":Infinity', "/N"),
+            ('"R":4,"eta":0', "/eta"),
+            ('"R":4,"x_max":-0.1', "/x_max"),
+            ('"R":4,"step":NaN', "/step"),
+        ],
+    )
+    def test_out_of_range_numbers(self, fields, pointer):
+        with pytest.raises(SchemaError) as err:
+            parse_input('{"command":"verify","setting":"jacobi",' + fields + "}")
+        assert err.value.pointer == pointer
 
     def test_unknown_command(self):
         with pytest.raises(UnknownCommand):
@@ -173,3 +200,33 @@ class TestMain:
         measure.write_text('{"setting":"jacobi","R":4,"atoms":[{"t":1.0,"w":1.0}]}')
         status = main(["jacobi", "--input", str(measure), "--out", str(tmp_path)])
         assert status == 2
+
+    @pytest.mark.parametrize(
+        "argv, text, pointer",
+        [
+            (["jacobi", "--order", "0"], '{"setting":"jacobi","R":2}', "/N"),
+            (["verify"], '{"setting":"jacobi","R":NaN}', "/R"),
+        ],
+    )
+    def test_cli_refuses_out_of_range(self, tmp_path, capsys, argv, text, pointer):
+        measure = tmp_path / "m.json"
+        measure.write_text(text)
+        status = main(argv + ["--input", str(measure), "--out", str(tmp_path)])
+        assert status == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "SchemaError"
+        assert err["pointer"] == pointer
+
+
+def test_import_loads_neither_scipy_nor_numba():
+    src = str(Path(reflectionless.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import reflectionless; "
+        "print(sorted(m for m in ('scipy', 'numba') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -16,7 +16,6 @@ from reflectionless.jacobi import (
     AsymptoticMoments,
     JacobiWindow,
     _f_taylor_dense,
-    _lambda_of_u,
     _lambda_small_of_v,
     _positive_moment_gen_dense,
     _recurrence_via_cholesky,
@@ -41,6 +40,12 @@ ZGRID = np.array(
 
 def catalan(m):
     return math.comb(2 * m, m) // (m + 1)
+
+
+def single_atom_moments(t, R, count):
+    """Exact Chebyshev moments nu_k = T_k(t/R) of a unit atom at t."""
+    nu = tuple(math.cos(k * math.acos(t / R)) for k in range(count))
+    return AsymptoticMoments(side="plus", a0=1.0, b0=0.0, a_minus1=None, R=R, cheb_mu=nu)
 
 
 def oracle_vs_direct(window, sigma, setting, z_grid=ZGRID):
@@ -159,12 +164,12 @@ class TestCompositionOperators:
         rng = np.random.RandomState(39)
         sigma, setting = random_jacobi_measure(rng, r_lo=2.002, r_hi=2.004)
         outers = (_f_taylor_dense(sigma, order), _positive_moment_gen_dense(sigma, order))
-        for M in (_lambda_of_u(order), _lambda_small_of_v(setting.R, order)):
-            for f in outers:
-                horner = _compose_dense(f, M[:, 1], order)
-                # rounding scale of the product: the same sum on |M| and |f|
-                scale = np.abs(M) @ np.abs(f)
-                assert np.all(np.abs(M @ f - horner) <= 1e-14 * scale)
+        M = _lambda_small_of_v(setting.R, order)
+        for f in outers:
+            horner = _compose_dense(f, M[:, 1], order)
+            # rounding scale of the product: the same sum on |M| and |f|
+            scale = np.abs(M) @ np.abs(f)
+            assert np.all(np.abs(M @ f - horner) <= 1e-14 * scale)
 
 
 class TestMomentsToRecurrence:
@@ -175,25 +180,17 @@ class TestMomentsToRecurrence:
         assert beta[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(beta[1:] - 1.0)) < 1e-9
 
-    def test_power_moment_fallback(self):
-        # hand-built moments (free pattern) exercise the power-basis route
-        mu = tuple(float(catalan(k // 2)) if k % 2 == 0 else 0.0 for k in range(22))
-        m = AsymptoticMoments(
-            side="plus", mu=mu, a0=1.0, b0=0.0, a_minus1=None, R=2.0, cheb_mu=None
-        )
-        alpha, beta = moments_to_recurrence(m, 11)
-        assert np.max(np.abs(alpha)) < 1e-9
-        assert np.max(np.abs(beta[1:] - 1.0)) < 1e-9
-
     def test_single_atom_breaks_down_at_pivot_two(self):
-        t = 1.3
-        mu = tuple(t ** k for k in range(12))
-        m = AsymptoticMoments(
-            side="plus", mu=mu, a0=1.0, b0=0.0, a_minus1=None, R=4.0, cheb_mu=None
-        )
+        m = single_atom_moments(1.3, 4.0, 12)
         with pytest.raises(HankelBreakdown) as err:
             moments_to_recurrence(m, 5)
         assert err.value.pivot == 2
+
+    @pytest.mark.parametrize("t", [1.3, -1.1])
+    def test_power_moments_from_chebyshev(self, t):
+        m = single_atom_moments(t, 1.4, 21)
+        for k, mu_k in enumerate(m.mu):
+            assert mu_k == pytest.approx(t ** k, rel=1e-12)
 
     def test_against_cholesky_cross_check(self):
         rng = np.random.RandomState(33)

@@ -1,57 +1,8 @@
-"""Cross-path equivalence of the numba kernels and the numpy fallback."""
+"""Status reporting of the moment-flow kernel."""
 
 import numpy as np
-import pytest
 
 from reflectionless import _kernels
-
-needs_numba = pytest.mark.skipif(
-    not _kernels.NUMBA_ENABLED, reason="numba path not active"
-)
-
-RNG = np.random.RandomState(17)
-A = 1.0 + 0.2 * RNG.rand(120)
-B = 0.1 * RNG.randn(120)
-Z = RNG.uniform(-2, 2, 64) + 1j * RNG.uniform(0.5, 3.0, 64)
-SEED = np.full(64, 0.3j, dtype=complex)
-
-
-@needs_numba
-def test_cf_plus_paths_agree():
-    fast = _kernels.cf_plus_numba(A, B, Z, SEED)
-    ref = _kernels.cf_plus_numpy(A, B, Z, SEED)
-    np.testing.assert_allclose(fast, ref, rtol=1e-12)
-
-
-@needs_numba
-def test_cf_minus_paths_agree():
-    fast = _kernels.cf_minus_numba(A, B, Z, SEED)
-    ref = _kernels.cf_minus_numpy(A, B, Z, SEED)
-    np.testing.assert_allclose(fast, ref, rtol=1e-12)
-
-
-@needs_numba
-def test_flow_paths_agree():
-    s0 = np.zeros(25)
-    s0[0] = 1.0
-    bounds = 2.0 ** (np.arange(25) + 2.0) * (1 + 1e-9)
-    out_nb = _kernels.flow_integrate_numba(s0, 0.025, 40, bounds, 1e-6)
-    out_np = _kernels.flow_integrate_numpy(s0, 0.025, 40, bounds, 1e-6)
-    assert out_nb[1] == out_np[1] == _kernels.FLOW_OK
-    np.testing.assert_allclose(out_nb[0], out_np[0], rtol=1e-11, atol=1e-14)
-
-
-@needs_numba
-def test_riccati_paths_agree():
-    steps = 80
-    xs = np.linspace(0, 1, steps + 1)
-    v_nodes = -2.0 / np.cosh(xs) ** 2
-    v_mids = -2.0 / np.cosh(xs[:-1] + 0.5 / steps) ** 2
-    w = np.array([0.1, 0.1j, 0.05 + 0.05j])
-    p0 = 0.1 * w
-    out_nb = _kernels.riccati_path_numba(p0, v_nodes, v_mids, 1.0 / steps, w)
-    out_np = _kernels.riccati_path_numpy(p0, v_nodes, v_mids, 1.0 / steps, w)
-    np.testing.assert_allclose(out_nb, out_np, rtol=1e-12)
 
 
 def test_flow_status_codes():
