@@ -81,16 +81,6 @@ from .schrodinger import (
     moment_generating,
     riccati_oracle,
 )
-from .series import (
-    DEFAULT_ORDER,
-    TruncatedSeries,
-    monomial,
-    ts_add,
-    ts_compose,
-    ts_mul,
-    ts_poly,
-    ts_recip,
-    ts_revert,
-)
+from .series import DEFAULT_ORDER
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from .herglotz import (
     m_value,
     reflectionless_residual,
 )
-from .jacobi import m_oracle, reconstruct
+from .jacobi import ORACLE_PAD, m_oracle, reconstruct
 from .measure import Measure, moment
 from .schrodinger import integrate_flow, riccati_mismatch
 
@@ -96,7 +96,7 @@ def _require_finite(obj, key, pointer):
 _PARAM_KEYS = ("N", "eta", "grid", "x_max", "step")
 
 
-def default_params(command, R):
+def default_params(R):
     return {
         "N": 40,
         "eta": 1e-4,
@@ -106,14 +106,20 @@ def default_params(command, R):
     }
 
 
-def parse_input(json_text):
-    """Validated Job from a JSON job description (measure + parameters)."""
+def _json_object(json_text):
+    """The JSON object in a str or bytes document, or a SchemaError."""
     try:
         obj = json.loads(json_text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError("", f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise SchemaError("", "job must be a JSON object")
+    return obj
+
+
+def parse_input(json_text):
+    """Validated Job from a JSON job description (measure + parameters)."""
+    obj = _json_object(json_text)
     command = obj.get("command", "check")
     if not isinstance(command, str) or command not in COMMANDS:
         raise UnknownCommand(f"/command: unknown command {command!r}")
@@ -126,7 +132,7 @@ def parse_input(json_text):
             measure, setting = presets.get(name, epsilon=epsilon, mass=mass)
         except ValueError as exc:
             raise SchemaError("/name", str(exc)) from None
-        params = {**default_params(command, setting.R)}
+        params = default_params(setting.R)
     else:
         setting_kind = _require(obj, "setting", str, "")
         if setting_kind not in ("jacobi", "schrodinger"):
@@ -156,7 +162,7 @@ def parse_input(json_text):
             parsed_pieces.append((a, b, cheb))
         measure = Measure.with_pieces(parsed_atoms, parsed_pieces)
         setting = Setting.jacobi(R) if setting_kind == "jacobi" else Setting.schrodinger(R)
-        params = default_params(command, R)
+        params = default_params(R)
 
     for key in _PARAM_KEYS:
         if key in obj:
@@ -233,10 +239,6 @@ def emit_csv(header, rows, path):
 # commands
 
 
-def _setting_for(job):
-    return Setting.jacobi(job.R) if job.setting_kind == "jacobi" else Setting.schrodinger(job.R)
-
-
 def _admissibility_report(job, setting):
     if setting.kind == "jacobi":
         rep = admissible_discrete(job.measure, setting)
@@ -252,15 +254,13 @@ def _admissibility_report(job, setting):
     }
 
 
-def run_check(job, out):
-    setting = _setting_for(job)
+def run_check(job, setting, out):
     rep, payload = _admissibility_report(job, setting)
     emit_json(payload, out / "admissibility.json")
     return 0 if rep.passed else 2
 
 
-def run_jacobi(job, out):
-    setting = _setting_for(job)
+def run_jacobi(job, setting, out):
     N = int(job.param("N"))
     window = reconstruct(job.measure, setting, N)
     rows = [
@@ -278,7 +278,7 @@ def run_jacobi(job, out):
         {
             "N": N,
             "max_abs_residual": worst,
-            "pad": 200,
+            "pad": ORACLE_PAD,
             "z_grid": [[z.real, z.imag] for z in z_grid],
         },
         out / "oracle_residual.json",
@@ -286,8 +286,7 @@ def run_jacobi(job, out):
     return 0
 
 
-def run_schrodinger(job, out):
-    setting = _setting_for(job)
+def run_schrodinger(job, setting, out):
     N = int(job.param("N"))
     trace = integrate_flow(
         job.measure, N, setting.R, job.param("x_max"), step=job.param("step")
@@ -315,8 +314,7 @@ def run_schrodinger(job, out):
     return 0
 
 
-def run_verify(job, out):
-    setting = _setting_for(job)
+def run_verify(job, setting, out):
     eta = float(job.param("eta"))
     n_grid = int(job.param("grid"))
     grid = default_residual_grid(setting, min(n_grid, 512))
@@ -344,20 +342,21 @@ def run_verify(job, out):
     return 0
 
 
-def run_example(job, out):
-    setting = _setting_for(job)
-    status = run_check(job, out)
+def run_example(job, setting, out):
+    status = run_check(job, setting, out)
     if setting.kind == "jacobi":
         if status == 0:
-            run_jacobi(job, out)
+            run_jacobi(job, setting, out)
     else:
-        run_schrodinger(job, out)
-    run_verify(job, out)
+        run_schrodinger(job, setting, out)
+    run_verify(job, setting, out)
     return status
 
 
 def run(job, out_dir="."):
-    """Dispatch a parsed job; returns the process exit status."""
+    """Validate the job's measure, then dispatch; returns the exit status."""
+    setting = Setting.jacobi(job.R) if job.setting_kind == "jacobi" else Setting.schrodinger(job.R)
+    setting.validated(job.measure)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runner = {
@@ -367,7 +366,7 @@ def run(job, out_dir="."):
         "verify": run_verify,
         "example": run_example,
     }[job.command]
-    return runner(job, out)
+    return runner(job, setting, out)
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +396,7 @@ def build_parser():
 
 
 def _job_from_args(args):
-    obj = {}
-    if args.input:
-        obj = json.loads(Path(args.input).read_text())
-        if not isinstance(obj, dict):
-            raise SchemaError("", "job must be a JSON object")
+    obj = _json_object(Path(args.input).read_bytes()) if args.input else {}
     obj["command"] = args.command
     if args.command == "example":
         if getattr(args, "name", None):

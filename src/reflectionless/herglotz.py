@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import BadR, BranchAmbiguity, NonConvergent
 from .measure import (
+    _gl_nodes,
     adaptive_gauss_legendre,
     cauchy,
     moment,
@@ -52,8 +53,8 @@ class Setting:
 
     @staticmethod
     def schrodinger(R):
-        if not R > 0.0:
-            raise BadR(f"schrodinger setting needs R > 0, got {R}")
+        if not 0.0 < R < math.inf:
+            raise BadR(f"schrodinger setting needs 0 < R < inf, got {R}")
         return Setting("schrodinger", float(R), None)
 
     def validated(self, sigma):
@@ -198,7 +199,7 @@ def _boundary_on_s_grid(sigma, s_arr, root_sign):
             contrib = ws[:, None] / ((ts[:, None] - rho1) * (ts[:, None] - rho2))
         vals = vals + np.sum(contrib, axis=0)
     for p in sigma.pieces:
-        x, w = np.polynomial.legendre.leggauss(64)
+        x, w = _gl_nodes(64)
         h = 0.5 * (p.b - p.a)
         t = p.a + h * (x + 1.0)
         dens = p.density(t)

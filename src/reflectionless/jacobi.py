@@ -247,30 +247,6 @@ def rho_minus_moments(sigma, setting, K, order=None):
 # recurrence extraction (modified Chebyshev)
 
 
-def _recurrence_via_cholesky(mu, N):
-    """Raw-moment Hankel Cholesky route to (alpha, beta); cross-check only.
-
-    Exponentially ill-conditioned with depth, so this is never on the
-    production path, but at shallow N it independently confirms the modified
-    Chebyshev output.
-    """
-    H = np.array([[mu[i + j] for j in range(N + 1)] for i in range(N + 1)])
-    try:
-        L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:
-        raise HankelBreakdown(N + 1, str(exc)) from None
-    alpha = np.empty(N)
-    beta = np.empty(N)
-    beta[0] = mu[0]
-    for k in range(1, N):
-        beta[k] = (L[k, k] / L[k - 1, k - 1]) ** 2
-    for k in range(N):
-        t1 = L[k + 1, k] / L[k, k]
-        t0 = L[k, k - 1] / L[k - 1, k - 1] if k > 0 else 0.0
-        alpha[k] = t1 - t0
-    return alpha, beta
-
-
 def _wheeler(nu_monic, N, R):
     """Modified Chebyshev algorithm: monic auxiliary moments -> (alpha, beta)."""
     K = 2 * N

@@ -109,8 +109,8 @@ def support_bounds(mu):
 
 def solve_r(R):
     """Solve r + 1/r = R with 0 < r <= 1, polished to 1e-14."""
-    if R < 2.0:
-        raise BadR(f"jacobi setting needs R >= 2, got {R}")
+    if not 2.0 <= R < math.inf:
+        raise BadR(f"jacobi setting needs 2 <= R < inf, got {R}")
     r = (R - math.sqrt(R * R - 4.0)) / 2.0 if R > 2.0 else 1.0
     for _ in range(3):
         d = 1.0 - 1.0 / (r * r)
@@ -140,8 +140,8 @@ def validate(mu, setting, R):
         m = SUPPORT_MARGIN_REL * R
         allowed = ((-1.0 / r + m, -r - m), (r + m, 1.0 / r - m))
     elif setting == "schrodinger":
-        if not R > 0.0:
-            raise BadR(f"schrodinger setting needs R > 0, got {R}")
+        if not 0.0 < R < math.inf:
+            raise BadR(f"schrodinger setting needs 0 < R < inf, got {R}")
         m = SUPPORT_MARGIN_REL * R
         allowed = ((-R + m, R - m),)
     else:

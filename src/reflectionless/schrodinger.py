@@ -181,27 +181,46 @@ def stable_riccati_directions(w):
     return (-1, +1)
 
 
+def _hermite_sampler(xs, sigmas):
+    """V on the uniform grid xs through the quintic Hermite interpolant of the
+    exact nodal values V = -2 s0, V' = 4 s1 and V'' = 4 (s0^2 - 2 s2)."""
+    H = xs[1] - xs[0]
+    s0, s1, s2 = sigmas[:, 0], sigmas[:, 1], sigmas[:, 2]
+    # in the cell variable t = (x - x_i)/H: V, H V' and H^2 V''/2
+    V, dV, d2V = -2.0 * s0, 4.0 * H * s1, 2.0 * H * H * (s0 * s0 - 2.0 * s2)
+
+    def sample(x):
+        u = (np.asarray(x, dtype=float) - xs[0]) / H
+        i = np.clip(np.floor(u).astype(int), 0, len(xs) - 2)
+        t = u - i
+        s = 1.0 - t
+        left = V[i] * (1.0 + 3.0 * t + 6.0 * t * t) + t * (dV[i] * (1.0 + 3.0 * t) + d2V[i] * t)
+        j = i + 1
+        right = V[j] * (1.0 + 3.0 * s + 6.0 * s * s) - s * (dV[j] * (1.0 + 3.0 * s) - d2V[j] * s)
+        return s ** 3 * left + t ** 3 * right
+
+    return sample
+
+
 def riccati_oracle(trace, w, x_max=None, substep=2):
     """Independent Riccati integration of p(x, w) from the series value p(0, w).
 
     Integrates along the stable direction(s) for this w on the trace range
-    (clipped to x_max), sampling the potential through a cubic spline at
-    `substep` nodes per trace step.  Returns (xs, p) with xs ascending over
-    the integrated range.  Raises RiccatiBlowUp when |p| exceeds 10 R, the
-    sign of leaving the analyticity domain.
+    (clipped to x_max), sampling the potential through the quintic Hermite
+    interpolant of the trace's exact V, V' and V'' at `substep` nodes per
+    trace step.  Returns (xs, p) with xs ascending over the integrated range.
+    Raises RiccatiBlowUp when |p| exceeds 10 R, the sign of leaving the
+    analyticity domain.
     """
-    # imported here: scipy.interpolate costs more than the rest of the package
-    from scipy.interpolate import CubicSpline
-
     w = complex(w)
     if abs(w) >= 1.0 / trace.R:
         raise ValueError("w must lie inside the convergence disk |w| < 1/R")
     xs = trace.xs
-    V = trace.V
+    sigmas = trace.sigmas
     if x_max is not None:
         keep = np.abs(xs) <= x_max + 1e-12
-        xs, V = xs[keep], V[keep]
-    spline = CubicSpline(xs, V)
+        xs, sigmas = xs[keep], sigmas[keep]
+    V = _hermite_sampler(xs, sigmas)
     i0 = int(np.argmin(np.abs(xs)))
     if abs(xs[i0]) > 1e-12:
         raise ValueError("trace grid must contain x = 0")
@@ -217,7 +236,7 @@ def riccati_oracle(trace, w, x_max=None, substep=2):
         nodes = direction * h * np.arange(n_steps + 1)
         mids = nodes[:-1] + direction * 0.5 * h
         path = _kernels.riccati_path(
-            p0, spline(nodes), spline(mids), direction * h, np.atleast_1d(w)
+            p0, V(nodes), V(mids), direction * h, np.atleast_1d(w)
         )[:, 0]
         bad = ~np.isfinite(path) | (np.abs(path) > BLOWUP_FACTOR * trace.R)
         if np.any(bad):

@@ -1,10 +1,13 @@
-"""Shared test utilities: seeded generators of admissible random measures."""
+"""Shared test utilities: seeded generators of admissible random measures and
+reference routes that cross-check the production ones."""
 
 import numpy as np
 
 from reflectionless import Measure, Setting
+from reflectionless.errors import HankelBreakdown
 from reflectionless.herglotz import admissible_continuous, admissible_discrete
 from reflectionless.measure import solve_r
+from reflectionless.series import _conv
 
 
 def random_jacobi_measure(rng, r_lo=2.002, r_hi=2.05, edge_margin=0.12):
@@ -44,3 +47,35 @@ def random_schrodinger_measure(rng, R_lo=1.0, R_hi=3.0, edge_margin=0.1):
     setting.validated(sigma)
     assert admissible_continuous(sigma, setting).passed
     return sigma, setting
+
+
+def compose_dense(f, g, n):
+    """Horner evaluation of f(g) on dense arrays (g[0] must be 0)."""
+    acc = np.zeros(n)
+    for c in f[::-1]:
+        acc = _conv(acc, g, n)
+        acc[0] += c
+    return acc
+
+
+def recurrence_via_cholesky(mu, N):
+    """Raw-moment Hankel Cholesky route to (alpha, beta).
+
+    Exponentially ill-conditioned with depth, so never a production route,
+    but at shallow N it independently confirms the modified Chebyshev output.
+    """
+    H = np.array([[mu[i + j] for j in range(N + 1)] for i in range(N + 1)])
+    try:
+        L = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError as exc:
+        raise HankelBreakdown(N + 1, str(exc)) from None
+    alpha = np.empty(N)
+    beta = np.empty(N)
+    beta[0] = mu[0]
+    for k in range(1, N):
+        beta[k] = (L[k, k] / L[k - 1, k - 1]) ** 2
+    for k in range(N):
+        t1 = L[k + 1, k] / L[k, k]
+        t0 = L[k, k - 1] / L[k - 1, k - 1] if k > 0 else 0.0
+        alpha[k] = t1 - t0
+    return alpha, beta

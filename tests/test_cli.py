@@ -89,7 +89,7 @@ class TestRun:
         assert rep["min_value"] == pytest.approx(1.0)
 
     def test_check_delta1_fails_with_exit_2(self, tmp_path):
-        job = parse_input('{"command":"check","setting":"jacobi","R":2,"atoms":[{"t":1,"w":1}]}')
+        job = parse_input('{"command":"check","setting":"jacobi","R":4,"atoms":[{"t":1,"w":1}]}')
         assert run(job, tmp_path) == 2
         rep = json.loads((tmp_path / "admissibility.json").read_text())
         assert rep["passed"] is False
@@ -220,13 +220,88 @@ class TestMain:
         assert err["pointer"] == pointer
 
 
-def test_import_loads_neither_scipy_nor_numba():
+# the atom at 0.95 lies inside the piece [0.92, 0.98]
+OVERLAP_MEASURE = (
+    '{"setting":"jacobi","R":2.01,'
+    '"atoms":[{"t":0.95,"w":0.01},{"t":-1.02,"w":0.02}],'
+    '"pieces":[{"a":0.92,"b":0.98,"cheb":[0.05,0.0,0.01]}]}'
+)
+# the measure file shown in the README
+README_MEASURE = (
+    '{"setting":"jacobi","R":2.01,'
+    '"atoms":[{"t":1.05,"w":0.001},{"t":-1.02,"w":0.002}],'
+    '"pieces":[{"a":0.92,"b":0.98,"cheb":[0.005,0.0,0.001]}]}'
+)
+
+
+class TestMainRefusals:
+    @pytest.mark.parametrize(
+        "raw",
+        [b'{"setting": "jacobi", "R": 2.01,', b'{"setting": "jacobi", "R": 2.01}\xff'],
+        ids=["truncated", "not-utf8"],
+    )
+    def test_undecodable_input(self, tmp_path, capsys, raw):
+        measure = tmp_path / "bad.json"
+        measure.write_bytes(raw)
+        status = main(["check", "--input", str(measure), "--out", str(tmp_path)])
+        assert status == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "SchemaError"
+        assert err["pointer"] == ""
+        assert "invalid JSON" in err["message"]
+
+    @pytest.mark.parametrize("command", ["check", "verify", "jacobi"])
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"setting":"jacobi","R":4,"atoms":[{"t":1.0,"w":-0.01}]}', "NegativeWeight"),
+            ('{"setting":"schrodinger","R":2,"atoms":[{"t":0.0,"w":-0.01}]}', "NegativeWeight"),
+            ('{"setting":"jacobi","R":2,"atoms":[{"t":1.0,"w":1.0}]}', "SupportViolation"),
+            (OVERLAP_MEASURE, "SupportViolation"),
+        ],
+        ids=["negative-weight-jacobi", "negative-weight-schrodinger", "outside-support", "overlap"],
+    )
+    def test_invalid_measure_refused(self, tmp_path, capsys, command, text, error):
+        measure = tmp_path / "m.json"
+        measure.write_text(text)
+        status = main([command, "--input", str(measure), "--out", str(tmp_path / "out")])
+        assert status == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["check", "jacobi", "verify"])
+    def test_readme_measure_passes(self, tmp_path, command):
+        measure = tmp_path / "m.json"
+        measure.write_text(README_MEASURE)
+        assert main([command, "--input", str(measure), "--out", str(tmp_path)]) == 0
+
+
+def _run_isolated(code):
+    """Run code in a fresh interpreter that sees this checkout's package."""
     src = str(Path(reflectionless.__file__).parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import reflectionless; "
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); " + code],
+        capture_output=True, text=True, check=True,
+    ).stdout
+
+
+def test_import_loads_neither_scipy_nor_numba():
+    out = _run_isolated(
+        "import reflectionless; "
         "print(sorted(m for m in ('scipy', 'numba') if m in sys.modules))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    ).stdout
     assert out.strip() == "[]"
+
+
+def test_example_delta0_runs_without_scipy(tmp_path):
+    out = _run_isolated(
+        "from reflectionless.cli import main; "
+        f"status = main(['example', '--name', 'delta0', '--out', {str(tmp_path)!r}]); "
+        "print(status, 'scipy' in sys.modules)"
+    )
+    assert out.strip() == "0 False"
+    assert (tmp_path / "riccati_residual.json").exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import random_jacobi_measure
+from helpers import compose_dense, random_jacobi_measure, recurrence_via_cholesky
 from reflectionless.errors import (
     AdmissibilityRequired,
     FreeOperator,
@@ -18,7 +18,6 @@ from reflectionless.jacobi import (
     _f_taylor_dense,
     _lambda_small_of_v,
     _positive_moment_gen_dense,
-    _recurrence_via_cholesky,
     m_oracle,
     moments_to_recurrence,
     prop311_check,
@@ -28,7 +27,6 @@ from reflectionless.jacobi import (
 )
 from reflectionless.measure import Measure, moment
 from reflectionless.presets import soliton
-from reflectionless.series import _compose_dense
 
 ZERO = Measure.zero()
 JAC2 = Setting.jacobi(2.0)
@@ -166,7 +164,7 @@ class TestCompositionOperators:
         outers = (_f_taylor_dense(sigma, order), _positive_moment_gen_dense(sigma, order))
         M = _lambda_small_of_v(setting.R, order)
         for f in outers:
-            horner = _compose_dense(f, M[:, 1], order)
+            horner = compose_dense(f, M[:, 1], order)
             # rounding scale of the product: the same sum on |M| and |f|
             scale = np.abs(M) @ np.abs(f)
             assert np.all(np.abs(M @ f - horner) <= 1e-14 * scale)
@@ -197,7 +195,7 @@ class TestMomentsToRecurrence:
         sigma, setting = random_jacobi_measure(rng)
         m = rho_plus_moments(sigma, setting, 20)
         alpha, beta = moments_to_recurrence(m, 8)
-        alpha_c, beta_c = _recurrence_via_cholesky(np.asarray(m.mu), 8)
+        alpha_c, beta_c = recurrence_via_cholesky(np.asarray(m.mu), 8)
         assert np.allclose(alpha, alpha_c, atol=1e-8)
         assert np.allclose(beta, beta_c, atol=1e-8)
 

@@ -12,6 +12,7 @@ from reflectionless.errors import (
     OnSupport,
     SupportViolation,
 )
+from reflectionless.herglotz import Setting
 from reflectionless.measure import (
     EMPTY_SUPPORT,
     Measure,
@@ -72,6 +73,16 @@ class TestValidate:
             validate(Measure.zero(), "jacobi", 1.5)
         with pytest.raises(BadR):
             validate(Measure.zero(), "schrodinger", 0.0)
+
+    @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+    def test_non_finite_r(self, R):
+        with pytest.raises(BadR):
+            solve_r(R)
+        for setting in (Setting.jacobi, Setting.schrodinger):
+            with pytest.raises(BadR):
+                setting(R)
+        with pytest.raises(BadR):
+            validate(Measure.zero(), "schrodinger", R)
 
     def test_overlapping_pieces(self):
         mu = Measure.with_pieces([], [(0.4, 0.7, (1.0,)), (0.6, 0.9, (1.0,))])

@@ -13,6 +13,7 @@ from reflectionless.errors import (
 from reflectionless.measure import Measure
 from reflectionless.schrodinger import (
     MomentFlowState,
+    _hermite_sampler,
     binomial_sum_identity,
     flow_derivative,
     init_flow,
@@ -162,6 +163,38 @@ class TestIntegrateFlow:
         tol = -1e-8 * setting.R ** 22
         for row in trace.sigmas[::4]:
             assert hankel_min_eig(row, 10) >= tol
+
+
+def sampler_cases():
+    rng = np.random.RandomState(47)
+    yield DELTA0, 2.0
+    for _ in range(8):
+        sigma, setting = random_schrodinger_measure(rng)
+        yield sigma, setting.R
+
+
+class TestHermiteSampler:
+    """V between trace nodes, from the exact nodal V, V' and V''."""
+
+    @pytest.mark.parametrize("sigma, R", list(sampler_cases()))
+    def test_nodes_and_half_steps(self, sigma, R):
+        h = 1.0 / (20.0 * R)
+        trace = integrate_flow(sigma, 40, R, 0.8 / R, step=h)
+        fine = integrate_flow(sigma, 40, R, 0.8 / R, step=h / 2)
+        V = _hermite_sampler(trace.xs, trace.sigmas)
+        scale = np.max(np.abs(trace.V))
+        assert np.max(np.abs(V(trace.xs) - trace.V)) <= 1e-13 * scale
+        assert np.max(np.abs(V(fine.xs[1::2]) - fine.V[1::2])) <= 1e-6
+
+    def test_exact_on_quintics(self):
+        # V = x^5 - x^2 through s0 = -V/2, s1 = V'/4, s2 = (s0^2 - V''/4)/2
+        xs = np.linspace(-0.5, 0.5, 11)
+        s0 = -(xs ** 5 - xs ** 2) / 2
+        s1 = (5 * xs ** 4 - 2 * xs) / 4
+        s2 = (s0 ** 2 - (20 * xs ** 3 - 2) / 4) / 2
+        x = np.linspace(-0.5, 0.5, 97)
+        V = _hermite_sampler(xs, np.stack([s0, s1, s2], axis=1))
+        assert np.max(np.abs(V(x) - (x ** 5 - x ** 2))) <= 1e-14
 
 
 class TestRiccati:
