@@ -23,6 +23,7 @@ from . import presets
 from .errors import (
     AdmissibilityRequired,
     IoError,
+    NonFiniteOutput,
     ReflectionlessError,
     SchemaError,
     UnknownCommand,
@@ -217,20 +218,24 @@ def _fmt(value):
 
 def emit_json(report, path):
     try:
-        Path(path).write_text(
-            json.dumps(report, sort_keys=True, indent=2, allow_nan=True) + "\n",
-            newline="\n",
-        )
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from None
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise NonFiniteOutput(f"non-finite value in {Path(path).name}") from None
+    _write(path, text + "\n")
 
 
 def emit_csv(header, rows, path):
     lines = [",".join(header)]
     for row in rows:
+        if not all(math.isfinite(v) for v in row if isinstance(v, (int, float))):
+            raise NonFiniteOutput(f"non-finite value in {Path(path).name}, row {row[0]!r}")
         lines.append(",".join(_fmt(v) if isinstance(v, (int, float)) else str(v) for v in row))
+    _write(path, "\n".join(lines) + "\n")
+
+
+def _write(path, text):
     try:
-        Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+        Path(path).write_text(text, newline="\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from None
 
@@ -416,14 +421,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         job = _job_from_args(args)
-        return run(job, args.out)
+        # stderr holds nothing but the error line: floating-point warnings
+        # stay off, and a non-finite result is refused where it is written
+        with np.errstate(all="ignore"):
+            return run(job, args.out)
     except AdmissibilityRequired as exc:
         _emit_error(exc)
         return 2
-    except ReflectionlessError as exc:
-        _emit_error(exc)
-        return 1
-    except OSError as exc:
+    except (ReflectionlessError, OSError, ArithmeticError) as exc:
         _emit_error(exc)
         return 1
 

@@ -101,3 +101,8 @@ class UnknownCommand(ReflectionlessError):
 
 class IoError(ReflectionlessError):
     """Could not write an output artifact."""
+
+
+class NonFiniteOutput(ReflectionlessError):
+    """A result to be written is NaN or infinite; JSON and CSV artifacts
+    hold finite numbers only."""

@@ -21,14 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadR, BranchAmbiguity, NonConvergent
-from .measure import (
-    _gl_nodes,
-    adaptive_gauss_legendre,
-    cauchy,
-    moment,
-    solve_r,
-    validate,
-)
+from .measure import cauchy, moment, quadrature_atoms, solve_r, validate
 
 ADMISSIBILITY_TOL = 1e-12
 SCAN_POINTS = 4096
@@ -161,52 +154,38 @@ def h_fn(sigma, setting, lam):
 # admissibility inequalities
 
 
-def boundary_value_discrete(sigma, E):
-    """1 - s_{-2} + int ds(t)/(t^2 + E t + 1), evaluated in factored form.
+def _boundary_atoms(sigma, s):
+    """(1 - s_{-2}, t, w) with t and w as columns: sigma as quadrature atoms
+    for the boundary kernels of both rays at every s' <= s, whose poles lie
+    beyond +-s and +-1/s."""
+    ts, ws = quadrature_atoms(sigma, (s, 1.0 / s, -s, -1.0 / s))
+    return 1.0 - _cached_moment(sigma, -2), ts[:, None], ws[:, None]
 
-    Defined for |E| > 2; the quadratic factors as (t - p)(t - 1/p) with the
-    roots on the sign(-E) side, which avoids cancellation on the support.
-    """
+
+def _boundary_on_s_grid(atoms, s, root_sign):
+    """1 - s_{-2} + sum_j w_j / ((t_j - rho1)(t_j - rho2)) on one ray, with
+    rho1 = root_sign s and rho2 = root_sign / s for each s of an array or a
+    single float: the factored form avoids cancellation on the support."""
+    one_minus_s2, ts, ws = atoms
+    with np.errstate(divide="ignore", invalid="ignore"):
+        contrib = ws / ((ts - root_sign * s) * (ts - root_sign / s))
+    return one_minus_s2 + np.sum(contrib, axis=0)
+
+
+def boundary_value_discrete(sigma, E):
+    """1 - s_{-2} + int ds(t)/(t^2 + E t + 1) for |E| >= 2, with the
+    quadratic factored as (t - p)(t - 1/p), roots on the sign(-E) side."""
+    return _boundary_value(sigma, E)
+
+
+def _boundary_value(sigma, E, atoms=None):
+    """boundary_value_discrete, on prebuilt `atoms` when they are given."""
     E = float(E)
     if abs(E) < 2.0:
         raise ValueError("boundary function needs |E| >= 2")
     s = (abs(E) - math.sqrt(max(E * E - 4.0, 0.0))) / 2.0
-    rho1 = math.copysign(s, -E)
-    rho2 = math.copysign(1.0 / s, -E)
-    total = 1.0 - _cached_moment(sigma, -2)
-    ts, ws = sigma.atom_arrays()
-    if len(ts):
-        with np.errstate(divide="ignore"):
-            total += float(np.sum(ws / ((ts - rho1) * (ts - rho2))))
-    for p in sigma.pieces:
-        total += adaptive_gauss_legendre(
-            lambda t: p.density(t) / ((t - rho1) * (t - rho2)), p.a, p.b
-        ).real
-    return total
-
-
-def _boundary_on_s_grid(sigma, s_arr, root_sign):
-    """Vectorized boundary values over an s-grid for one ray (atoms exact,
-    pieces by a fixed 64-node rule; the refinement pass re-evaluates
-    adaptively)."""
-    one_minus_s2 = 1.0 - _cached_moment(sigma, -2)
-    vals = np.full(len(s_arr), one_minus_s2)
-    rho1 = root_sign * s_arr
-    rho2 = root_sign / s_arr
-    ts, ws = sigma.atom_arrays()
-    if len(ts):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            contrib = ws[:, None] / ((ts[:, None] - rho1) * (ts[:, None] - rho2))
-        vals = vals + np.sum(contrib, axis=0)
-    for p in sigma.pieces:
-        x, w = _gl_nodes(64)
-        h = 0.5 * (p.b - p.a)
-        t = p.a + h * (x + 1.0)
-        dens = p.density(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kern = 1.0 / ((t[:, None] - rho1) * (t[:, None] - rho2))
-        vals = vals + h * np.sum((w * dens)[:, None] * kern, axis=0)
-    return vals
+    atoms = atoms or _boundary_atoms(sigma, s)
+    return float(_boundary_on_s_grid(atoms, s, math.copysign(1.0, -E))[0])
 
 
 def admissible_discrete(sigma, setting):
@@ -220,11 +199,12 @@ def admissible_discrete(sigma, setting):
     """
     r = setting.r if setting.r is not None else solve_r(setting.R)
     s_arr = r * np.arange(1, SCAN_POINTS + 1) / SCAN_POINTS
+    atoms = _boundary_atoms(sigma, r)
     best_val, best_E = math.inf, math.nan
     samples = []
     for ray in (-1.0, 1.0):
         root_sign = -ray
-        vals = _boundary_on_s_grid(sigma, s_arr, root_sign)
+        vals = _boundary_on_s_grid(atoms, s_arr, root_sign)
         E_arr = ray * (s_arr + 1.0 / s_arr)
         k = int(np.nanargmin(vals))
         if vals[k] < best_val:
@@ -234,19 +214,19 @@ def admissible_discrete(sigma, setting):
         hi = s_arr[min(k + 1, len(s_arr) - 1)]
         if hi > lo and np.isfinite(vals[k]):
             invphi = (math.sqrt(5.0) - 1.0) / 2.0
+            value = lambda x: _boundary_value(sigma, ray * (x + 1.0 / x), atoms)
             c = hi - invphi * (hi - lo)
             d = lo + invphi * (hi - lo)
-            fc = boundary_value_discrete(sigma, ray * (c + 1.0 / c))
-            fd = boundary_value_discrete(sigma, ray * (d + 1.0 / d))
+            fc, fd = value(c), value(d)
             for _ in range(60):
                 if fc < fd:
                     hi, d, fd = d, c, fc
                     c = hi - invphi * (hi - lo)
-                    fc = boundary_value_discrete(sigma, ray * (c + 1.0 / c))
+                    fc = value(c)
                 else:
                     lo, c, fc = c, d, fd
                     d = lo + invphi * (hi - lo)
-                    fd = boundary_value_discrete(sigma, ray * (d + 1.0 / d))
+                    fd = value(d)
                 if hi - lo < 1e-15 * r:
                     break
             s_best, f_best = (c, fc) if fc < fd else (d, fd)
@@ -270,14 +250,8 @@ def admissible_continuous(sigma, setting):
     edge, so the endpoint value is the infimum over the whole ray.
     """
     R = setting.R
-    total = 1.0
-    ts, ws = sigma.atom_arrays()
-    if len(ts):
-        total += float(np.sum(ws / (ts * ts - R * R)))
-    for p in sigma.pieces:
-        total += adaptive_gauss_legendre(
-            lambda t: p.density(t) / (t * t - R * R), p.a, p.b
-        ).real
+    ts, ws = quadrature_atoms(sigma, (R, -R))
+    total = 1.0 + float(np.sum(ws / (ts * ts - R * R)))
     return AdmissibilityReport(
         passed=bool(total >= -ADMISSIBILITY_TOL),
         min_value=float(total),

@@ -28,6 +28,7 @@ import numpy as np
 from . import _kernels
 from .errors import (
     AdmissibilityRequired,
+    BadR,
     FreeOperator,
     HankelBreakdown,
     InadmissibleSigma,
@@ -344,6 +345,8 @@ def reconstruct(sigma, setting, N, clamp_tol=CLAMP_TOL, check_admissible=True):
     """
     if N < 1:
         raise ValueError("window half-width N must be at least 1")
+    if setting.kind != "jacobi":
+        raise BadR(f"reconstruct needs the jacobi setting, got {setting.kind!r}")
     setting.validated(sigma)
     if check_admissible:
         report = admissible_discrete(sigma, setting)

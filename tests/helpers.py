@@ -49,6 +49,33 @@ def random_schrodinger_measure(rng, R_lo=1.0, R_hi=3.0, edge_margin=0.1):
     return sigma, setting
 
 
+def _gl_apply(f, a, b, n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    h = 0.5 * (b - a)
+    return h * np.sum(w * f(a + h * (x + 1.0)))
+
+
+def adaptive_gauss_legendre(f, a, b, rtol=1e-12, max_depth=40):
+    """Adaptive Gauss-Legendre for a vectorized (possibly complex) integrand:
+    the reference the production piece rule is checked against."""
+    scale = abs(_gl_apply(f, a, b, 15)) + 1e-300
+    total = 0.0 + 0.0j
+    stack = [(a, b, 0)]
+    while stack:
+        lo, hi, depth = stack.pop()
+        coarse = _gl_apply(f, lo, hi, 15)
+        fine = _gl_apply(f, lo, hi, 30)
+        err = abs(fine - coarse)
+        if err <= rtol * max(abs(fine), scale) or depth >= max_depth:
+            total += fine
+            scale = max(scale, abs(total))
+        else:
+            mid = 0.5 * (lo + hi)
+            stack.append((lo, mid, depth + 1))
+            stack.append((mid, hi, depth + 1))
+    return total
+
+
 def compose_dense(f, g, n):
     """Horner evaluation of f(g) on dense arrays (g[0] must be 0)."""
     acc = np.zeros(n)

@@ -1,0 +1,180 @@
+"""Property tests of the CLI contract.
+
+On every input, ``main`` returns exit 0 or 2 with finite artifacts, or exit
+1 with exactly one JSON line on stderr; it never raises and never prints a
+traceback or a warning.
+"""
+
+import io
+import json
+import math
+import tempfile
+import warnings
+from contextlib import redirect_stderr
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from reflectionless import cli
+from reflectionless.cli import main
+from reflectionless.herglotz import AdmissibilityReport
+from reflectionless.jacobi import JacobiWindow
+from reflectionless.measure import SUPPORT_MARGIN_REL, solve_r
+
+CONTRACT = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# small sizes keep every job fast: the contract does not depend on them
+SIZE_FLAGS = ["--order", "6", "--grid", "8", "--step", "0.02", "--xmax", "0.1"]
+
+
+def _allowed(kind, R):
+    """The open intervals the support must stay strictly inside."""
+    m = SUPPORT_MARGIN_REL * R
+    if kind == "jacobi":
+        r = solve_r(R)
+        return [(r + m, 1.0 / r - m), (-1.0 / r + m, -r - m)]
+    return [(-R + m, R - m)]
+
+
+@st.composite
+def valid_jobs(draw):
+    """Measures inside the support region, some pieces within 1e-6 R of its
+    edge; weights range from tiny to inadmissibly large."""
+    kind = draw(st.sampled_from(["jacobi", "schrodinger"]))
+    R = draw(st.floats(2.0005, 4.0) if kind == "jacobi" else st.floats(0.5, 3.0))
+    lo, hi = draw(st.sampled_from(_allowed(kind, R)))
+    cuts = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3, unique=True)))
+    near = draw(st.sampled_from([None, "lo", "hi"]))
+    gap = draw(st.floats(1e-12, 1e-6)) * R
+    a = lo + gap if near == "lo" else lo + cuts[0] * (hi - lo)
+    b = hi - gap if near == "hi" else lo + cuts[1] * (hi - lo)
+    mass = draw(st.floats(1e-9, 2.0))
+    c1, c2 = draw(st.floats(-0.45, 0.45)), draw(st.floats(-0.45, 0.45))
+    job = {"setting": kind, "R": R, "atoms": [], "pieces": []}
+    if b > a:
+        job["pieces"].append({"a": a, "b": b, "cheb": [mass, c1 * mass, c2 * mass]})
+    t = lo + cuts[2] * (hi - lo)
+    if draw(st.booleans()) and not a <= t <= b:
+        job["atoms"].append({"t": t, "w": draw(st.floats(1e-9, 2.0)) * mass})
+    return job
+
+
+BOUNDARY = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, 2.0, 2.0 + 4e-16, 1.0, -1.0, 1e-9])
+
+
+@st.composite
+def boundary_jobs(draw):
+    """Jobs whose numbers sit on or next to the edges of what is allowed."""
+    job = {"setting": draw(st.sampled_from(["jacobi", "schrodinger", "other"])), "R": draw(BOUNDARY)}
+    if draw(st.booleans()):
+        job["atoms"] = [{"t": draw(BOUNDARY), "w": draw(BOUNDARY)}]
+    if draw(st.booleans()):
+        job["pieces"] = [{"a": draw(BOUNDARY), "b": draw(BOUNDARY), "cheb": [draw(BOUNDARY)]}]
+    for key in draw(st.lists(st.sampled_from(["N", "grid", "eta"]), unique=True)):
+        job[key] = draw(st.sampled_from([1, 2, 1e-300, 0.5]))
+    return job
+
+
+def _corrupt(data, edits):
+    data = bytearray(data)
+    for pos, byte in edits:
+        if data:
+            data[pos % len(data)] = byte
+    return bytes(data)
+
+
+COMMANDS = st.sampled_from(["check", "jacobi", "schrodinger", "verify"])
+
+
+def _assert_contract(command, payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "job.json"
+        path.write_bytes(payload)
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+            warnings.simplefilter("always")
+            status = main([command, "--input", str(path), "--out", str(out), *SIZE_FLAGS])
+        assert not caught, [str(w.message) for w in caught]
+        lines = err.getvalue().splitlines()
+        assert status in (0, 1, 2)
+        if status == 1:
+            assert len(lines) == 1
+            assert "error" in json.loads(lines[0])
+        else:
+            assert len(lines) <= 1
+            _assert_finite_artifacts(out)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"non-finite JSON constant {name}")
+
+
+def _assert_finite_artifacts(out):
+    for f in out.iterdir():
+        text = f.read_text()
+        if f.suffix == ".json":
+            json.loads(text, parse_constant=_refuse_constant)
+        else:
+            for row in text.splitlines()[1:]:
+                assert all(math.isfinite(float(v)) for v in row.split(","))
+
+
+@CONTRACT
+@given(COMMANDS, valid_jobs())
+@example("jacobi", {"setting": "schrodinger", "R": 3.0, "atoms": [{"t": -1.5, "w": 0.5}]})
+def test_valid_jobs_meet_the_contract(command, job):
+    _assert_contract(command, json.dumps(job).encode())
+
+
+@CONTRACT
+@given(COMMANDS, boundary_jobs())
+@example("jacobi", {"setting": "schrodinger", "R": 2.0, "atoms": [{"t": 1e-300, "w": 1e-300}]})
+@example("verify", {"setting": "schrodinger", "R": 1e300})
+@example("schrodinger", {"setting": "schrodinger", "R": 1e300})
+def test_boundary_numbers_meet_the_contract(command, job):
+    _assert_contract(command, json.dumps(job).encode())
+
+
+@CONTRACT
+@given(
+    COMMANDS,
+    valid_jobs(),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=4),
+)
+def test_corrupted_bytes_meet_the_contract(command, job, edits):
+    _assert_contract(command, _corrupt(json.dumps(job).encode(), edits))
+
+
+def _nan_window(*args, **kwargs):
+    return JacobiWindow(-1, 1, (1.0, math.nan, 1.0), (0.0, 0.0, 0.0), 2.0)
+
+
+@pytest.mark.parametrize(
+    "command, name, patched",
+    [
+        ("verify", "reflectionless_residual", lambda *args: math.nan),
+        ("check", "admissible_discrete", lambda *args: AdmissibilityReport(True, math.inf, -2.0, ())),
+        ("jacobi", "reconstruct", _nan_window),
+    ],
+)
+def test_non_finite_result_is_refused(tmp_path, capsys, monkeypatch, command, name, patched):
+    monkeypatch.setattr(cli, name, patched)
+    measure = tmp_path / "m.json"
+    measure.write_text('{"setting":"jacobi","R":2.5,"atoms":[{"t":1.2,"w":0.01}]}')
+    out = tmp_path / "out"
+    assert main([command, "--input", str(measure), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "NonFiniteOutput"
+    for f in out.iterdir():
+        text = f.read_text().lower()
+        assert "nan" not in text and "inf" not in text

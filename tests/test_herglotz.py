@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from helpers import random_jacobi_measure, random_schrodinger_measure
+from helpers import adaptive_gauss_legendre, random_jacobi_measure, random_schrodinger_measure
+from reflectionless import herglotz
 from reflectionless.errors import BranchAmbiguity
 from reflectionless.herglotz import (
     Setting,
@@ -24,7 +25,7 @@ from reflectionless.herglotz import (
     reflectionless_residual,
     stieltjes_density,
 )
-from reflectionless.measure import Measure
+from reflectionless.measure import Measure, cauchy, moments, quadrature_atoms
 
 JAC4 = Setting.jacobi(4.0)
 SCH2 = Setting.schrodinger(2.0)
@@ -213,6 +214,144 @@ class TestAdmissibility:
             for factor in (1.5, 2.0, 4.0):
                 bigger = Setting.schrodinger(setting.R * factor)
                 assert admissible_continuous(sigma, bigger).passed
+
+
+def _ring_pieces(rng, R, edge=0.15):
+    """One density piece on each ring of the jacobi support region."""
+    r = Setting.jacobi(R).r
+    lo, hi = r + edge * (1 / r - r), 1 / r - edge * (1 / r - r)
+    pieces = []
+    for sign in (1.0, -1.0):
+        a, b = np.sort(rng.uniform(lo, hi, 2))
+        c = rng.uniform(-0.3, 0.3, 2) * 0.5
+        pieces.append(tuple(sorted((sign * a, sign * b))) + ((1.0, c[0], c[1]),))
+    return Measure.with_pieces([], pieces)
+
+
+def _reference(piece, f):
+    """int density(t) f(t) dt over a piece by the adaptive reference."""
+    return adaptive_gauss_legendre(lambda t: piece.density(t) * f(t), piece.a, piece.b, rtol=1e-14)
+
+
+def _pole_reference(piece, pole, g=lambda t: 1.0):
+    """int density(t) g(t) / (t - pole) dt over a piece, g analytic near it.
+
+    With f = density g and x the point of the piece nearest the pole, the
+    adaptive reference integrates the bounded quotient (f(t) - f(x)) /
+    (t - pole) in the offset u = t - x, which keeps nodes next to the pole
+    exact, and f(x) times the logarithm is added in closed form.
+    """
+    x = min(max(pole.real, piece.a), piece.b)
+    fx = complex(piece.density(x) * g(x))
+    quotient = lambda u: (piece.density(x + u) * g(x + u) - fx) / (u + (x - pole))
+    cuts = [piece.a - x, 0.0, piece.b - x] if piece.a < x < piece.b else [piece.a - x, piece.b - x]
+    smooth = sum(
+        adaptive_gauss_legendre(quotient, lo, hi, rtol=1e-14) for lo, hi in zip(cuts, cuts[1:])
+    )
+    return smooth + fx * (cmath.log(piece.b - pole) - cmath.log(piece.a - pole))
+
+
+def _assert_agrees(got, refs, tol=1e-13):
+    """got against the sum of per-piece references, relative to the sum of
+    their magnitudes."""
+    assert abs(got - sum(refs)) <= tol * sum(abs(x) for x in refs)
+
+
+EDGE_R = 2.6
+EDGE_CHEB = (0.02, 0.006, 0.004)
+
+
+def _edge_measure(R, gap):
+    """Pieces `gap` R inside the jacobi support edges r and -1/r."""
+    r = Setting.jacobi(R).r
+    return Measure.with_pieces([], [(-1 / r + gap * R, -1.0, EDGE_CHEB), (r + gap * R, 1.2, EDGE_CHEB)])
+
+
+def _jacobi_cases():
+    rng = np.random.RandomState(41)
+    cases = [(_ring_pieces(rng, R), R) for R in (2.003, 2.3, 2.6, 3.0) for _ in range(2)]
+    return cases + [(_edge_measure(EDGE_R, gap), EDGE_R) for gap in (2e-9, 1e-6)]
+
+
+class TestPieceRule:
+    """The graded piece rule against the adaptive reference, and the scan
+    regression it mends: a 64-node grid rule once read 0.870 at s = r on
+    the edge case below, where the boundary value is 0.770."""
+
+    def test_scan_edge_value_is_the_boundary_value(self):
+        setting = Setting.jacobi(EDGE_R)
+        r = setting.r
+        sigma = setting.validated(Measure.with_pieces([], [(r + 2e-9 * EDGE_R, 1.2, EDGE_CHEB)]))
+        grid = herglotz._boundary_on_s_grid(herglotz._boundary_atoms(sigma, r), np.array([r]), 1.0)
+        edge = boundary_value_discrete(sigma, -EDGE_R)
+        assert abs(grid[0] - edge) <= 1e-12
+        assert abs(edge - 0.77) < 1e-3
+        assert admissible_discrete(sigma, setting).min_value <= edge + 1e-12
+
+    @pytest.mark.parametrize("case", range(10))
+    def test_moments(self, case):
+        sigma, _ = _jacobi_cases()[case]
+        ns = np.arange(-330, 331)
+        got = moments(sigma, ns)
+        for n in (-330, -200, -101, -40, -7, -2, -1, 0, 1, 2, 7, 40, 101, 200, 330):
+            refs = [_reference(p, lambda t, n=n: t ** float(n)).real for p in sigma.pieces]
+            _assert_agrees(got[n + 330], refs)
+
+    def test_positive_moments_across_the_ring(self):
+        r = Setting.jacobi(3.0).r
+        ring = 1 / r - r
+        piece = (r + 0.01 * ring, 1 / r - 0.01 * ring, (1.0, 0.2, -0.1))
+        sigma = Measure.with_pieces([], [piece])
+        ns = np.arange(0, 331)
+        got = moments(sigma, ns)
+        for n in (0, 1, 39, 40, 100, 250, 330):
+            _assert_agrees(got[n], [_reference(sigma.pieces[0], lambda t, n=n: t ** float(n)).real])
+
+    @pytest.mark.parametrize("case", range(10))
+    def test_scan_values(self, case):
+        sigma, R = _jacobi_cases()[case]
+        r = Setting.jacobi(R).r
+        atoms = herglotz._boundary_atoms(sigma, r)
+        for s in (0.3 * r, 0.999 * r, r):
+            for sign in (1.0, -1.0):
+                got = herglotz._boundary_on_s_grid(atoms, np.array([s]), sign)[0] - atoms[0]
+                refs = []
+                for p in sigma.pieces:
+                    near, far = sorted((sign * s, sign / s), key=lambda z: abs(z - p.a) * abs(z - p.b))
+                    refs.append(_pole_reference(p, near, lambda t, far=far: 1 / (t - far)).real)
+                _assert_agrees(got, refs)
+
+    @pytest.mark.parametrize("gap", [0.1, 1e-6, 2e-9])
+    def test_continuous_endpoint(self, gap):
+        R = 1.7
+        sigma = Measure.with_pieces(
+            [], [(-R + gap * R, -1.0, EDGE_CHEB), (0.2, R - gap * R, (0.3, 0.1, 0.02))]
+        )
+        Setting.schrodinger(R).validated(sigma)
+        refs = [
+            _pole_reference(p, near, lambda t, near=near: 1 / (t + near)).real
+            for p, near in zip(sigma.pieces, (-R, R))
+        ]
+        # the rule on the factored kernel; the endpoint check itself
+        # evaluates t * t - R * R, which cancels next to +-R
+        ts, ws = quadrature_atoms(sigma, (R, -R))
+        _assert_agrees(np.sum(ws / ((ts - R) * (ts + R))), refs)
+        if gap == 0.1:
+            _assert_agrees(admissible_continuous(sigma, Setting.schrodinger(R)).min_value - 1.0, refs)
+
+    @pytest.mark.parametrize("case", [0, 2, 4, 6, 8])
+    def test_cauchy(self, case):
+        sigma, _ = _jacobi_cases()[case]
+        for p in sigma.pieces:
+            for lam in (
+                0.5 * (p.a + p.b) + 1e-3j,
+                p.a + 0.3 * (p.b - p.a) + 1e-6j,
+                p.b + 1e-4 + 1e-5j,
+                p.a - 1e-3 + 0j,
+                0.5 + 2j,
+            ):
+                refs = [_pole_reference(q, lam) for q in sigma.pieces]
+                _assert_agrees(cauchy(sigma, lam), refs)
 
 
 class TestH:
