@@ -24,7 +24,7 @@ from .errors import BadR, BranchAmbiguity, NonConvergent
 from .measure import cauchy, moment, quadrature_atoms, solve_r, validate
 
 ADMISSIBILITY_TOL = 1e-12
-SCAN_POINTS = 4096
+SAMPLES_PER_RAY = 64
 
 
 @dataclass(frozen=True)
@@ -164,8 +164,8 @@ def _boundary_atoms(sigma, s):
 
 def _boundary_on_s_grid(atoms, s, root_sign):
     """1 - s_{-2} + sum_j w_j / ((t_j - rho1)(t_j - rho2)) on one ray, with
-    rho1 = root_sign s and rho2 = root_sign / s for each s of an array or a
-    single float: the factored form avoids cancellation on the support."""
+    rho1 = root_sign s and rho2 = root_sign / s for each s of an array: the
+    factored form avoids cancellation on the support."""
     one_minus_s2, ts, ws = atoms
     with np.errstate(divide="ignore", invalid="ignore"):
         contrib = ws / ((ts - root_sign * s) * (ts - root_sign / s))
@@ -174,31 +174,35 @@ def _boundary_on_s_grid(atoms, s, root_sign):
 
 def boundary_value_discrete(sigma, E):
     """1 - s_{-2} + int ds(t)/(t^2 + E t + 1) for |E| >= 2, with the
-    quadratic factored as (t - p)(t - 1/p), roots on the sign(-E) side."""
-    return _boundary_value(sigma, E)
-
-
-def _boundary_value(sigma, E, atoms=None):
-    """boundary_value_discrete, on prebuilt `atoms` when they are given."""
+    quadratic factored as (t - p)(t - 1/p), roots on the sign(-E) side;
+    p = 2 / (|E| + sqrt(E^2 - 4)) is the small root without cancellation."""
     E = float(E)
     if abs(E) < 2.0:
         raise ValueError("boundary function needs |E| >= 2")
-    s = (abs(E) - math.sqrt(max(E * E - 4.0, 0.0))) / 2.0
-    atoms = atoms or _boundary_atoms(sigma, s)
-    return float(_boundary_on_s_grid(atoms, s, math.copysign(1.0, -E))[0])
+    a = abs(E)
+    s = 2.0 / (a + math.sqrt((a - 2.0) * (a + 2.0)))
+    atoms = _boundary_atoms(sigma, s)
+    return float(_boundary_on_s_grid(atoms, np.array([s]), math.copysign(1.0, -E))[0])
 
 
 def admissible_discrete(sigma, setting):
-    """Scan the boundary inequality over both rays |E| > R.
+    """Check the boundary inequality over both rays |E| >= R.
 
-    The substitution E = -sign (s + 1/s), s in (0, r], factors the quadratic;
-    the scan covers a SCAN_POINTS grid (endpoint s = r, i.e. E = -sign R,
-    included) plus one golden-section refinement pass around the grid minimum.
-    The generic minimum sits at the endpoint; an interior minimum in E is not
-    excluded by theory, which is why the refined scan is reported.
+    The substitution E = -rho (s + 1/s), s in (0, r], factors the quadratic:
+    on the ray rho = +-1 the boundary function is g(s) = 1 - s_{-2} +
+    int ds(t) / ((t - rho s)(t - rho/s)).  With u = s + 1/s, an atom on the
+    rho side of the origin contributes w / (t^2 + 1 - rho t u), increasing
+    in u, and one on the other side a term decreasing in u; the ratio of any
+    same-side u-derivative to any other-side one grows in size with s.
+    Hence dg/ds changes sign at most once, from + to -: g rises and then
+    falls on (0, r], and its minimum over any range sits at one of the
+    range's ends.  So each ray is read only at its SAMPLES_PER_RAY reported
+    samples s = r (j + 1/64) / SAMPLES_PER_RAY and at its end s = r
+    (E = -rho R); the least of these values is the minimum of g over
+    [r / 4096, r].
     """
-    r = setting.r if setting.r is not None else solve_r(setting.R)
-    s_arr = r * np.arange(1, SCAN_POINTS + 1) / SCAN_POINTS
+    r = setting.r
+    s_arr = r * np.append((np.arange(SAMPLES_PER_RAY) + 1 / 64) / SAMPLES_PER_RAY, 1.0)
     atoms = _boundary_atoms(sigma, r)
     best_val, best_E = math.inf, math.nan
     samples = []
@@ -209,32 +213,7 @@ def admissible_discrete(sigma, setting):
         k = int(np.nanargmin(vals))
         if vals[k] < best_val:
             best_val, best_E = float(vals[k]), float(E_arr[k])
-        # golden-section refinement between the neighbors of the grid minimum
-        lo = s_arr[max(k - 1, 0)]
-        hi = s_arr[min(k + 1, len(s_arr) - 1)]
-        if hi > lo and np.isfinite(vals[k]):
-            invphi = (math.sqrt(5.0) - 1.0) / 2.0
-            value = lambda x: _boundary_value(sigma, ray * (x + 1.0 / x), atoms)
-            c = hi - invphi * (hi - lo)
-            d = lo + invphi * (hi - lo)
-            fc, fd = value(c), value(d)
-            for _ in range(60):
-                if fc < fd:
-                    hi, d, fd = d, c, fc
-                    c = hi - invphi * (hi - lo)
-                    fc = value(c)
-                else:
-                    lo, c, fc = c, d, fd
-                    d = lo + invphi * (hi - lo)
-                    fd = value(d)
-                if hi - lo < 1e-15 * r:
-                    break
-            s_best, f_best = (c, fc) if fc < fd else (d, fd)
-            if f_best < best_val:
-                best_val, best_E = float(f_best), float(ray * (s_best + 1.0 / s_best))
-        samples.extend(
-            (float(E), float(v)) for E, v in zip(E_arr[:: SCAN_POINTS // 64], vals[:: SCAN_POINTS // 64])
-        )
+        samples.extend((float(E), float(v)) for E, v in zip(E_arr[:-1], vals[:-1]))
     return AdmissibilityReport(
         passed=bool(best_val > ADMISSIBILITY_TOL),
         min_value=best_val,
@@ -251,7 +230,7 @@ def admissible_continuous(sigma, setting):
     """
     R = setting.R
     ts, ws = quadrature_atoms(sigma, (R, -R))
-    total = 1.0 + float(np.sum(ws / (ts * ts - R * R)))
+    total = 1.0 + float(np.sum(ws / ((ts - R) * (ts + R))))
     return AdmissibilityReport(
         passed=bool(total >= -ADMISSIBILITY_TOL),
         min_value=float(total),

@@ -336,7 +336,7 @@ def _assemble_side(alpha, beta, n_valid, n_rows, clamp_tol):
     return a_rows, b_rows
 
 
-def reconstruct(sigma, setting, N, clamp_tol=CLAMP_TOL, check_admissible=True):
+def reconstruct(sigma, setting, N, clamp_tol=CLAMP_TOL):
     """Window of Jacobi coefficients for n in [-N, N] from an admissible measure.
 
     Site map fixed by oracle calibration: the rho+ recurrence fills sites
@@ -348,13 +348,12 @@ def reconstruct(sigma, setting, N, clamp_tol=CLAMP_TOL, check_admissible=True):
     if setting.kind != "jacobi":
         raise BadR(f"reconstruct needs the jacobi setting, got {setting.kind!r}")
     setting.validated(sigma)
-    if check_admissible:
-        report = admissible_discrete(sigma, setting)
-        if not report.passed:
-            raise AdmissibilityRequired(
-                f"measure fails the boundary inequality (min {report.min_value:.3e} "
-                f"at E = {report.argmin:.6g})"
-            )
+    report = admissible_discrete(sigma, setting)
+    if not report.passed:
+        raise AdmissibilityRequired(
+            f"measure fails the boundary inequality (min {report.min_value:.3e} "
+            f"at E = {report.argmin:.6g})"
+        )
     K = 2 * N + 2
     plus = rho_plus_moments(sigma, setting, K)
     minus = rho_minus_moments(sigma, setting, K)
