@@ -36,7 +36,7 @@ from .herglotz import (
     m_value,
     reflectionless_residual,
 )
-from .jacobi import ORACLE_PAD, m_oracle, reconstruct
+from .jacobi import m_oracle, reconstruct
 from .measure import Measure, moment
 from .schrodinger import integrate_flow, riccati_mismatch
 
@@ -283,7 +283,6 @@ def run_jacobi(job, setting, out):
         {
             "N": N,
             "max_abs_residual": worst,
-            "pad": ORACLE_PAD,
             "z_grid": [[z.real, z.imag] for z in z_grid],
         },
         out / "oracle_residual.json",

@@ -12,8 +12,8 @@ moments are derived from the Chebyshev moments on demand, for inspection
 and cross-checks only.
 
 An independent continued-fraction oracle evaluates the m functions of a
-finite coefficient window padded by the free operator, which pins the index
-conventions and cross-validates every reconstruction.
+finite coefficient window continued by the free operator, which pins the
+index conventions and cross-validates every reconstruction.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .herglotz import admissible_discrete
 from .measure import moments
 from .series import DEFAULT_ORDER, _conv
 
-ORACLE_PAD = 200
 CLAMP_TOL = 1e-6
 BREAKDOWN_TOL = 1e-12
 
@@ -319,20 +318,21 @@ def _assemble_side(alpha, beta, n_valid, n_rows, clamp_tol):
     scale and is replaced by the exact free coefficients.  A pivot breakdown
     before any near-free row signals genuinely deficient moments.
     """
+    rows = n_rows if n_valid >= len(beta) else min(n_rows, n_valid - 1)  # before the failed pivot
+    a_k = np.sqrt(beta[1:rows + 1])
+    b_k = alpha[:rows]
+    near_free = np.flatnonzero(np.maximum(np.abs(a_k - 1.0), np.abs(b_k)) < clamp_tol)
+    if near_free.size:
+        rows = near_free[0]  # geometric decay: the rest of the tail is below clamp_tol
+    elif rows < n_rows:
+        raise HankelBreakdown(
+            n_valid + 1,
+            "moment pivot failed before the coefficients reached the free tail",
+        )
     a_rows = np.ones(n_rows)
     b_rows = np.zeros(n_rows)
-    for k in range(n_rows):
-        if k + 1 >= n_valid and n_valid < len(beta):
-            raise HankelBreakdown(
-                n_valid + 1,
-                "moment pivot failed before the coefficients reached the free tail",
-            )
-        a_k = math.sqrt(beta[k + 1])
-        b_k = alpha[k]
-        if max(abs(a_k - 1.0), abs(b_k)) < clamp_tol:
-            break  # geometric decay: the rest of the tail is below clamp_tol
-        a_rows[k] = a_k
-        b_rows[k] = b_k
+    a_rows[:rows] = a_k[:rows]
+    b_rows[:rows] = b_k[:rows]
     return a_rows, b_rows
 
 
@@ -370,13 +370,10 @@ def reconstruct(sigma, setting, N, clamp_tol=CLAMP_TOL):
     b[zero] = minus.b0
     a[zero] = minus.a0
     a[zero - 1] = minus.a_minus1
-    for k in range(1, N + 1):
-        a[zero + k] = a_plus[k - 1]
-        b[zero + k] = b_plus[k - 1]
-    for k in range(0, N):
-        b[zero - 1 - k] = b_minus_rows[k]
-        if k <= N - 2:
-            a[zero - 2 - k] = a_minus_rows[k]
+    a[zero + 1:] = a_plus
+    b[zero + 1:] = b_plus
+    b[:zero] = b_minus_rows[::-1]
+    a[:zero - 1] = a_minus_rows[:N - 1][::-1]
 
     if np.min(a) < 1.0 - 1e-9:
         raise MomentMismatch(
@@ -406,30 +403,43 @@ def _disk_root(z):
     return 1.0 / r1 if abs(r1) >= abs(r2) else 1.0 / r2
 
 
-def m_oracle(J, z, side, pad=ORACLE_PAD):
-    """m functions of the padded window by bottom-up continued fractions.
+def _settle(cf, z, m):
+    """m taken through the free step of `cf` until it stops changing (at
+    most 16 times): the floating-point value that a walk over many free
+    sites settles on.  At every z of the CLI's oracle grid this takes at
+    most two steps.  Elsewhere the rounded map can cycle within a few ulps
+    instead, so the result may differ from a long walk's in the last bits."""
+    for _ in range(16):
+        step = cf(np.ones(1), np.zeros(1), z, m)
+        if np.array_equal(step, m):
+            break
+        m = step
+    return m
 
-    The window is extended by `pad` free sites and seeded with the exact
-    free m value at the far end; convergence is geometric off the real axis.
+
+def m_oracle(J, z, side):
+    """m functions of the window continued by the free operator, by
+    continued fractions over the window's own sites.
+
+    Past the window every step is the free map m -> -1/(z + m) (plus side)
+    or m -> z - 1/m (minus side), and the free m values u and -1/u, with u
+    the disk root of u^2 + z u + 1 = 0, are fixed points of these maps.  So
+    free sites beyond the window change nothing, and the recursion starts at
+    the window's edge from u (or -1/u) settled in floating point.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(z_arr.imag <= 0):
         raise ValueError("oracle needs Im z > 0")
-    seed_u = np.array([_disk_root(zz) for zz in z_arr], dtype=complex)
+    u = np.array([_disk_root(zz) for zz in z_arr], dtype=complex)
+    zero = -J.n_min  # array index of site 0
     if side == "plus":
-        top = J.n_max + pad
-        sites = np.arange(1, top + 1)
-        a_arr = np.array([J.a_at(n) for n in sites])
-        b_arr = np.array([J.b_at(n) for n in sites])
-        out = _kernels.cf_plus(a_arr, b_arr, z_arr, seed_u)
+        cf, sites, seed = _kernels.cf_plus, slice(zero + 1, None), u
     elif side == "minus":
-        low = J.n_min - pad
-        sites = np.arange(low + 1, 1)
-        a_arr = np.array([J.a_at(n) for n in sites])
-        b_arr = np.array([J.b_at(n) for n in sites])
-        out = _kernels.cf_minus(a_arr, b_arr, z_arr, -1.0 / seed_u)
+        cf, sites, seed = _kernels.cf_minus, slice(0, zero + 1), -1.0 / u
     else:
         raise ValueError(f"unknown side {side!r}")
+    a, b = np.asarray(J.a[sites]), np.asarray(J.b[sites])
+    out = cf(a, b, z_arr, _settle(cf, z_arr, seed))
     return out[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
 
@@ -454,22 +464,17 @@ def prop311_check(J, r, min_excess=1e-6):
     """
     a = np.asarray(J.a)
     excess = a * a - 1.0
-    idx = [i for i in range(len(a)) if excess[i] > min_excess]
-    if not idx:
+    above = excess > min_excess
+    if not above.any():
         raise FreeOperator("window is free to within min_excess; ratio check not applicable")
-    lo, hi = r * r, 1.0 / (r * r)
-    ratios = []
-    worst = math.inf
-    for i in range(len(a) - 1):
-        if excess[i] > min_excess and excess[i + 1] > min_excess:
-            rho = excess[i + 1] / excess[i]
-            ratios.append((J.n_min + i, float(rho)))
-            worst = min(worst, rho - lo, hi - rho)
-    if not ratios:
+    pairs = np.flatnonzero(above[:-1] & above[1:])
+    if not pairs.size:
         raise FreeOperator("no adjacent pair above min_excess")
+    rho = excess[pairs + 1] / excess[pairs]
+    worst = min(np.min(rho - r * r), np.min(1.0 / (r * r) - rho))
     return RatioReport(
         passed=bool(worst > 0.0),
         worst_margin=float(worst),
-        n_pairs=len(ratios),
-        ratios=tuple(ratios),
+        n_pairs=len(pairs),
+        ratios=tuple(zip((J.n_min + pairs).tolist(), rho.tolist())),
     )

@@ -131,7 +131,8 @@ def validate(mu, setting, R):
     """Check support, weights and densities for the given setting; returns mu.
 
     setting is 'jacobi' (support strictly inside (-1/r,-r) u (r,1/r) where
-    r + 1/r = R) or 'schrodinger' (support strictly inside (-R, R)).
+    r + 1/r = R) or 'schrodinger' (support strictly inside (-R, R)).  The
+    margin SUPPORT_MARGIN_REL * R is also the least width of a piece.
     """
     if setting == "jacobi":
         r = solve_r(R)
@@ -153,8 +154,10 @@ def validate(mu, setting, R):
         _check_interval_inside(t, t, allowed, t)
         occupied.append((t, t))
     for p in mu.pieces:
-        if not p.b > p.a:
-            raise SupportViolation(f"degenerate piece [{p.a}, {p.b}]", (p.a, p.b))
+        if not p.b - p.a >= m:  # a piece a few ulps wide makes the quadrature rule singular
+            raise SupportViolation(
+                f"piece [{p.a}, {p.b}] is narrower than the margin {m:.3g}", (p.a, p.b)
+            )
         if not p.cheb:
             raise NegativeWeight(f"piece [{p.a}, {p.b}] has no density coefficients")
         _check_interval_inside(p.a, p.b, allowed, (p.a, p.b))

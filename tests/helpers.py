@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 
-from reflectionless import Measure, Setting, herglotz
-from reflectionless.errors import HankelBreakdown
+from reflectionless import Measure, Setting, _kernels, herglotz
+from reflectionless.errors import FreeOperator, HankelBreakdown
 from reflectionless.herglotz import AdmissibilityReport, admissible_continuous, admissible_discrete
+from reflectionless.jacobi import RatioReport, _disk_root
 from reflectionless.measure import solve_r
 from reflectionless.series import _conv
 
@@ -171,3 +172,67 @@ def recurrence_via_cholesky(mu, N):
         t0 = L[k, k - 1] / L[k - 1, k - 1] if k > 0 else 0.0
         alpha[k] = t1 - t0
     return alpha, beta
+
+
+def padded_m_oracle(J, z, side, pad=200):
+    """The window's m functions by continued fractions over the window
+    extended by `pad` free sites on the far side, seeded there with the free
+    m value: the reference for the production oracle, which starts at the
+    window's edge."""
+    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
+    seed_u = np.array([_disk_root(zz) for zz in z_arr], dtype=complex)
+    if side == "plus":
+        sites = np.arange(1, J.n_max + pad + 1)
+        a_arr = np.array([J.a_at(n) for n in sites])
+        b_arr = np.array([J.b_at(n) for n in sites])
+        out = _kernels.cf_plus(a_arr, b_arr, z_arr, seed_u)
+    else:
+        sites = np.arange(J.n_min - pad + 1, 1)
+        a_arr = np.array([J.a_at(n) for n in sites])
+        b_arr = np.array([J.b_at(n) for n in sites])
+        out = _kernels.cf_minus(a_arr, b_arr, z_arr, -1.0 / seed_u)
+    return out[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else out
+
+
+def loop_prop311_check(J, r, min_excess=1e-6):
+    """prop311_check one site pair at a time."""
+    a = np.asarray(J.a)
+    excess = a * a - 1.0
+    idx = [i for i in range(len(a)) if excess[i] > min_excess]
+    if not idx:
+        raise FreeOperator("window is free to within min_excess; ratio check not applicable")
+    lo, hi = r * r, 1.0 / (r * r)
+    ratios = []
+    worst = math.inf
+    for i in range(len(a) - 1):
+        if excess[i] > min_excess and excess[i + 1] > min_excess:
+            rho = excess[i + 1] / excess[i]
+            ratios.append((J.n_min + i, float(rho)))
+            worst = min(worst, rho - lo, hi - rho)
+    if not ratios:
+        raise FreeOperator("no adjacent pair above min_excess")
+    return RatioReport(
+        passed=bool(worst > 0.0),
+        worst_margin=float(worst),
+        n_pairs=len(ratios),
+        ratios=tuple(ratios),
+    )
+
+
+def loop_assemble_side(alpha, beta, n_valid, n_rows, clamp_tol):
+    """jacobi._assemble_side one recurrence row at a time."""
+    a_rows = np.ones(n_rows)
+    b_rows = np.zeros(n_rows)
+    for k in range(n_rows):
+        if k + 1 >= n_valid and n_valid < len(beta):
+            raise HankelBreakdown(
+                n_valid + 1,
+                "moment pivot failed before the coefficients reached the free tail",
+            )
+        a_k = math.sqrt(beta[k + 1])
+        b_k = alpha[k]
+        if max(abs(a_k - 1.0), abs(b_k)) < clamp_tol:
+            break
+        a_rows[k] = a_k
+        b_rows[k] = b_k
+    return a_rows, b_rows

@@ -260,8 +260,20 @@ class TestMainRefusals:
             ('{"setting":"schrodinger","R":2,"atoms":[{"t":0.0,"w":-0.01}]}', "NegativeWeight"),
             ('{"setting":"jacobi","R":2,"atoms":[{"t":1.0,"w":1.0}]}', "SupportViolation"),
             (OVERLAP_MEASURE, "SupportViolation"),
+            (
+                '{"setting":"jacobi","R":3.0,"pieces":[{"a":2.618031752681917,'
+                '"b":2.6180317526819175,"cheb":[0.1,0,0]}]}',
+                "SupportViolation",
+            ),
+            (
+                '{"setting":"jacobi","R":3.0,"pieces":[{"a":2.0,"b":2.00000000000001,"cheb":[0.1]}]}',
+                "SupportViolation",
+            ),
         ],
-        ids=["negative-weight-jacobi", "negative-weight-schrodinger", "outside-support", "overlap"],
+        ids=[
+            "negative-weight-jacobi", "negative-weight-schrodinger", "outside-support", "overlap",
+            "piece-1-ulp-wide", "piece-1e-14-wide",
+        ],
     )
     def test_invalid_measure_refused(self, tmp_path, capsys, command, text, error):
         measure = tmp_path / "m.json"

@@ -2,19 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from helpers import compose_dense, random_jacobi_measure, recurrence_via_cholesky
+from helpers import (
+    compose_dense,
+    loop_assemble_side,
+    loop_prop311_check,
+    padded_m_oracle,
+    random_jacobi_measure,
+    recurrence_via_cholesky,
+)
+from reflectionless.cli import ORACLE_GRID
 from reflectionless.errors import (
     AdmissibilityRequired,
     FreeOperator,
     HankelBreakdown,
     InadmissibleSigma,
+    ReflectionlessError,
 )
 from reflectionless.herglotz import Setting, m_value
 from reflectionless.jacobi import (
+    CLAMP_TOL,
     AsymptoticMoments,
     JacobiWindow,
+    _assemble_side,
     _f_taylor_dense,
     _lambda_small_of_v,
     _positive_moment_gen_dense,
@@ -213,14 +226,36 @@ class TestMOracle:
         val = m_oracle(w, z, "minus")
         assert val == pytest.approx(z - 1.0 / z, rel=1e-3)
 
-    def test_converges_in_pad(self):
+    def test_matches_padded_walk(self):
+        # the oracle starts at the window's edge; 200 free sites past it, as
+        # the reference walks, must not change a bit on the CLI's grid
+        z_grid = np.asarray(ORACLE_GRID + (1j,))
+        windows = [JacobiWindow.free(1), JacobiWindow.free(5)]
+        # strong couplings carry a rounding change of the seed through to site 0
+        windows.append(JacobiWindow(-3, 3, (3.0,) * 7, (0.5,) * 7, 7.0))
         rng = np.random.RandomState(34)
-        sigma, setting = random_jacobi_measure(rng)
-        window = reconstruct(sigma, setting, 12)
-        vals = [m_oracle(window, 1j, "plus", pad=p) for p in (25, 50, 200)]
-        exact = m_value(sigma, setting, 1j, "plus")
-        errs = [abs(v - exact) for v in vals]
-        assert errs[2] <= errs[0] and errs[2] < 1e-8
+        for k in range(3):
+            sigma, setting = random_jacobi_measure(rng)
+            window = reconstruct(sigma, setting, 12)
+            assert window.a[0] != 1.0 and window.a[-1] != 1.0  # no clamped tail
+            windows.append(window)
+            if k == 0:
+                exact = m_value(sigma, setting, 1j, "plus")
+                assert abs(m_oracle(window, 1j, "plus") - exact) < 1e-8
+        for R in (2.002, 2.003):
+            # atoms next to the ends of the ring decay fastest, so both tails clamp
+            setting = Setting.jacobi(R)
+            r = setting.r
+            ring = 1.0 / r - r
+            sigma = Measure.from_atoms([(r + 0.05 * ring, 2e-4), (-(1.0 / r - 0.05 * ring), 1e-4)])
+            window = reconstruct(sigma, setting, 160)
+            assert window.a[0] == 1.0 and window.a[-1] == 1.0
+            windows.append(window)
+        for window in windows:
+            for side in ("plus", "minus"):
+                got = m_oracle(window, z_grid, side)
+                assert got.tobytes() == padded_m_oracle(window, z_grid, side).tobytes()
+                assert m_oracle(window, 1j, side) == padded_m_oracle(window, 1j, side)
 
 
 class TestReconstruct:
@@ -310,3 +345,83 @@ class TestProp311:
         window = JacobiWindow(-n, n, tuple(a), (0.0,) * (2 * n + 1), 5.0)
         report = prop311_check(window, 0.5, min_excess=1e-12)
         assert not report.passed
+
+
+# ---------------------------------------------------------------------------
+# the array forms of the window post-checks against their loop references
+
+
+LOOP_CHECKS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ReflectionlessError as exc:
+        return type(exc), str(exc), getattr(exc, "pivot", None)
+
+
+@st.composite
+def excess_windows(draw):
+    """(window, r, min_excess) with excesses a^2 - 1 on both sides of
+    min_excess: mixed, free, and a single pair above it."""
+    min_excess = draw(st.sampled_from([1e-6, 1e-12]))
+    n = draw(st.integers(1, 6))
+    scale = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e3, 1e6]), st.floats(0.99, 1.01)
+    )
+    kind = draw(st.sampled_from(["mixed", "free", "single"]))
+    excess = [0.0] * (2 * n + 1)
+    if kind == "mixed":
+        excess = [draw(scale) * min_excess for _ in excess]
+    elif kind == "single":
+        i = draw(st.integers(0, 2 * n - 1))
+        excess[i] = draw(st.floats(1.0, 1e6)) * min_excess
+        excess[i + 1] = draw(st.floats(1.0, 1e6)) * min_excess
+    a = tuple(math.sqrt(1.0 + e) for e in excess)
+    window = JacobiWindow(-n, n, a, (0.0,) * (2 * n + 1), 2.5)
+    return window, draw(st.floats(0.05, 0.999)), min_excess
+
+
+@st.composite
+def recurrence_rows(draw):
+    """(alpha, beta, n_valid, n_rows) shaped like moments_to_recurrence's
+    output: rows near and away from free, and a breakdown at n_valid that
+    leaves a NaN tail or a pivot at or below BREAKDOWN_TOL."""
+    n_rows = draw(st.integers(1, 10))
+    dev = st.one_of(
+        st.just(0.0),
+        st.sampled_from([0.5, 0.99, 1.0, 1.01, 2.0]).map(lambda f: f * CLAMP_TOL),
+        st.floats(-0.5, 0.5),
+    )
+    alpha = np.array([draw(dev) for _ in range(n_rows + 1)])
+    beta = np.array([1.0] + [(1.0 + draw(dev)) ** 2 for _ in range(n_rows)])
+    n_valid = draw(st.integers(1, n_rows + 1))
+    if n_valid <= n_rows:
+        if draw(st.booleans()):
+            alpha[n_valid:] = np.nan
+            beta[n_valid:] = np.nan
+        else:
+            beta[n_valid] = draw(st.sampled_from([0.0, -1e-3, 1e-13]))
+    return alpha, beta, n_valid, n_rows
+
+
+class TestArrayPostChecks:
+    @LOOP_CHECKS
+    @given(excess_windows())
+    def test_prop311_matches_loop(self, case):
+        window, r, min_excess = case
+        got = _outcome(prop311_check, window, r, min_excess)
+        assert got == _outcome(loop_prop311_check, window, r, min_excess)
+        if not isinstance(got, tuple):
+            assert all(type(n) is int and type(rho) is float for n, rho in got.ratios)
+
+    @LOOP_CHECKS
+    @given(recurrence_rows())
+    def test_assemble_side_matches_loop(self, case):
+        got = _outcome(_assemble_side, *case, CLAMP_TOL)
+        want = _outcome(loop_assemble_side, *case, CLAMP_TOL)
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]

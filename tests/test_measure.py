@@ -15,6 +15,7 @@ from reflectionless.errors import (
 from reflectionless.herglotz import Setting
 from reflectionless.measure import (
     EMPTY_SUPPORT,
+    SUPPORT_MARGIN_REL,
     Measure,
     cauchy,
     moment,
@@ -88,6 +89,13 @@ class TestValidate:
         mu = Measure.with_pieces([], [(0.4, 0.7, (1.0,)), (0.6, 0.9, (1.0,))])
         with pytest.raises(SupportViolation):
             validate(mu, "jacobi", 4.0)
+
+    def test_piece_narrower_than_margin_rejected(self):
+        m = SUPPORT_MARGIN_REL * 4.0
+        with pytest.raises(SupportViolation):
+            validate(Measure.with_pieces([], [(1.0, 1.0 + 0.5 * m, (1.0,))]), "jacobi", 4.0)
+        mu = Measure.with_pieces([], [(1.0, 1.0 + 2.0 * m, (1.0,))])
+        assert validate(mu, "jacobi", 4.0) is mu
 
     def test_empty_density_rejected(self):
         mu = Measure.with_pieces([], [(0.4, 0.7, ())])
