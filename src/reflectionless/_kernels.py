@@ -15,18 +15,24 @@ FLOW_STEP_TOO_LARGE = 2
 
 
 def cf_plus(a, b, z, seed):
-    # descend m_n = -1/(z - b_{n+1} + a_{n+1}^2 m_{n+1}); index i <-> site i+1
-    m = seed.astype(np.complex128).copy()
+    # descend m_n = -1/(z - b_{n+1} + a_{n+1}^2 m_{n+1}) in place; index i <-> site i+1
+    zb, a2 = z - b[:, None], (a * a).tolist()
+    m = seed.astype(np.complex128)
     for i in range(a.size - 1, -1, -1):
-        m = -1.0 / (z - b[i] + a[i] * a[i] * m)
+        m *= a2[i]
+        m += zb[i]
+        np.divide(-1.0, m, out=m)
     return m
 
 
 def cf_minus(a, b, z, seed):
     # ascend a_n^2 m_n = z - b_n - 1/m_{n-1}; arrays ordered along the sweep
-    m = seed.astype(np.complex128).copy()
+    zb, a2 = z - b[:, None], (a * a).tolist()
+    m = seed.astype(np.complex128)
     for i in range(a.size):
-        m = (z - b[i] - 1.0 / m) / (a[i] * a[i])
+        np.divide(1.0, m, out=m)
+        np.subtract(zb[i], m, out=m)
+        m /= a2[i]
     return m
 
 

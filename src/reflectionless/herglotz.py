@@ -95,6 +95,14 @@ def phi(setting, lam):
     return -lam * lam
 
 
+def outer_root(z):
+    """Root of lam^2 + z lam + 1 = 0 with |lam| >= 1; its reciprocal is the
+    unit-disk root, the free m_plus.  The arithmetic follows the type of z."""
+    s = cmath.sqrt(z * z - 4.0)
+    r1, r2 = (-z + s) / 2.0, (-z - s) / 2.0
+    return r1 if abs(r1) >= abs(r2) else r2
+
+
 def phi_inv(setting, z, region):
     """Preimage of z under phi on the requested branch.
 
@@ -107,9 +115,7 @@ def phi_inv(setting, z, region):
     if region not in ("upper", "lower"):
         raise ValueError(f"unknown region {region!r}")
     if setting.kind == "jacobi":
-        s = cmath.sqrt(z * z - 4.0)
-        r1, r2 = (-z + s) / 2.0, (-z - s) / 2.0
-        big = r1 if abs(r1) >= abs(r2) else r2
+        big = outer_root(z)
         return 1.0 / big if region == "upper" else big
     w = cmath.sqrt(-z)
     if w.real < 0:
@@ -130,7 +136,7 @@ def m_value(sigma, setting, z, side):
         return f_value(sigma, setting, phi_inv(setting, z, "upper"))
     if side == "minus":
         lam = phi_inv(setting, z, "lower")
-        return -np.conj(f_value(sigma, setting, np.conj(lam)))
+        return -f_value(sigma, setting, lam.conjugate()).conjugate()
     raise ValueError(f"unknown side {side!r}")
 
 

@@ -18,7 +18,6 @@ index conventions and cross-validates every reconstruction.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,7 +33,7 @@ from .errors import (
     InadmissibleSigma,
     MomentMismatch,
 )
-from .herglotz import admissible_discrete
+from .herglotz import admissible_discrete, outer_root
 from .measure import moments
 from .series import DEFAULT_ORDER, _conv
 
@@ -248,34 +247,37 @@ def rho_minus_moments(sigma, setting, K, order=None):
 
 
 def _wheeler(nu_monic, N, R):
-    """Modified Chebyshev algorithm: monic auxiliary moments -> (alpha, beta)."""
+    """Modified Chebyshev algorithm: monic auxiliary moments -> (alpha, beta).
+    Row k of the mixed moments, sigma_k[l] for k <= l < 2N - k, is an array
+    from l = k written in place over row k - 2; rows from the first
+    exact-zero pivot on are NaN."""
     K = 2 * N
-    bhat = np.full(K, R * R / 4.0)
-    bhat[0] = 0.0
-    if K > 1:
-        bhat[1] = R * R / 2.0
-    alpha = np.zeros(N)
-    beta = np.zeros(N)
-    sig_prev = np.zeros(K)
-    sig = np.asarray(nu_monic[:K], dtype=float).copy()
+    alpha = np.full(N, np.nan)
+    beta = np.full(N, np.nan)
+    prev = np.zeros(K + 2)  # sigma_{-1}, from l = -1
+    sig = np.array(nu_monic[:K], dtype=float)  # sigma_0, from l = 0
     alpha[0] = sig[1] / sig[0]
     beta[0] = sig[0]
+    bhat = np.full(K - 2, R * R / 4.0)  # b_l for l >= 1 on the first row
+    if K > 2:
+        bhat[0] = R * R / 2.0
+    quarter = np.float64(R * R / 4.0)  # b_l for l >= 2: a numpy scalar is the faster operand
+    p0, p1 = sig[:2].tolist()  # sigma_{k-1}[k-1], sigma_{k-1}[k]
+    tmp = np.empty(K)
     for k in range(1, N):
-        sig_new = np.zeros(K)
-        l = slice(k, K - k)
-        sig_new[l] = (
-            sig[k + 1:K - k + 1]
-            - alpha[k - 1] * sig[l]
-            - beta[k - 1] * sig_prev[l]
-            + bhat[l] * sig[k - 1:K - k - 1]
-        )
-        if sig_new[k] == 0.0 or sig[k - 1] == 0.0:
-            alpha[k:] = np.nan
-            beta[k:] = np.nan
+        new, t = prev[2:-2], tmp[:K - 2 * k]  # new overwrites sigma_{k-2}[k:]
+        new *= beta[k - 1]
+        np.multiply(sig[1:-1], alpha[k - 1], t)
+        np.subtract(sig[2:], t, t)
+        np.subtract(t, new, new)
+        np.multiply(sig[:-2], bhat, t)
+        new += t
+        n0, n1 = new[:2].tolist()
+        if n0 == 0.0 or p0 == 0.0:
             break
-        alpha[k] = sig_new[k + 1] / sig_new[k] - sig[k] / sig[k - 1]
-        beta[k] = sig_new[k] / sig[k - 1]
-        sig_prev, sig = sig, sig_new
+        alpha[k] = n1 / n0 - p1 / p0
+        beta[k] = n0 / p0
+        prev, sig, p0, p1, bhat = sig, new, n0, n1, quarter
     return alpha, beta
 
 
@@ -396,13 +398,6 @@ def reconstruct(sigma, setting, N, clamp_tol=CLAMP_TOL):
 # continued-fraction oracle
 
 
-def _disk_root(z):
-    """Root of lam^2 + z lam + 1 = 0 inside the unit disk (free m_plus)."""
-    s = cmath.sqrt(z * z - 4.0)
-    r1, r2 = (-z + s) / 2.0, (-z - s) / 2.0
-    return 1.0 / r1 if abs(r1) >= abs(r2) else 1.0 / r2
-
-
 def _settle(cf, z, m):
     """m taken through the free step of `cf` until it stops changing (at
     most 16 times): the floating-point value that a walk over many free
@@ -430,7 +425,7 @@ def m_oracle(J, z, side):
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(z_arr.imag <= 0):
         raise ValueError("oracle needs Im z > 0")
-    u = np.array([_disk_root(zz) for zz in z_arr], dtype=complex)
+    u = np.array([1.0 / outer_root(zz) for zz in z_arr], dtype=complex)
     zero = -J.n_min  # array index of site 0
     if side == "plus":
         cf, sites, seed = _kernels.cf_plus, slice(zero + 1, None), u

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -69,10 +69,11 @@ class Measure:
     def is_zero(self):
         return not self.atoms and not self.pieces
 
+    @cached_property
     def atom_arrays(self):
-        if not self.atoms:
-            return np.empty(0), np.empty(0)
-        arr = np.asarray(self.atoms, dtype=float)
+        """Atom positions and weights as read-only arrays, built once."""
+        arr = np.asarray(self.atoms, dtype=float).reshape(-1, 2)
+        arr.flags.writeable = False
         return arr[:, 0], arr[:, 1]
 
 
@@ -93,7 +94,7 @@ EMPTY_SUPPORT = SupportInfo(math.inf, -math.inf, math.inf)
 def support_bounds(mu):
     """Exact support extremes over atoms and piece endpoints."""
     lo, hi, dist = math.inf, -math.inf, math.inf
-    ts, _ = mu.atom_arrays()
+    ts, _ = mu.atom_arrays
     for t in ts:
         lo, hi = min(lo, t), max(hi, t)
         dist = min(dist, abs(t))
@@ -147,7 +148,7 @@ def validate(mu, setting, R):
         raise BadR(f"unknown setting {setting!r}")
 
     occupied = []
-    ts, ws = mu.atom_arrays()
+    ts, ws = mu.atom_arrays
     for t, w in zip(ts, ws):
         if not w > 0.0:
             raise NegativeWeight(f"atom at t={t} has weight {w} <= 0")
@@ -182,6 +183,7 @@ def validate(mu, setting, R):
 PANEL_NODES = 20
 PANEL_RATIO = 0.2
 MAX_LEVELS = 16
+MIN_PANEL_ULPS = 2 ** 12  # rounding leaves 20 distinct, well-spread nodes
 
 
 @lru_cache(maxsize=None)
@@ -193,13 +195,18 @@ def _panel_x():
 def _levels(width, end, poles, order):
     """Grading levels toward `end` of a part `width` long: the innermost
     panel is at most twice as wide as the distance to the nearest pole over
-    `order` (t^n has a boundary layer of width |end|/|n|)."""
+    `order` (t^n has a boundary layer of width |end|/|n|), at most
+    MAX_LEVELS deep, and OnSupport if narrower than MIN_PANEL_ULPS ulps."""
     dist = min((abs(z - end) for z in poles), default=math.inf) / max(order, 1)
     if 4.0 * dist >= width:
         return 0
     if 4.0 * dist <= width * PANEL_RATIO ** MAX_LEVELS:
-        return MAX_LEVELS
-    return math.ceil(math.log(0.25 * width / dist) / -math.log(PANEL_RATIO))
+        levels = MAX_LEVELS
+    else:
+        levels = math.ceil(math.log(0.25 * width / dist) / -math.log(PANEL_RATIO))
+    if 0.5 * width * PANEL_RATIO ** levels < MIN_PANEL_ULPS * math.ulp(end):
+        raise OnSupport(f"pole {dist:.3g} from the piece end {end!r}: below the rule's resolution")
+    return levels
 
 
 @lru_cache(maxsize=256)
@@ -227,7 +234,7 @@ def quadrature_atoms(mu, poles, order=1, split=None):
     """mu as weighted atoms (t_j, w_j) for kernels analytic off `poles`: its
     own atoms, then each piece by the graded rule.  A piece is also cut at
     `split` when that lies inside it with a pole within half its length."""
-    ts, ws = mu.atom_arrays()
+    ts, ws = mu.atom_arrays
     if not mu.pieces:
         return ts, ws
     parts = [(ts, ws)]
@@ -273,4 +280,4 @@ def cauchy(mu, lam):
             if p.a <= lam.real <= p.b:
                 raise OnSupport(f"Cauchy transform evaluated inside a piece at {lam}")
     ts, ws = quadrature_atoms(mu, (lam,), split=lam.real)
-    return complex(np.sum(ws / (ts - lam)))
+    return complex((ws / (ts - lam)).sum())

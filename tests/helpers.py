@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 
-from reflectionless import Measure, Setting, _kernels, herglotz
+from reflectionless import Measure, Setting, herglotz
 from reflectionless.errors import FreeOperator, HankelBreakdown
 from reflectionless.herglotz import AdmissibilityReport, admissible_continuous, admissible_discrete
-from reflectionless.jacobi import RatioReport, _disk_root
-from reflectionless.measure import solve_r
+from reflectionless.jacobi import RatioReport
+from reflectionless.measure import quadrature_atoms, solve_r
 from reflectionless.series import _conv
 
 
@@ -174,24 +174,95 @@ def recurrence_via_cholesky(mu, N):
     return alpha, beta
 
 
+def loop_wheeler(nu_monic, N, R):
+    """jacobi._wheeler with a fresh, zero-padded row array per row: the
+    reference the in-place sweep must match bit for bit."""
+    K = 2 * N
+    bhat = np.full(K, R * R / 4.0)
+    bhat[0] = 0.0
+    if K > 1:
+        bhat[1] = R * R / 2.0
+    alpha = np.zeros(N)
+    beta = np.zeros(N)
+    sig_prev = np.zeros(K)
+    sig = np.asarray(nu_monic[:K], dtype=float).copy()
+    alpha[0] = sig[1] / sig[0]
+    beta[0] = sig[0]
+    for k in range(1, N):
+        sig_new = np.zeros(K)
+        l = slice(k, K - k)
+        sig_new[l] = (
+            sig[k + 1:K - k + 1]
+            - alpha[k - 1] * sig[l]
+            - beta[k - 1] * sig_prev[l]
+            + bhat[l] * sig[k - 1:K - k - 1]
+        )
+        if sig_new[k] == 0.0 or sig[k - 1] == 0.0:
+            alpha[k:] = np.nan
+            beta[k:] = np.nan
+            break
+        alpha[k] = sig_new[k + 1] / sig_new[k] - sig[k] / sig[k - 1]
+        beta[k] = sig_new[k] / sig[k - 1]
+        sig_prev, sig = sig, sig_new
+    return alpha, beta
+
+
+def loop_cf_plus(a, b, z, seed):
+    """_kernels.cf_plus with a new array per site: its bit-for-bit reference."""
+    m = seed.astype(np.complex128).copy()
+    for i in range(a.size - 1, -1, -1):
+        m = -1.0 / (z - b[i] + a[i] * a[i] * m)
+    return m
+
+
+def loop_cf_minus(a, b, z, seed):
+    """_kernels.cf_minus with a new array per site: its bit-for-bit reference."""
+    m = seed.astype(np.complex128).copy()
+    for i in range(a.size):
+        m = (z - b[i] - 1.0 / m) / (a[i] * a[i])
+    return m
+
+
 def padded_m_oracle(J, z, side, pad=200):
     """The window's m functions by continued fractions over the window
     extended by `pad` free sites on the far side, seeded there with the free
     m value: the reference for the production oracle, which starts at the
-    window's edge."""
+    window's edge.  It runs the reference loops, not the production kernels."""
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    seed_u = np.array([_disk_root(zz) for zz in z_arr], dtype=complex)
+    seed_u = np.array([1.0 / herglotz.outer_root(zz) for zz in z_arr], dtype=complex)
     if side == "plus":
         sites = np.arange(1, J.n_max + pad + 1)
         a_arr = np.array([J.a_at(n) for n in sites])
         b_arr = np.array([J.b_at(n) for n in sites])
-        out = _kernels.cf_plus(a_arr, b_arr, z_arr, seed_u)
+        out = loop_cf_plus(a_arr, b_arr, z_arr, seed_u)
     else:
         sites = np.arange(J.n_min - pad + 1, 1)
         a_arr = np.array([J.a_at(n) for n in sites])
         b_arr = np.array([J.b_at(n) for n in sites])
-        out = _kernels.cf_minus(a_arr, b_arr, z_arr, -1.0 / seed_u)
+        out = loop_cf_minus(a_arr, b_arr, z_arr, -1.0 / seed_u)
     return out[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else out
+
+
+def np_m_value(sigma, setting, z, side):
+    """herglotz.m_value with np.conj in place of complex.conjugate: its
+    bit-for-bit reference."""
+    z = complex(z)
+    if side == "plus":
+        return herglotz.f_value(sigma, setting, herglotz.phi_inv(setting, z, "upper"))
+    lam = herglotz.phi_inv(setting, z, "lower")
+    return -np.conj(herglotz.f_value(sigma, setting, np.conj(lam)))
+
+
+def np_cauchy(mu, lam):
+    """measure.cauchy summed by np.sum over atom arrays built per call: its
+    bit-for-bit reference."""
+    lam = complex(lam)
+    if mu.pieces:
+        ts, ws = quadrature_atoms(mu, (lam,), split=lam.real)
+    else:
+        arr = np.asarray(mu.atoms, dtype=float).reshape(-1, 2)
+        ts, ws = arr[:, 0], arr[:, 1]
+    return complex(np.sum(ws / (ts - lam)))
 
 
 def loop_prop311_check(J, r, min_excess=1e-6):

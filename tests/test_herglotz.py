@@ -12,12 +12,13 @@ from scipy.optimize import brentq
 from helpers import (
     adaptive_gauss_legendre,
     boundary_scan,
+    np_m_value,
     random_jacobi_measure,
     random_schrodinger_measure,
     scan_admissible_discrete,
 )
 from reflectionless import herglotz
-from reflectionless.errors import BranchAmbiguity
+from reflectionless.errors import BranchAmbiguity, OnSupport
 from reflectionless.herglotz import (
     Setting,
     admissible_continuous,
@@ -168,6 +169,20 @@ class TestMValue:
             z = complex(-y, 1e-10 * y)
             val = m_value(sigma, setting, z, "plus")
             assert abs(val + math.sqrt(y)) <= 2 * mass / math.sqrt(y)
+
+    def test_bit_equal_to_numpy_conjugation(self):
+        rng = np.random.RandomState(28)
+        cases = [random_jacobi_measure(rng), random_schrodinger_measure(rng)]
+        readme = [(1.05, 0.001), (-1.02, 0.002)], [(0.92, 0.98, (0.005, 0.0, 0.001))]
+        cases.append((Measure.with_pieces(*readme), Setting.jacobi(2.01)))
+        cases.append((Measure.with_pieces([(0.4, 0.2)], [(-1.5, 0.3, (0.3, 0.1, 0.02))]), SCH2))
+        xs, ys = (-2.5, -1.0, 0.0, 0.7, 2.0, 6.0), (1e-6, 0.3, 1.0, 3.0)
+        zs = [complex(x, y) for x in xs for y in ys]
+        for sigma, setting in cases:
+            for side in ("plus", "minus"):
+                got = np.array([m_value(sigma, setting, z, side) for z in zs])
+                want = np.array([np_m_value(sigma, setting, z, side) for z in zs])
+                assert got.tobytes() == want.tobytes()
 
     def test_jacobi_asymptotics(self):
         rng = np.random.RandomState(27)
@@ -425,6 +440,22 @@ class TestPieceRule:
             ):
                 refs = [_pole_reference(q, lam) for q in sigma.pieces]
                 _assert_agrees(cauchy(sigma, lam), refs)
+
+    @pytest.mark.parametrize("width", [1e-3, 1e-4])
+    @pytest.mark.parametrize("d", [1e-16, 1e-15, 1e-14, 1e-12, 1e-9])
+    def test_cauchy_next_to_a_narrow_piece(self, width, d):
+        # the grading stops at panels MIN_PANEL_ULPS ulps wide: a pole too
+        # close to an end for such a panel is OnSupport, never a singular rule
+        for cheb in ((0.1,), (0.1, 0.03, -0.02)):
+            sigma = Measure.with_pieces([], [(2.0, 2.0 + width, cheb)])
+            p = sigma.pieces[0]
+            for lam in (p.b + d, p.a - d):
+                try:
+                    got = cauchy(sigma, lam)
+                except OnSupport:
+                    assert d < 1e-9
+                    continue
+                _assert_agrees(got, [_pole_reference(p, complex(lam))], tol=1e-10)
 
 
 class TestH:

@@ -5,6 +5,7 @@ import pytest
 from numpy.polynomial import chebyshev as cheb
 from scipy.integrate import quad
 
+from helpers import np_cauchy
 from reflectionless.errors import (
     BadR,
     NegativeMomentAtZero,
@@ -200,6 +201,32 @@ class TestCauchy:
         for _ in range(200):
             lam = complex(rng.uniform(-4, 4), rng.uniform(1e-3, 4))
             assert cauchy(mu, lam).imag > 0.0
+
+    def test_bit_equal_to_np_sum(self):
+        measures = [
+            Measure.from_atoms([(0.7, 0.4), (-1.3, 0.6)]),
+            Measure.with_pieces([(0.7, 0.4), (-1.3, 0.6)], [(1.1, 1.9, (1.0, 0.0, 0.3))]),
+            measure_with_piece(),
+            Measure.zero(),
+        ]
+        rng = np.random.RandomState(10)
+        lams = [complex(rng.uniform(-4, 4), rng.uniform(1e-6, 4)) for _ in range(40)]
+        lams += [-2.5, 0.1, 3.0]
+        for mu in measures:
+            got = np.array([cauchy(mu, lam) for lam in lams])
+            assert got.tobytes() == np.array([np_cauchy(mu, lam) for lam in lams]).tobytes()
+
+
+class TestAtomArrays:
+    def test_built_once_and_read_only(self):
+        mu = Measure.from_atoms([(0.7, 0.4), (-1.3, 0.6)])
+        ts, ws = mu.atom_arrays
+        assert ts.tolist() == [0.7, -1.3] and ws.tolist() == [0.4, 0.6]
+        assert mu.atom_arrays[0] is ts
+        for arr in (ts, ws, *Measure.zero().atom_arrays):
+            with pytest.raises(ValueError):
+                arr[...] = 1.0
+        assert hash(mu) == hash(Measure.from_atoms([(0.7, 0.4), (-1.3, 0.6)]))
 
 
 class TestSupportBounds:
