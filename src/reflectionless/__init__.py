@@ -81,6 +81,5 @@ from .schrodinger import (
     moment_generating,
     riccati_oracle,
 )
-from .series import DEFAULT_ORDER
 
 __version__ = "0.1.0"

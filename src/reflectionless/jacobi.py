@@ -1,15 +1,18 @@
 """Whole-line Jacobi coefficients from an admissible representing measure.
 
-The route: the measure determines F; the expansions of F at lambda -> 0 and
-|lambda| -> infinity are the 1/z expansions of the two half-line m functions,
-whose representing probability measures rho+- have three-term recurrence
-coefficients equal to the half-line Jacobi parameters.  The recurrence rows
-are produced by the modified Chebyshev algorithm with auxiliary Chebyshev
-polynomials rescaled to [-R, R], whose modified moments are read directly
-off the expansion of the m function in the inverse Joukowski variable of
-[-R, R] (going through raw power moments is exponentially unstable).  Power
-moments are derived from the Chebyshev moments on demand, for inspection
-and cross-checks only.
+The route: the measure determines F, and the half-line m functions are
+m_+(z) = F(lam) and m_-(z) = -F(1/lam), with lam the unit-disk root of
+lam^2 + z lam + 1 = 0.  Their expansions carry the site-0 coefficients and
+probability measures rho+- whose three-term recurrence coefficients are the
+half-line Jacobi parameters.  Because 1/(x - z) = lam sum_k U_k(-x/2) lam^k,
+the moments of rho+- against the monic free-basis polynomials U_k(x/2) are
+plain moments of sigma (of sigma mirrored to 1/t for rho-): no series
+algebra and no dependence on R.  Mass of sigma inside the unit disk becomes
+eigenvalues of rho+- off [-2, 2], whose moment terms grow with k; they are
+taken out analytically, the modified Chebyshev algorithm runs on the
+decaying rest in the free basis, and the eigenvalues are added back to its
+recurrence rows by the RKPW update.  Power moments are never formed (going
+through them is exponentially unstable).
 
 An independent continued-fraction oracle evaluates the m functions of a
 finite coefficient window continued by the free operator, which pins the
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,8 +36,7 @@ from .errors import (
     MomentMismatch,
 )
 from .herglotz import admissible_discrete, outer_root
-from .measure import moments
-from .series import DEFAULT_ORDER, _conv
+from .measure import moments, quadrature_atoms
 
 CLAMP_TOL = 1e-6
 BREAKDOWN_TOL = 1e-12
@@ -72,11 +73,12 @@ class JacobiWindow:
 
 @dataclass(frozen=True)
 class AsymptoticMoments:
-    """Moment data of one half-line spectral measure.
+    """Moment data of one half-line spectral measure rho.
 
-    cheb_mu are the moments nu_k = int T_k(t/R) d rho against Chebyshev
-    polynomials rescaled to [-R, R] (nu_0 = 1 for probability
-    normalization), which is what the recurrence extraction consumes.
+    nu are the moments nu_k = int U_k(x/2) d rho_0 of its deflated part
+    rho_0 against the monic free-basis polynomials U_k(x/2), and nodes the
+    (E, mass) pairs that rho adds to rho_0 off [-2, 2]: its eigenvalues, or
+    quadrature nodes of the image of a density piece inside the unit disk.
     a0/b0 are the site-0 coefficients determined by the measure; a_minus1
     only exists on the minus side.
     """
@@ -85,125 +87,57 @@ class AsymptoticMoments:
     a0: float
     b0: float
     a_minus1: float
-    R: float
-    cheb_mu: tuple
-
-    @property
-    def mu(self):
-        """Power moments mu_k = int t^k d rho, k < len(cheb_mu), from
-        (t/R)^k = 2^(1-k) sum_i C(k, i) T_{k-2i}(t/R) with the T_0 term
-        halved.  The weights are positive and sum to one, so this direction
-        does not amplify errors in cheb_mu."""
-        nu = np.asarray(self.cheb_mu, dtype=float)
-        mu = np.empty(len(nu))
-        for k in range(len(nu)):
-            i = np.arange(k // 2 + 1)
-            w = np.array([math.comb(k, j) for j in i], dtype=float) * 2.0 ** (1 - k)
-            if k % 2 == 0:
-                w[-1] *= 0.5
-            mu[k] = self.R ** k * np.dot(w, nu[k - 2 * i])
-        return tuple(mu)
-
-
-# ---------------------------------------------------------------------------
-# cached universal series
-
-
-@lru_cache(maxsize=8)
-def _lambda_small_of_v(R, order):
-    """Composition operator M[k, j] = [v^k] lam^j of the unit-disk root of
-    lam^2 + z lam + 1 = 0 along z = R(v + 1/v)/2; column 1 is the series
-    lam(v) itself.  With lam fixed, f -> f(lam) is linear in the
-    coefficients of f, so every composition with lam is the product M @ f.
-
-    Dense fixed-point iteration on lam = -(2v/R)(1 + lam^2)/(1 + v^2); all
-    coefficients stay O(1) because the series has unit radius.  The cache
-    keeps eight (R, order) entries of order^2 doubles each, 6.9 MB at order
-    328 (N = 160).
-    """
-    inv = np.zeros(order)
-    inv[0::4] = 1.0
-    inv[2::4] = -1.0  # 1/(1+v^2)
-    lam = np.zeros(order)
-    prev = None
-    for _ in range(order // 2 + 2):
-        t = _conv(_conv(lam, lam, order), inv, order)
-        new = np.zeros(order)
-        new[1:] = -(2.0 / R) * (inv[: order - 1] + t[: order - 1])
-        if prev is not None and np.array_equal(new, prev):
-            break
-        prev = lam = new
-    M = np.zeros((order, order))
-    M[0, 0] = 1.0
-    for j in range(1, order):
-        M[:, j] = _conv(M[:, j - 1], lam, order)
-    return M
-
-
-def _f_taylor_dense(sigma, order):
-    """Taylor coefficients of F at lambda = 0 (jacobi formula): c[k] = s_{-1-k}."""
-    c = moments(sigma, -1 - np.arange(order))
-    s1, s2 = c[0], c[1]
-    c[0] = -s1 + s1        # constant of F cancels the k=0 Cauchy term exactly
-    c[1] = (1.0 - s2) + s2  # so F(lam) = lam + O(lam^2) holds to the last bit
-    return c
-
-
-def _positive_moment_gen_dense(sigma, order):
-    """G(x) = sum_k s_k x^{k+1} with s_k the positive power moments."""
-    g = np.zeros(order)
-    g[1:] = moments(sigma, np.arange(order - 1))
-    return g
-
-
-def _cheb_moments_from_m_series(mser_lead1, R, count):
-    """Coefficients of m(z(v)) -> Chebyshev moments of its measure.
-
-    Uses 1/(t - z(v)) = -(2v/(1-v^2))/R * (1 + 2 sum T_k(t/R) v^k) so that
-    multiplying the v-series of the Cauchy transform by -R(1-v^2)/(2v)
-    exposes nu_k = int T_k(t/R) d rho directly.
-    """
-    shifted = mser_lead1[1:]
-    out = shifted.copy()
-    out[2:] -= shifted[:-2]
-    out *= -R / 2.0
-    nu = out[:count].copy()
-    nu[1:] *= 0.5
-    return nu
+    nu: tuple
+    nodes: tuple
 
 
 # ---------------------------------------------------------------------------
 # moment extraction
 
 
-def rho_plus_moments(sigma, setting, K, order=None):
-    """Chebyshev moments nu_0..nu_K of rho+ from the lambda -> 0 expansion of F.
+def _deflated_moments(ts, ws, K):
+    """Free-basis moments nu_0..nu_K and nodes of the half-line measure whose
+    m function is F(lam) = lam + sum_{k>=2} s_{-1-k} lam^k, s the moments of
+    the weighted nodes (ts, ws).
 
-    Composes the Taylor series of F with the small root lam(v), which gives
-    m_plus(z(v)) = F(lam(v)) in the inverse Joukowski variable v of [-R, R].
+    Since 1/(x - z) = lam sum_k U_k(-x/2) lam^k with z = -(lam + 1/lam), the
+    full moments are (-1)^k s_{-(k+2)}.  A node with |t| < 1 puts the mass
+    w (1 - t^2)/t^2 at E = -(t + 1/t) and contributes (-1)^k w (t^{-(k+2)}
+    - t^k), which grows with k; taking that mass out leaves moments that all
+    decay.
     """
-    order = order if order is not None else max(DEFAULT_ORDER, K + 6)
-    f = _f_taylor_dense(sigma, order)
-    mv = _lambda_small_of_v(setting.R, order) @ f
-    nu = _cheb_moments_from_m_series(mv, setting.R, K + 1)
-    if abs(nu[0] - 1.0) > 1e-10:
-        raise MomentMismatch(f"rho+ normalization check failed: nu0 = {nu[0]!r}")
+    inner = np.abs(ts) < 1.0
+    t_in, w_in = ts[inner], ws[inner]
+    k = np.arange(1, K + 1)
+    nu = np.empty(K + 1)
+    nu[1:] = (ws[~inner] @ np.float_power(ts[~inner, None], -(k + 2))
+              + w_in @ np.float_power(t_in[:, None], k))
+    nu[1::2] *= -1.0
+    mass = w_in * (1.0 - t_in) * (1.0 + t_in) / (t_in * t_in)
+    nu[0] = 1.0 - mass.sum()
+    return tuple(nu.tolist()), tuple(zip((-(t_in + 1.0 / t_in)).tolist(), mass.tolist()))
+
+
+def rho_plus_moments(sigma, setting, K):
+    """Deflated free-basis moments nu_0..nu_K and nodes of rho+, read off the
+    lambda -> 0 expansion of F: m_plus(z) = F(lam(z)) with lam the unit-disk
+    root of lam^2 + z lam + 1 = 0."""
     s1, s2 = moments(sigma, [-1, -2])
     a0 = (1.0 - s2) ** -0.5 if s2 < 1.0 else math.nan
     b0 = -s1 / (1.0 - s2) if s2 < 1.0 else math.nan
-    return AsymptoticMoments(
-        side="plus", a0=a0, b0=b0, a_minus1=None, R=setting.R, cheb_mu=tuple(nu),
-    )
+    nu, nodes = _deflated_moments(*quadrature_atoms(sigma, (0.0,), K + 2), K)
+    return AsymptoticMoments(side="plus", a0=a0, b0=b0, a_minus1=None, nu=nu, nodes=nodes)
 
 
-def rho_minus_moments(sigma, setting, K, order=None):
-    """Chebyshev moments of rho- plus the boundary coefficients (a0, b0, a_{-1}).
+def rho_minus_moments(sigma, setting, K):
+    """Deflated free-basis moments and nodes of rho- plus the boundary
+    coefficients (a0, b0, a_{-1}).
 
     a0 = (1 - s_{-2})^{-1/2} and b0 = -s_{-1}/(1 - s_{-2}); the |lambda| ->
-    infinity Laurent expansion of -F then carries rho- through
-    a0^2 m_-(z) = z - b0 - a_{-1}^2 sum mu_k z^{-k-1}.
+    infinity expansion of -F then carries rho- through a0^2 m_-(z) = z - b0
+    - a_{-1}^2 sum mu_k z^{-k-1}, which is rho+ of the mirrored nodes
+    (1/t, w/(t^2 q)) with q = 1 - s_{-2} + s_0.
     """
-    order = order if order is not None else max(DEFAULT_ORDER, K + 6)
     s1, s2, s0 = moments(sigma, [-1, -2, 0])
     if not s2 < 1.0:
         raise InadmissibleSigma(f"needs s_{{-2}} < 1, got {s2}")
@@ -213,41 +147,20 @@ def rho_minus_moments(sigma, setting, K, order=None):
     if not q > 0.0:
         raise InadmissibleSigma(f"needs 1 - s_{{-2}} + s_0 > 0, got {q}")
     a_minus1 = a0 * math.sqrt(q)
-
-    # -F at the large root 1/lam(v) = -z(v) - lam(v) is s1 - (1 - s2)/lam +
-    # G(lam), so g(z(v)) = (a0^2 m_-(z(v)) - z(v) + b0)/a_{-1}^2 carries the
-    # Chebyshev moments of rho-
-    c = 1.0 - s2
-    g = _positive_moment_gen_dense(sigma, order)
-    R = setting.R
-    M_v = _lambda_small_of_v(R, order)
-    lam_v = M_v[:, 1]
-    gl = M_v @ g
-    ser = np.zeros(order)  # exponents -1 .. order-2
-    ser[0] += a0 ** 2 * c * (R / 2.0)   # -a0^2 c * (-(R/2)/v)
-    ser[2] += a0 ** 2 * c * (R / 2.0)
-    ser[1:] += a0 ** 2 * c * lam_v[: order - 1]
-    ser[1] += a0 ** 2 * s1
-    ser[1:] += a0 ** 2 * gl[: order - 1]
-    ser[0] -= R / 2.0                    # subtract z(v)
-    ser[2] -= R / 2.0
-    ser[1] += b0
-    if abs(ser[0]) > 1e-9 or abs(ser[1]) > 1e-7 * max(1.0, abs(b0)):
-        raise MomentMismatch("rho- Chebyshev expansion lost its leading cancellation")
-    nu = _cheb_moments_from_m_series(ser[1:] / a_minus1 ** 2, R, K + 1)
-    if abs(nu[0] - 1.0) > 1e-10:
-        raise MomentMismatch(f"rho- normalization check failed: nu0 = {nu[0]!r}")
+    ts, ws = quadrature_atoms(sigma, (0.0,), K + 2)
+    nu, nodes = _deflated_moments(1.0 / ts, ws / (ts * ts * q), K)
     return AsymptoticMoments(
-        side="minus", a0=a0, b0=b0, a_minus1=a_minus1, R=R, cheb_mu=tuple(nu),
+        side="minus", a0=a0, b0=b0, a_minus1=a_minus1, nu=nu, nodes=nodes,
     )
 
 
 # ---------------------------------------------------------------------------
-# recurrence extraction (modified Chebyshev)
+# recurrence extraction (modified Chebyshev, then RKPW)
 
 
-def _wheeler(nu_monic, N, R):
-    """Modified Chebyshev algorithm: monic auxiliary moments -> (alpha, beta).
+def _wheeler(nu_monic, N):
+    """Modified Chebyshev algorithm on moments against the monic free-basis
+    polynomials U_k(x/2) (alpha-hat = 0, beta-hat = 1) -> (alpha, beta).
     Row k of the mixed moments, sigma_k[l] for k <= l < 2N - k, is an array
     from l = k written in place over row k - 2; rows from the first
     exact-zero pivot on are NaN."""
@@ -258,10 +171,6 @@ def _wheeler(nu_monic, N, R):
     sig = np.array(nu_monic[:K], dtype=float)  # sigma_0, from l = 0
     alpha[0] = sig[1] / sig[0]
     beta[0] = sig[0]
-    bhat = np.full(K - 2, R * R / 4.0)  # b_l for l >= 1 on the first row
-    if K > 2:
-        bhat[0] = R * R / 2.0
-    quarter = np.float64(R * R / 4.0)  # b_l for l >= 2: a numpy scalar is the faster operand
     p0, p1 = sig[:2].tolist()  # sigma_{k-1}[k-1], sigma_{k-1}[k]
     tmp = np.empty(K)
     for k in range(1, N):
@@ -270,39 +179,55 @@ def _wheeler(nu_monic, N, R):
         np.multiply(sig[1:-1], alpha[k - 1], t)
         np.subtract(sig[2:], t, t)
         np.subtract(t, new, new)
-        np.multiply(sig[:-2], bhat, t)
-        new += t
+        new += sig[:-2]
         n0, n1 = new[:2].tolist()
         if n0 == 0.0 or p0 == 0.0:
             break
         alpha[k] = n1 / n0 - p1 / p0
         beta[k] = n0 / p0
-        prev, sig, p0, p1, bhat = sig, new, n0, n1, quarter
+        prev, sig, p0, p1 = sig, new, n0, n1
     return alpha, beta
+
+
+def _add_nodes(alpha, beta, nodes):
+    """Recurrence rows of the measure plus each (x, w) node, in place, by the
+    RKPW update (Gragg & Harrod 1984; Gautschi's OPQ `lanczos`).  Row k of
+    the result depends only on rows 0..k, so the rows kept are exact."""
+    a, b = alpha.tolist(), beta.tolist()
+    for x, pn in nodes:
+        gam, sig, t = 1.0, 0.0, 0.0
+        for k in range(len(a)):
+            rho = b[k] + pn
+            tmp, tsig = gam * rho, sig
+            if rho <= 0.0:
+                gam, sig = 1.0, 0.0
+            else:
+                gam, sig = b[k] / rho, pn / rho
+            tk = sig * (a[k] - x) - gam * t
+            a[k] -= tk - t
+            t = tk
+            pn = tsig * b[k] if sig <= 0.0 else t * t / sig
+            b[k] = tmp
+    alpha[:], beta[:] = a, b
 
 
 def moments_to_recurrence(m, N, allow_early_stop=False):
     """Three-term recurrence coefficients of the orthonormal polynomials.
 
     Returns (alpha, beta) with beta[0] the total mass and sqrt(beta[k]) the
-    off-diagonal entries.  Raises HankelBreakdown at the first nonpositive
-    pivot unless allow_early_stop is set, in which case the valid row count
-    is returned as a third element.
+    off-diagonal entries.  Raises HankelBreakdown at the first pivot of the
+    deflated part at or below BREAKDOWN_TOL unless allow_early_stop is set,
+    in which case the valid row count is returned as a third element.
     """
-    if len(m.cheb_mu) < 2 * N:
-        raise HankelBreakdown(N, f"need {2 * N} moments for {N} rows, have {len(m.cheb_mu)}")
-    nu = np.asarray(m.cheb_mu[: 2 * N], dtype=float).copy()
-    k = np.arange(1, 2 * N)
-    nu[1:] *= m.R ** k * 2.0 ** (1 - k)
-    alpha, beta = _wheeler(nu, N, m.R)
-    n_valid = N
-    tol = BREAKDOWN_TOL * max(1.0, m.R ** 2 / 4.0)
-    for k in range(1, N):
-        if not beta[k] > tol:
-            n_valid = k
-            break
+    if len(m.nu) < 2 * N:
+        raise HankelBreakdown(N, f"need {2 * N} moments for {N} rows, have {len(m.nu)}")
+    alpha, beta = _wheeler(m.nu, N)
+    bad = np.flatnonzero(~(beta[1:] > BREAKDOWN_TOL))
+    n_valid = int(bad[0]) + 1 if bad.size else N
     if n_valid < N and not allow_early_stop:
         raise HankelBreakdown(n_valid + 1)
+    alpha[n_valid:] = beta[n_valid:] = np.nan  # added nodes must not revive a failed row
+    _add_nodes(alpha, beta, m.nodes)
     if allow_early_stop:
         return alpha, beta, n_valid
     return alpha, beta

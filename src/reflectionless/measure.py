@@ -195,12 +195,16 @@ def _panel_x():
 def _levels(width, end, poles, order):
     """Grading levels toward `end` of a part `width` long: the innermost
     panel is at most twice as wide as the distance to the nearest pole over
-    `order` (t^n has a boundary layer of width |end|/|n|), at most
-    MAX_LEVELS deep, and OnSupport if narrower than MIN_PANEL_ULPS ulps."""
-    dist = min((abs(z - end) for z in poles), default=math.inf) / max(order, 1)
+    `order` (t^n has a boundary layer of width |end|/|n|), and OnSupport if
+    it would be narrower than MIN_PANEL_ULPS ulps.  Past MAX_LEVELS a
+    boundary layer stays at that depth, but a kernel pole (order None) is
+    refused with OnSupport: the rule could not resolve it."""
+    dist = min((abs(z - end) for z in poles), default=math.inf) / (order or 1)
     if 4.0 * dist >= width:
         return 0
     if 4.0 * dist <= width * PANEL_RATIO ** MAX_LEVELS:
+        if order is None:
+            raise OnSupport(f"pole {dist:.3g} from the piece end {end!r}: past the grading depth")
         levels = MAX_LEVELS
     else:
         levels = math.ceil(math.log(0.25 * width / dist) / -math.log(PANEL_RATIO))
@@ -230,10 +234,12 @@ def _piece_rule(piece, cuts, levels):
     return t, (h * np.linalg.inv(V)[:, 0, :]).ravel() * piece.density(t)
 
 
-def quadrature_atoms(mu, poles, order=1, split=None):
+def quadrature_atoms(mu, poles, order=None, split=None):
     """mu as weighted atoms (t_j, w_j) for kernels analytic off `poles`: its
     own atoms, then each piece by the graded rule.  A piece is also cut at
-    `split` when that lies inside it with a pole within half its length."""
+    `split` when that lies inside it with a pole within half its length.
+    An integer `order` says the kernel is t^n with |n| <= order and the pole
+    at 0 only sets the scale of its boundary layer."""
     ts, ws = mu.atom_arrays
     if not mu.pieces:
         return ts, ws

@@ -1,16 +1,7 @@
-"""Truncated Cauchy product of dense coefficient arrays (the series layer)."""
+"""Empty: the series layer is gone.
 
-from __future__ import annotations
-
-import numpy as np
-
-DEFAULT_ORDER = 64
-
-
-def _conv(a, b, n):
-    """Cauchy product of dense coefficient arrays, truncated to length n."""
-    out = np.zeros(n)
-    if n > 0 and len(a) and len(b):
-        full = np.convolve(a[:n], b[:n])[:n]
-        out[:len(full)] = full
-    return out
+Jacobi reconstruction reads the half-line measures' moments in the free
+basis U_k(x/2) straight off the moments of sigma, so no truncated series
+algebra is left.  The module stays importable because the benchmark's cache
+reset and tracer import it by name.
+"""

@@ -3,6 +3,7 @@ reference routes that cross-check the production ones."""
 
 import math
 
+import mpmath
 import numpy as np
 
 from reflectionless import Measure, Setting, herglotz
@@ -10,7 +11,6 @@ from reflectionless.errors import FreeOperator, HankelBreakdown
 from reflectionless.herglotz import AdmissibilityReport, admissible_continuous, admissible_discrete
 from reflectionless.jacobi import RatioReport
 from reflectionless.measure import quadrature_atoms, solve_r
-from reflectionless.series import _conv
 
 
 def random_jacobi_measure(rng, r_lo=2.002, r_hi=2.05, edge_margin=0.12):
@@ -142,15 +142,6 @@ def adaptive_gauss_legendre(f, a, b, rtol=1e-12, max_depth=40):
     return total
 
 
-def compose_dense(f, g, n):
-    """Horner evaluation of f(g) on dense arrays (g[0] must be 0)."""
-    acc = np.zeros(n)
-    for c in f[::-1]:
-        acc = _conv(acc, g, n)
-        acc[0] += c
-    return acc
-
-
 def recurrence_via_cholesky(mu, N):
     """Raw-moment Hankel Cholesky route to (alpha, beta).
 
@@ -174,14 +165,12 @@ def recurrence_via_cholesky(mu, N):
     return alpha, beta
 
 
-def loop_wheeler(nu_monic, N, R):
+def loop_wheeler(nu_monic, N):
     """jacobi._wheeler with a fresh, zero-padded row array per row: the
     reference the in-place sweep must match bit for bit."""
     K = 2 * N
-    bhat = np.full(K, R * R / 4.0)
+    bhat = np.ones(K)  # the free recurrence: beta-hat = 1 from l = 1 on
     bhat[0] = 0.0
-    if K > 1:
-        bhat[1] = R * R / 2.0
     alpha = np.zeros(N)
     beta = np.zeros(N)
     sig_prev = np.zeros(K)
@@ -205,6 +194,88 @@ def loop_wheeler(nu_monic, N, R):
         beta[k] = sig_new[k] / sig[k - 1]
         sig_prev, sig = sig, sig_new
     return alpha, beta
+
+
+def power_moments(m):
+    """Power moments mu_n = int x^n d rho, n < len(m.nu), of the measure an
+    AsymptoticMoments describes: x^n = sum_j (C(n, j) - C(n, j - 1))
+    U_{n-2j}(x/2) on the deflated part, plus sum mass E^n over its nodes."""
+    nu = np.asarray(m.nu, dtype=float)
+    mu = np.empty(len(nu))
+    for n in range(len(nu)):
+        j = np.arange(n // 2 + 1)
+        c = np.array([math.comb(n, i) - (math.comb(n, i - 1) if i else 0) for i in j], dtype=float)
+        mu[n] = np.dot(c, nu[n - 2 * j]) + sum(w * E ** n for E, w in m.nodes)
+    return mu
+
+
+# ---------------------------------------------------------------------------
+# the mpmath reference for reconstruct
+
+
+def _reference_power_moments(f, count):
+    """Power moments mu_0..mu_{count-1} of the measure whose m function is
+    sum_{k>=1} f[k-1] lam^k, with lam = -w C(w^2) the disk root as a series
+    in w = 1/z (C the Catalan series): [w^{n+1}] lam^k is (-1)^k k/(n+1)
+    C(n+1, (n+1-k)/2), and m = -sum mu_n w^{n+1}."""
+    mu = []
+    for n in range(count):
+        total = mpmath.mpf(0)
+        for k in range(n + 1, 0, -2):
+            c = mpmath.mpf(k * math.comb(n + 1, (n + 1 - k) // 2)) / (n + 1)
+            total += f[k - 1] * c if k % 2 else -f[k - 1] * c
+        mu.append(total)
+    return mu
+
+
+def _reference_chebyshev(mu, N):
+    """The classical Chebyshev algorithm on power moments (Gautschi,
+    Orthogonal Polynomials, 2004, Sec. 2.1.7): (alpha, beta), N rows."""
+    alpha, beta = [mu[1] / mu[0]], [mu[0]]
+    prev, sig = [mpmath.mpf(0)] * (2 * N), list(mu[:2 * N])
+    for k in range(1, N):
+        new = [mpmath.mpf(0)] * (2 * N)
+        for l in range(k, 2 * N - k):
+            new[l] = sig[l + 1] - alpha[k - 1] * sig[l] - beta[k - 1] * prev[l]
+        alpha.append(new[k + 1] / new[k] - sig[k] / sig[k - 1])
+        beta.append(new[k] / sig[k - 1])
+        prev, sig = sig, new
+    return alpha, beta
+
+
+def reference_window(ts, ws, N):
+    """reconstruct's window at clamp_tol = 0 for the measure sum w delta_t,
+    as (a, b) float arrays over sites -N..N, by a route that shares none of
+    the production one: power moments of rho+- straight from the Taylor
+    coefficients of F and -F, then the classical Chebyshev algorithm, in
+    mpmath with digits enough for the Hankel conditioning at this spread of
+    nodes and N."""
+    rows = N + 1
+    top = max([2.0] + [abs(t) + 1.0 / abs(t) for t in ts])
+    dps = 40 + int(2 * rows * math.log10(2.0 * top + 2.0))
+    with mpmath.workdps(dps):
+        t = [mpmath.mpf(float(x)) for x in ts]
+        w = [mpmath.mpf(float(x)) for x in ws]
+        s = lambda n: mpmath.fsum(wi * ti ** n for ti, wi in zip(t, w))
+        s1, s2, s0 = s(-1), s(-2), s(0)
+        q = 1 - s2 + s0
+        count = 2 * rows
+        f_plus = [mpmath.mpf(1)] + [s(-1 - k) for k in range(2, count + 1)]
+        f_minus = [mpmath.mpf(1)] + [s(k - 1) / q for k in range(2, count + 1)]
+        al_p, be_p = _reference_chebyshev(_reference_power_moments(f_plus, count), rows)
+        al_m, be_m = _reference_chebyshev(_reference_power_moments(f_minus, count), rows)
+        a = [1.0] * (2 * N + 1)
+        b = [0.0] * (2 * N + 1)
+        a[N] = float((1 - s2) ** -0.5)
+        b[N] = float(-s1 / (1 - s2))
+        a[N - 1] = float(mpmath.sqrt(q / (1 - s2)))
+        for j in range(N):
+            a[N + 1 + j] = float(mpmath.sqrt(be_p[j + 1]))
+            b[N + 1 + j] = float(al_p[j])
+            b[N - 1 - j] = float(al_m[j])
+            if j + 1 < N:
+                a[N - 2 - j] = float(mpmath.sqrt(be_m[j + 1]))
+    return np.array(a), np.array(b)
 
 
 def loop_cf_plus(a, b, z, seed):

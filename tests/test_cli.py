@@ -164,7 +164,35 @@ class TestRun:
         assert raw.endswith(b"\n")
 
 
+# Two jobs at R well above 2 whose windows the CLI once wrote wrong with exit
+# 0; the true rows come from the mpmath reference (helpers.reference_window).
+WIDE_R_JOBS = [
+    ('{"setting":"jacobi","R":9.159841224713482,"N":10,"atoms":['
+     '{"t":-8.845973551509562,"w":0.03389321092778422},'
+     '{"t":7.935035960172147,"w":0.008858636118858768},'
+     '{"t":6.56590144532958,"w":0.004138532861037201},'
+     '{"t":-1.0734352100359454,"w":0.00941511492883028}]}',
+     {(9, "a_n"): 1.0006997494228804, (10, "a_n"): 1.0005590707166307}),
+    ('{"setting":"jacobi","R":8.129876193485044,"N":10,"atoms":['
+     '{"t":2.7336661419840893,"w":0.23953492002175528},'
+     '{"t":6.853626083504565,"w":0.027192322808290967},'
+     '{"t":-4.51303666563873,"w":0.0926088366558157}]}',
+     {(-10, "b_n"): -2.6034841098600838e-05}),
+]
+
+
 class TestMain:
+    @pytest.mark.parametrize("text, rows", WIDE_R_JOBS, ids=["R9.16", "R8.13"])
+    def test_cli_jacobi_wide_R_rows(self, tmp_path, text, rows):
+        measure = tmp_path / "m.json"
+        measure.write_text(text)
+        assert main(["jacobi", "--input", str(measure), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "jacobi_window.csv").read_text().splitlines()
+        table = {int(n): {"a_n": float(a), "b_n": float(b)}
+                 for n, a, b in (line.split(",") for line in lines[1:])}
+        for (n, column), true in rows.items():
+            assert table[n][column] == pytest.approx(true, abs=1e-14)
+
     def test_cli_check(self, tmp_path, capsys):
         measure = tmp_path / "m.json"
         measure.write_text('{"setting":"jacobi","R":4,"atoms":[{"t":1.0,"w":0.5}]}')

@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from helpers import (
-    compose_dense,
     loop_assemble_side,
     loop_prop311_check,
     padded_m_oracle,
+    power_moments,
     random_jacobi_measure,
     recurrence_via_cholesky,
+    reference_window,
 )
 from reflectionless.cli import ORACLE_GRID
 from reflectionless.errors import (
@@ -22,15 +23,12 @@ from reflectionless.errors import (
     InadmissibleSigma,
     ReflectionlessError,
 )
-from reflectionless.herglotz import Setting, m_value
+from reflectionless.herglotz import Setting, admissible_discrete, m_value
 from reflectionless.jacobi import (
     CLAMP_TOL,
     AsymptoticMoments,
     JacobiWindow,
     _assemble_side,
-    _f_taylor_dense,
-    _lambda_small_of_v,
-    _positive_moment_gen_dense,
     m_oracle,
     moments_to_recurrence,
     prop311_check,
@@ -38,7 +36,7 @@ from reflectionless.jacobi import (
     rho_minus_moments,
     rho_plus_moments,
 )
-from reflectionless.measure import Measure, moment
+from reflectionless.measure import Measure, moment, quadrature_atoms, solve_r
 from reflectionless.presets import soliton
 
 ZERO = Measure.zero()
@@ -53,10 +51,11 @@ def catalan(m):
     return math.comb(2 * m, m) // (m + 1)
 
 
-def single_atom_moments(t, R, count):
-    """Exact Chebyshev moments nu_k = T_k(t/R) of a unit atom at t."""
-    nu = tuple(math.cos(k * math.acos(t / R)) for k in range(count))
-    return AsymptoticMoments(side="plus", a0=1.0, b0=0.0, a_minus1=None, R=R, cheb_mu=nu)
+def single_atom_moments(t, count):
+    """Free-basis moments nu_k = U_k(t/2) of a unit atom at t in (-2, 2)."""
+    theta = math.acos(t / 2.0)
+    nu = tuple(math.sin((k + 1) * theta) / math.sin(theta) for k in range(count))
+    return AsymptoticMoments(side="plus", a0=1.0, b0=0.0, a_minus1=None, nu=nu, nodes=())
 
 
 def oracle_vs_direct(window, sigma, setting, z_grid=ZGRID):
@@ -73,7 +72,7 @@ class TestRhoPlusMoments:
         m = rho_plus_moments(ZERO, JAC2, 12)
         for k in range(13):
             expect = catalan(k // 2) if k % 2 == 0 else 0
-            assert m.mu[k] == pytest.approx(expect, abs=1e-12)
+            assert power_moments(m)[k] == pytest.approx(expect, abs=1e-12)
 
     def test_delta1_against_density_quadrature(self):
         # closed-form spectral density of the half-line example measure:
@@ -89,35 +88,34 @@ class TestRhoPlusMoments:
                 wvar=(-0.5, 0.5),
                 epsabs=1e-13,
             )
-            assert m.mu[k] == pytest.approx(expect, abs=1e-10)
+            assert power_moments(m)[k] == pytest.approx(expect, abs=1e-10)
 
     def test_soliton_normalization(self):
         sigma, setting = soliton(0.25)
         m = rho_plus_moments(sigma, setting, 20)
-        assert m.mu[0] == pytest.approx(1.0, abs=1e-10)
+        assert power_moments(m)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_moment_hankel_psd(self):
         rng = np.random.RandomState(30)
         sigma, setting = random_jacobi_measure(rng)
         m = rho_plus_moments(sigma, setting, 14)
         idx = np.arange(8)
-        H = np.asarray(m.mu)[idx[:, None] + idx[None, :]]
+        H = power_moments(m)[idx[:, None] + idx[None, :]]
         assert np.min(np.linalg.eigvalsh(H)) >= -1e-10 * np.max(np.abs(H))
 
     def test_chebyshev_moments_free(self):
-        # free measure on [-2, 2] with R = 2: nu = (1, 0, -1/2, 0, 0, ...)
+        # the second-kind Chebyshev polynomials U_k(x/2) are orthonormal for
+        # the free measure: nu = (1, 0, 0, ...), and nothing to deflate
         m = rho_plus_moments(ZERO, JAC2, 10)
-        assert m.cheb_mu[0] == pytest.approx(1.0, abs=1e-14)
-        assert m.cheb_mu[2] == pytest.approx(-0.5, abs=1e-14)
-        for k in (1, 3, 4, 5, 6):
-            assert m.cheb_mu[k] == pytest.approx(0.0, abs=1e-14)
+        assert m.nu == (1.0,) + (0.0,) * 10
+        assert m.nodes == ()
 
 
 class TestRhoMinusMoments:
     def test_free(self):
         m = rho_minus_moments(ZERO, JAC2, 8)
         assert m.a0 == 1.0 and m.b0 == 0.0 and m.a_minus1 == 1.0
-        assert m.mu[0] == pytest.approx(1.0, abs=1e-12)
+        assert power_moments(m)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_soliton_closed_forms(self):
         sigma, setting = soliton(0.25)
@@ -125,7 +123,7 @@ class TestRhoMinusMoments:
         assert m.a0 == pytest.approx(2.0, abs=1e-12)       # eps^{-1/2}
         assert m.b0 == pytest.approx(-3.0, abs=1e-12)      # -(1-eps)/eps
         assert m.a_minus1 == pytest.approx(2.0, abs=1e-12)
-        assert m.mu[0] == pytest.approx(1.0, abs=1e-10)
+        assert power_moments(m)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_sigma_minus2_at_one(self):
         with pytest.raises(InadmissibleSigma):
@@ -169,20 +167,6 @@ class TestRhoMinusMoments:
             assert r2 * s0 < s2 < s0 / r2
 
 
-class TestCompositionOperators:
-    @pytest.mark.parametrize("order", [88, 168, 328])
-    def test_product_matches_horner(self, order):
-        rng = np.random.RandomState(39)
-        sigma, setting = random_jacobi_measure(rng, r_lo=2.002, r_hi=2.004)
-        outers = (_f_taylor_dense(sigma, order), _positive_moment_gen_dense(sigma, order))
-        M = _lambda_small_of_v(setting.R, order)
-        for f in outers:
-            horner = compose_dense(f, M[:, 1], order)
-            # rounding scale of the product: the same sum on |M| and |f|
-            scale = np.abs(M) @ np.abs(f)
-            assert np.all(np.abs(M @ f - horner) <= 1e-14 * scale)
-
-
 class TestMomentsToRecurrence:
     def test_free_rows(self):
         m = rho_plus_moments(ZERO, JAC2, 24)
@@ -192,15 +176,15 @@ class TestMomentsToRecurrence:
         assert np.max(np.abs(beta[1:] - 1.0)) < 1e-9
 
     def test_single_atom_breaks_down_at_pivot_two(self):
-        m = single_atom_moments(1.3, 4.0, 12)
+        m = single_atom_moments(1.3, 12)
         with pytest.raises(HankelBreakdown) as err:
             moments_to_recurrence(m, 5)
         assert err.value.pivot == 2
 
     @pytest.mark.parametrize("t", [1.3, -1.1])
     def test_power_moments_from_chebyshev(self, t):
-        m = single_atom_moments(t, 1.4, 21)
-        for k, mu_k in enumerate(m.mu):
+        m = single_atom_moments(t, 21)
+        for k, mu_k in enumerate(power_moments(m)):
             assert mu_k == pytest.approx(t ** k, rel=1e-12)
 
     def test_against_cholesky_cross_check(self):
@@ -208,7 +192,7 @@ class TestMomentsToRecurrence:
         sigma, setting = random_jacobi_measure(rng)
         m = rho_plus_moments(sigma, setting, 20)
         alpha, beta = moments_to_recurrence(m, 8)
-        alpha_c, beta_c = recurrence_via_cholesky(np.asarray(m.mu), 8)
+        alpha_c, beta_c = recurrence_via_cholesky(power_moments(m), 8)
         assert np.allclose(alpha, alpha_c, atol=1e-8)
         assert np.allclose(beta, beta_c, atol=1e-8)
 
@@ -425,3 +409,82 @@ class TestArrayPostChecks:
             assert got == want
         else:
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+# ---------------------------------------------------------------------------
+# reconstruct against the mpmath reference
+
+
+REFERENCE_CHECKS = settings(max_examples=25, derandomize=True, database=None, deadline=None)
+
+
+def admissible_atoms(R, atoms):
+    """The measure of `atoms`, its weights halved until it passes the
+    boundary inequality at R."""
+    setting = Setting.jacobi(R)
+    ts = [t for t, _ in atoms]
+    ws = np.array([w for _, w in atoms])
+    while True:
+        sigma = Measure.from_atoms(zip(ts, ws))
+        if admissible_discrete(setting.validated(sigma), setting).passed:
+            return sigma, setting
+        ws = 0.5 * ws
+
+
+@st.composite
+def wide_atomic_jobs(draw):
+    """(R, atoms, N): R log-spread over (2, 12], 1 to 5 atoms spread in log|t|
+    over the ring r < |t| < 1/r, inside and outside the unit disk, N <= 80."""
+    R = 2.0 + 10.0 ** draw(st.floats(-4.0, 1.0))
+    r = solve_r(R)
+    n = draw(st.integers(1, 5))
+    fracs = draw(st.lists(st.floats(0.02, 0.98), min_size=n, max_size=n, unique=True))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    weights *= draw(st.floats(0.01, 2.0)) / weights.sum()
+    atoms = {s * r ** (1.0 - 2.0 * f): float(w) for f, s, w in zip(fracs, signs, weights)}
+    return R, list(atoms.items()), draw(st.integers(1, 80))
+
+
+def window_error(sigma, setting, N):
+    """Largest |a_n - a_n ref| and |b_n - b_n ref| over the window at
+    clamp_tol = 0, the reference on the quadrature nodes reconstruct uses."""
+    window = reconstruct(sigma, setting, N, clamp_tol=0.0)
+    a, b = reference_window(*quadrature_atoms(sigma, (0.0,), 2 * N + 4), N)
+    return max(np.max(np.abs(np.asarray(window.a) - a)), np.max(np.abs(np.asarray(window.b) - b)))
+
+
+class TestAgainstReference:
+    @REFERENCE_CHECKS
+    @given(wide_atomic_jobs())
+    @example((9.159841224713482, [(-8.845973551509562, 0.03389321092778422),
+                                  (7.935035960172147, 0.008858636118858768),
+                                  (6.56590144532958, 0.004138532861037201),
+                                  (-1.0734352100359454, 0.00941511492883028)], 160))
+    @example((12.0, [(-0.1, 0.004), (0.5, 0.02), (3.0, 0.2), (-11.0, 0.05)], 160))
+    @example((2.003, [(-1.0008, 1e-5), (0.9991, 2e-5), (1.0, 1e-5)], 160))
+    def test_atoms(self, job):
+        R, atoms, N = job
+        sigma, setting = admissible_atoms(R, atoms)
+        assert window_error(sigma, setting, N) <= 1e-12
+
+    def test_pieces(self):
+        # a piece across |t| = 1, so that some of its nodes are deflated and
+        # some are not, an atom, and a piece inside the disk on the negative ring
+        R = 2.04
+        sigma = Measure.with_pieces(
+            [(-1.15, 0.002)],
+            [(0.9, 1.1, (0.01, 0.003, -0.002)), (-0.95, -0.86, (0.02, -0.005, 0.0))],
+        )
+        setting = Setting.jacobi(R)
+        assert admissible_discrete(setting.validated(sigma), setting).passed
+        assert window_error(sigma, setting, 80) <= 1e-12
+
+    def test_soliton_presets(self):
+        # every epsilon, at the spectral edge: a0 = eps^{-1/2} and both
+        # window postconditions hold
+        for k in range(1, 50):
+            eps = k / 50.0
+            sigma, setting = soliton(eps)
+            window = reconstruct(sigma, setting, 40)
+            assert window.a_at(0) == pytest.approx(eps ** -0.5, abs=1e-12)

@@ -29,20 +29,19 @@ def _bits(*arrays):
     return [np.asarray(x).tobytes() for x in arrays]
 
 
-def monic_chebyshev_moments(ts, ws, R, count):
-    """Moments of sum w delta_t against the monic Chebyshev polynomials of
-    [-R, R]: p_1 = t, p_2 = t p_1 - (R^2/2) p_0, p_{l+1} = t p_l - (R^2/4) p_{l-1}."""
+def monic_free_moments(ts, ws, count):
+    """Moments of sum w delta_t against the monic free-basis polynomials
+    U_l(t/2): p_1 = t, p_{l+1} = t p_l - p_{l-1}."""
     p_prev, p = np.zeros_like(ts), np.ones_like(ts)
     out = []
     for l in range(count):
         out.append(float(np.dot(ws, p)))
-        c = 0.0 if l == 0 else (R * R / 2.0 if l == 1 else R * R / 4.0)
-        p_prev, p = p, ts * p - c * p_prev
+        p_prev, p = p, ts * p - (0.0 if l == 0 else 1.0) * p_prev
     return np.array(out)
 
 
 def zero_pivot_moments(betas, mass, count):
-    """Integer moments, at R = 2, of the symmetric measure whose recurrence
+    """Integer free-basis moments of the symmetric measure whose recurrence
     has alpha = 0 and the given integer betas: len(betas) + 1 atoms, so the
     sweep computes every row exactly and row len(betas) + 1 has an exact-zero
     pivot (row 0 when the mass is zero)."""
@@ -55,14 +54,14 @@ def zero_pivot_moments(betas, mass, count):
     out = []
     for l in range(count):
         out.append(float(mass * P[0, 0]))
-        c = 0 if l == 0 else (2 if l == 1 else 1)
+        c = 0 if l == 0 else 1
         P_prev, P = P, T.dot(P) - c * P_prev
     return np.array(out)
 
 
 @st.composite
 def sweep_inputs(draw):
-    """(monic moments, N, R): moments of random atomic measures, raw random
+    """(monic moments, N): moments of random atomic measures, raw random
     vectors of three scales, vectors with NaN entries, and integer moments
     with an exact-zero pivot at a chosen row."""
     N = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 12)))
@@ -73,28 +72,28 @@ def sweep_inputs(draw):
         n_betas = max(row - 1, 0)
         betas = draw(st.lists(st.integers(1, 2), min_size=n_betas, max_size=n_betas))
         mass = 0 if row == 0 else draw(st.integers(1, 8))
-        return zero_pivot_moments(betas, mass, K), N, 2.0
-    R = draw(st.one_of(st.sampled_from([2.0, 2.003, 4.0]), st.floats(2.0, 12.0)))
+        return zero_pivot_moments(betas, mass, K), N
+    R = draw(st.one_of(st.sampled_from([2.0, 2.003, 4.0]), st.floats(2.0, 12.0)))  # support bound
     if kind == "measure":
         n_atoms = draw(st.integers(1, 8))
         ts = np.array(draw(st.lists(st.floats(-R, R), min_size=n_atoms, max_size=n_atoms)))
         ws = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n_atoms, max_size=n_atoms)))
-        return monic_chebyshev_moments(ts, ws / ws.sum(), R, K), N, R
+        return monic_free_moments(ts, ws / ws.sum(), K), N
     nu = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=K, max_size=K)))
     nu *= draw(st.sampled_from([1.0, 1e-200, 1e200]))  # rows that underflow or overflow
     if kind == "nan":
         nu[draw(st.integers(0, K - 1))] = np.nan
-    return nu, N, R
+    return nu, N
 
 
 class TestWheeler:
     @BIT_CHECKS
     @given(sweep_inputs())
     def test_bit_equal_to_loop(self, case):
-        nu, N, R = case
+        nu, N = case
         with np.errstate(all="ignore"):
-            want = loop_wheeler(nu, N, R)
-            got = _wheeler(nu.copy(), N, R)
+            want = loop_wheeler(nu, N)
+            got = _wheeler(nu.copy(), N)
         assert _bits(*got) == _bits(*want)  # NaN rows in the same places too
 
     def test_exact_zero_pivot_at_every_row(self):
@@ -102,16 +101,16 @@ class TestWheeler:
         for row in range(N):
             nu = zero_pivot_moments(([1, 2] * N)[:max(row - 1, 0)], 3 if row else 0, 2 * N)
             with np.errstate(all="ignore"):
-                got = _wheeler(nu, N, 2.0)
-                want = loop_wheeler(nu, N, 2.0)
+                got = _wheeler(nu, N)
+                want = loop_wheeler(nu, N)
             assert _bits(*got) == _bits(*want)
             valid = max(row, 1)  # a zero mass still leaves beta_0 = 0
             assert np.all(np.isfinite(got[1][:valid])) and np.all(np.isnan(got[1][valid:]))
 
     def test_input_not_modified(self):
-        nu = monic_chebyshev_moments(np.array([0.3, -1.1]), np.array([0.4, 0.6]), 2.5, 12)
+        nu = monic_free_moments(np.array([0.3, -1.1]), np.array([0.4, 0.6]), 12)
         before = nu.tobytes()
-        _wheeler(nu, 6, 2.5)
+        _wheeler(nu, 6)
         assert nu.tobytes() == before
 
 

@@ -188,6 +188,21 @@ class TestCauchy:
             val = cauchy(mu, lam)
             assert val == pytest.approx(complex(re, im), rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [1e-11, 1e-12, 1e-13, 1e-14, 1e-15, 1e-16])
+    def test_next_to_the_end_of_a_wide_piece(self, d):
+        # closer than MAX_LEVELS of grading can follow, the rule must refuse
+        # rather than return a wrong value
+        mu = Measure.with_pieces([], [(2.0, 3.0, (0.1,))])
+        for lam in (3.0 + d, 2.0 - d):
+            try:
+                val = cauchy(mu, lam)
+            except OnSupport:
+                continue
+            exact = 0.1 * math.log(abs(3.0 - lam) / abs(2.0 - lam))
+            assert val == pytest.approx(exact, rel=1e-10)
+        with pytest.raises(OnSupport):
+            cauchy(mu, 2.5 + 1e-12j)
+
     def test_conjugate_symmetry(self):
         mu = Measure.from_atoms([(0.7, 0.4), (-1.3, 0.6)])
         rng = np.random.RandomState(5)
