@@ -21,6 +21,7 @@ from .errors import (
     NegativeMomentAtZero,
     NegativeWeight,
     NonConvergent,
+    NonFiniteOutput,
     OnSupport,
     ReflectionlessError,
     RiccatiBlowUp,

@@ -96,5 +96,3 @@ def riccati_path(p0, v_nodes, v_mids, h, w):
         path[k + 1] = p
     return path
 
-
-moment_derivative = _deriv_numpy

@@ -95,6 +95,9 @@ def _require_finite(obj, key, pointer):
 
 
 _PARAM_KEYS = ("N", "eta", "grid", "x_max", "step")
+# largest accepted sizes: one parameter beyond them can exhaust memory or run for minutes
+MAX_ORDER = 10_000
+MAX_FLOW_STEPS = 10_000  # per direction, ceil(x_max / step)
 
 
 def default_params(R):
@@ -169,12 +172,20 @@ def parse_input(json_text):
         if key in obj:
             val = _finite(obj[key], f"/{key}")
             if key in ("N", "grid"):
-                val = int(val)
+                if not val.is_integer():
+                    raise SchemaError(f"/{key}", f"expected an integer, got {val!r}")
                 if val < 1:
-                    raise SchemaError(f"/{key}", f"must be at least 1, got {val}")
+                    raise SchemaError(f"/{key}", f"must be at least 1, got {val:g}")
+                val = int(val)
             elif not val > 0.0:
                 raise SchemaError(f"/{key}", f"must be positive, got {val!r}")
             params[key] = val
+    if params["N"] > MAX_ORDER:
+        raise SchemaError("/N", f"must be at most {MAX_ORDER}, got {params['N']:g}")
+    if params["x_max"] / params["step"] > MAX_FLOW_STEPS:
+        raise SchemaError(
+            "/step", f"x_max / step must be at most {MAX_FLOW_STEPS} flow steps"
+        )
 
     return Job(
         command=command,

@@ -279,7 +279,8 @@ def herglotz_exp(xi, C, z):
 # boundary-value diagnostics
 
 
-DEFAULT_ETA_SCHEDULE = tuple(1e-3 * 0.5 ** k for k in range(7))
+ETA_SCHEDULE = tuple(1e-3 * 0.5 ** k for k in range(7))
+DENSITY_ERR_MAX = 1e-4  # last Richardson correction that counts as settled
 
 
 @dataclass(frozen=True)
@@ -288,24 +289,22 @@ class DensityEstimate:
     error: float
 
 
-def stieltjes_density(sigma, setting, side, x, eta_schedule=None, tol=1e-6):
+def stieltjes_density(sigma, setting, side, x):
     """Density of the spectral measure at x by Richardson-extrapolated inversion.
 
     Extrapolates Im m(x + i eta)/pi over a geometric eta schedule; boundary
     values are smooth on the reflectionless set, so the eta-expansion is
     polynomial and the ratio-2 Richardson table applies.
     """
-    etas = tuple(eta_schedule) if eta_schedule is not None else DEFAULT_ETA_SCHEDULE
-    vals = [m_value(sigma, setting, x + 1j * eta, side).imag / math.pi for eta in etas]
+    vals = [m_value(sigma, setting, x + 1j * eta, side).imag / math.pi for eta in ETA_SCHEDULE]
     tab = [list(vals)]
     for j in range(1, len(vals)):
         prev = tab[-1]
         fac = 2.0 ** j
         tab.append([(fac * prev[i + 1] - prev[i]) / (fac - 1.0) for i in range(len(prev) - 1)])
     est = tab[-1][0]
-    prev_diag = tab[-2][0] if len(tab) >= 2 else est
-    err = abs(est - prev_diag)
-    if err > 100.0 * tol:
+    err = abs(est - tab[-2][0])
+    if err > DENSITY_ERR_MAX:
         raise NonConvergent(
             f"density extrapolation at x = {x} not settling (last diff {err:.3e})"
         )

@@ -79,16 +79,15 @@ class AsymptoticMoments:
     rho_0 against the monic free-basis polynomials U_k(x/2), and nodes the
     (E, mass) pairs that rho adds to rho_0 off [-2, 2]: its eigenvalues, or
     quadrature nodes of the image of a density piece inside the unit disk.
-    a0/b0 are the site-0 coefficients determined by the measure; a_minus1
-    only exists on the minus side.
+    The boundary coefficients a0, b0 and a_minus1 are set on the minus side
+    only.
     """
 
-    side: str
-    a0: float
-    b0: float
-    a_minus1: float
     nu: tuple
     nodes: tuple
+    a0: float = None
+    b0: float = None
+    a_minus1: float = None
 
 
 # ---------------------------------------------------------------------------
@@ -118,18 +117,15 @@ def _deflated_moments(ts, ws, K):
     return tuple(nu.tolist()), tuple(zip((-(t_in + 1.0 / t_in)).tolist(), mass.tolist()))
 
 
-def rho_plus_moments(sigma, setting, K):
+def rho_plus_moments(sigma, K):
     """Deflated free-basis moments nu_0..nu_K and nodes of rho+, read off the
     lambda -> 0 expansion of F: m_plus(z) = F(lam(z)) with lam the unit-disk
     root of lam^2 + z lam + 1 = 0."""
-    s1, s2 = moments(sigma, [-1, -2])
-    a0 = (1.0 - s2) ** -0.5 if s2 < 1.0 else math.nan
-    b0 = -s1 / (1.0 - s2) if s2 < 1.0 else math.nan
     nu, nodes = _deflated_moments(*quadrature_atoms(sigma, (0.0,), K + 2), K)
-    return AsymptoticMoments(side="plus", a0=a0, b0=b0, a_minus1=None, nu=nu, nodes=nodes)
+    return AsymptoticMoments(nu=nu, nodes=nodes)
 
 
-def rho_minus_moments(sigma, setting, K):
+def rho_minus_moments(sigma, K):
     """Deflated free-basis moments and nodes of rho- plus the boundary
     coefficients (a0, b0, a_{-1}).
 
@@ -149,9 +145,7 @@ def rho_minus_moments(sigma, setting, K):
     a_minus1 = a0 * math.sqrt(q)
     ts, ws = quadrature_atoms(sigma, (0.0,), K + 2)
     nu, nodes = _deflated_moments(1.0 / ts, ws / (ts * ts * q), K)
-    return AsymptoticMoments(
-        side="minus", a0=a0, b0=b0, a_minus1=a_minus1, nu=nu, nodes=nodes,
-    )
+    return AsymptoticMoments(nu=nu, nodes=nodes, a0=a0, b0=b0, a_minus1=a_minus1)
 
 
 # ---------------------------------------------------------------------------
@@ -211,26 +205,22 @@ def _add_nodes(alpha, beta, nodes):
     alpha[:], beta[:] = a, b
 
 
-def moments_to_recurrence(m, N, allow_early_stop=False):
+def moments_to_recurrence(m, N):
     """Three-term recurrence coefficients of the orthonormal polynomials.
 
-    Returns (alpha, beta) with beta[0] the total mass and sqrt(beta[k]) the
-    off-diagonal entries.  Raises HankelBreakdown at the first pivot of the
-    deflated part at or below BREAKDOWN_TOL unless allow_early_stop is set,
-    in which case the valid row count is returned as a third element.
+    Returns (alpha, beta, n_valid) with beta[0] the total mass and
+    sqrt(beta[k]) the off-diagonal entries.  n_valid counts the rows before
+    the first pivot of the deflated part at or below BREAKDOWN_TOL; the rows
+    from there on are NaN.
     """
     if len(m.nu) < 2 * N:
         raise HankelBreakdown(N, f"need {2 * N} moments for {N} rows, have {len(m.nu)}")
     alpha, beta = _wheeler(m.nu, N)
     bad = np.flatnonzero(~(beta[1:] > BREAKDOWN_TOL))
     n_valid = int(bad[0]) + 1 if bad.size else N
-    if n_valid < N and not allow_early_stop:
-        raise HankelBreakdown(n_valid + 1)
     alpha[n_valid:] = beta[n_valid:] = np.nan  # added nodes must not revive a failed row
     _add_nodes(alpha, beta, m.nodes)
-    if allow_early_stop:
-        return alpha, beta, n_valid
-    return alpha, beta
+    return alpha, beta, n_valid
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +272,10 @@ def reconstruct(sigma, setting, N, clamp_tol=CLAMP_TOL):
             f"at E = {report.argmin:.6g})"
         )
     K = 2 * N + 2
-    plus = rho_plus_moments(sigma, setting, K)
-    minus = rho_minus_moments(sigma, setting, K)
-    alp, bep, nvp = moments_to_recurrence(plus, N + 1, allow_early_stop=True)
-    alm, bem, nvm = moments_to_recurrence(minus, N + 1, allow_early_stop=True)
+    plus = rho_plus_moments(sigma, K)
+    minus = rho_minus_moments(sigma, K)
+    alp, bep, nvp = moments_to_recurrence(plus, N + 1)
+    alm, bem, nvm = moments_to_recurrence(minus, N + 1)
 
     a_plus, b_plus = _assemble_side(alp, bep, nvp, N, clamp_tol)
     a_minus_rows, b_minus_rows = _assemble_side(alm, bem, nvm, N, clamp_tol)

@@ -24,7 +24,7 @@ from .errors import (
     TruncationBlowup,
 )
 from .herglotz import admissible_continuous
-from .measure import moment
+from .measure import moments
 
 BOUND_SLACK = 1e-9
 STEP_ERR_TOL = 1e-6
@@ -79,7 +79,7 @@ def init_flow(sigma, N, R):
         raise AdmissibilityRequired(
             f"measure fails the endpoint inequality (value {report.min_value:.6g})"
         )
-    s = tuple(moment(sigma, n) for n in range(N + 1))
+    s = tuple(moments(sigma, range(N + 1)).tolist())
     return MomentFlowState(x=0.0, s=s, N=N, R=R)
 
 
@@ -89,9 +89,7 @@ def flow_derivative(state):
     The closure sets sigma_{N+1} = 0; the neglected term is bounded by
     2 R^(N+3) by the moment envelope.
     """
-    return np.asarray(
-        _kernels.moment_derivative(np.asarray(state.s, dtype=float)), dtype=float
-    )
+    return _kernels._deriv_numpy(np.asarray(state.s, dtype=float))
 
 
 def _truncation_envelope(N, R, x):
@@ -103,11 +101,12 @@ def _truncation_envelope(N, R, x):
     return 2.0 * math.exp((N + 3) * math.log(R) + N * math.log(2.0 * x) - math.lgamma(N + 1))
 
 
-def integrate_flow(sigma, N, R, x_max, step=None, err_tol=STEP_ERR_TOL):
+def integrate_flow(sigma, N, R, x_max, step=None):
     """Fourth-order integration of the hierarchy over [-x_max, x_max].
 
-    Each step carries an embedded half-step error estimate (relative to the
-    moment envelope); violations raise StepTooLarge.  If a moment leaves its
+    The grid is symmetric, so its middle node is x = 0.  Each step carries an
+    embedded half-step error estimate (relative to the moment envelope);
+    estimates above STEP_ERR_TOL raise StepTooLarge.  If a moment leaves its
     envelope the truncation budget is exhausted for this N and the flow
     raises TruncationBlowup at the offending x.
     """
@@ -120,14 +119,14 @@ def integrate_flow(sigma, N, R, x_max, step=None, err_tol=STEP_ERR_TOL):
     s0 = np.asarray(state0.s, dtype=float)
     bounds = moment_bounds(N, R)
 
-    legs = {}
-    for direction in (+1.0, -1.0):
+    sig = np.empty((2 * n_steps + 1, N + 1))
+    for direction in (+1, -1):
         states, status, bad_step, _ = _kernels.flow_integrate(
-            s0, direction * h, n_steps, bounds, err_tol
+            s0, direction * h, n_steps, bounds, STEP_ERR_TOL
         )
         if status == _kernels.FLOW_STEP_TOO_LARGE:
             raise StepTooLarge(
-                f"embedded error estimate exceeded {err_tol:g} near x = "
+                f"embedded error estimate exceeded {STEP_ERR_TOL:g} near x = "
                 f"{direction * bad_step * h:.6g}; reduce the step"
             )
         if status == _kernels.FLOW_BOUND_VIOLATED:
@@ -136,10 +135,7 @@ def integrate_flow(sigma, N, R, x_max, step=None, err_tol=STEP_ERR_TOL):
                 f"moment envelope violated at x = {direction * bad_step * h:.6g}; "
                 f"increase N for this x range",
             )
-        legs[direction] = states
-
-    back = legs[-1.0][:0:-1]  # drop duplicated x=0, reverse to ascending x
-    sig = np.vstack([back, legs[+1.0]])
+        sig[n_steps::direction] = states  # outward from x = 0
     xs = np.linspace(-n_steps * h, n_steps * h, 2 * n_steps + 1)
     if np.min(sig[:, 0]) < -1e-9:
         k = int(np.argmin(sig[:, 0]))
@@ -202,38 +198,28 @@ def _hermite_sampler(xs, sigmas):
     return sample
 
 
-def riccati_oracle(trace, w, x_max=None, substep=2):
+def riccati_oracle(trace, w):
     """Independent Riccati integration of p(x, w) from the series value p(0, w).
 
-    Integrates along the stable direction(s) for this w on the trace range
-    (clipped to x_max), sampling the potential through the quintic Hermite
-    interpolant of the trace's exact V, V' and V'' at `substep` nodes per
-    trace step.  Returns (xs, p) with xs ascending over the integrated range.
-    Raises RiccatiBlowUp when |p| exceeds 10 R, the sign of leaving the
-    analyticity domain.
+    Starts at the trace's middle node, x = 0, and integrates along the stable
+    direction(s) for this w, two steps per trace step, sampling the potential
+    through the quintic Hermite interpolant of the trace's exact V, V' and
+    V''.  Returns (idx, p): the ascending trace indices the integration
+    passes and p at those nodes.  Raises RiccatiBlowUp when |p| exceeds
+    10 R, the sign of leaving the analyticity domain.
     """
     w = complex(w)
     if abs(w) >= 1.0 / trace.R:
         raise ValueError("w must lie inside the convergence disk |w| < 1/R")
-    xs = trace.xs
-    sigmas = trace.sigmas
-    if x_max is not None:
-        keep = np.abs(xs) <= x_max + 1e-12
-        xs, sigmas = xs[keep], sigmas[keep]
-    V = _hermite_sampler(xs, sigmas)
-    i0 = int(np.argmin(np.abs(xs)))
-    if abs(xs[i0]) > 1e-12:
-        raise ValueError("trace grid must contain x = 0")
-    h = trace.step / substep
-    p0 = np.atleast_1d(
-        moment_generating(trace.sigmas[int(np.argmin(np.abs(trace.xs)))], w)
-    )
+    V = _hermite_sampler(trace.xs, trace.sigmas)
+    n = len(trace.xs) // 2
+    h = trace.step / 2
+    p0 = np.atleast_1d(moment_generating(trace.sigmas[n], w))
+    directions = stable_riccati_directions(w)
 
-    legs = {}
-    for direction in stable_riccati_directions(w):
-        end = xs[-1] if direction > 0 else xs[0]
-        n_steps = int(round(abs(end) / h))
-        nodes = direction * h * np.arange(n_steps + 1)
+    p = np.empty(2 * n + 1, dtype=complex)
+    for direction in directions:
+        nodes = direction * h * np.arange(2 * n + 1)
         mids = nodes[:-1] + direction * 0.5 * h
         path = _kernels.riccati_path(
             p0, V(nodes), V(mids), direction * h, np.atleast_1d(w)
@@ -242,19 +228,12 @@ def riccati_oracle(trace, w, x_max=None, substep=2):
         if np.any(bad):
             k = int(np.argmax(bad))
             raise RiccatiBlowUp(f"|p| exceeded {BLOWUP_FACTOR} R at x = {nodes[k]:.6g}")
-        legs[direction] = (nodes, path)
-
-    if len(legs) == 2:
-        nb, pb = legs[-1]
-        nf, pf = legs[+1]
-        return np.concatenate([nb[:0:-1], nf]), np.concatenate([pb[:0:-1], pf])
-    direction, (nodes, path) = next(iter(legs.items()))
-    if direction < 0:
-        return nodes[::-1], path[::-1]
-    return nodes, path
+        p[n::direction] = path[::2]
+    idx = np.arange(0 if -1 in directions else n, 2 * n + 1 if +1 in directions else n + 1)
+    return idx, p[idx]
 
 
-def riccati_mismatch(trace, ws, x_max=None):
+def riccati_mismatch(trace, ws):
     """sup |p_flow - p_riccati| over each w's stable range on the trace grid.
 
     p_flow is the generating function of the flow moments; the Riccati path
@@ -263,11 +242,9 @@ def riccati_mismatch(trace, ws, x_max=None):
     worst = 0.0
     per_w = []
     for w in np.atleast_1d(ws):
-        xs, path = riccati_oracle(trace, w, x_max=x_max)
-        on_trace = np.isin(np.round(xs / trace.step * 2), np.round(trace.xs / trace.step * 2))
-        trace_sel = np.isin(np.round(trace.xs / trace.step * 2), np.round(xs / trace.step * 2))
-        flow_p = moment_generating(trace.sigmas[trace_sel], np.array([complex(w)]))[:, 0]
-        diff = float(np.max(np.abs(flow_p - path[on_trace])))
+        idx, path = riccati_oracle(trace, w)
+        flow_p = moment_generating(trace.sigmas[idx], np.array([complex(w)]))[:, 0]
+        diff = float(np.max(np.abs(flow_p - path)))
         per_w.append((complex(w), diff))
         worst = max(worst, diff)
     return worst, per_w
@@ -283,32 +260,20 @@ class BoundsReport:
 def moment_bounds_ok(state, p_max=0):
     """Check the moment envelope and its derivative strengthenings.
 
-    Derivatives sigma_n^(p) are formed by repeated application of the
-    hierarchy (each application consumes one moment index, so order p is
-    checkable for n <= N - p); the bound is
+    Derivatives sigma_n^(p) are formed by differentiating the hierarchy
+    with Leibniz's rule on its convolution (each application consumes one
+    moment index, so order p is checkable for n <= N - p); the bound is
     |sigma_n^(p)| <= R^(n+p+2) (n+1+p)!/(n+1)!.
     """
     s = np.asarray(state.s, dtype=float)
     R = state.R
     N = state.N
     ders = [s]
-    for _ in range(p_max):
-        prev = ders[-1]
-        # d/dx distributes through the hierarchy: differentiate each term
-        # using the lower-order derivative tables already built
-        p = len(ders) - 1
+    for p in range(p_max):
         nxt = np.zeros(N + 1)
-        for n in range(N + 1):
-            total = 0.0
-            if n + 1 <= N:
-                total += -2.0 * prev[n + 1]
-            acc = 0.0
-            for i in range(p + 1):
-                c = math.comb(p, i)
-                di, dpi = ders[i], ders[p - i]
-                for j in range(n):
-                    acc += c * di[j] * dpi[n - 1 - j]
-            nxt[n] = total + acc
+        nxt[:-1] = -2.0 * ders[p][1:]
+        for i in range(p + 1):
+            nxt[1:] += math.comb(p, i) * np.convolve(ders[i], ders[p - i])[:N]
         ders.append(nxt)
 
     worst = 0.0

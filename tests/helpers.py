@@ -10,6 +10,7 @@ from reflectionless import Measure, Setting, herglotz
 from reflectionless.errors import FreeOperator, HankelBreakdown
 from reflectionless.herglotz import AdmissibilityReport, admissible_continuous, admissible_discrete
 from reflectionless.jacobi import RatioReport
+from reflectionless.schrodinger import BoundsReport
 from reflectionless.measure import quadrature_atoms, solve_r
 
 
@@ -378,3 +379,28 @@ def loop_assemble_side(alpha, beta, n_valid, n_rows, clamp_tol):
         a_rows[k] = a_k
         b_rows[k] = b_k
     return a_rows, b_rows
+
+
+def loop_moment_bounds_ok(state, p_max=0):
+    """schrodinger.moment_bounds_ok with each derivative table built one
+    product at a time, differentiating each term of the hierarchy."""
+    R, N = state.R, state.N
+    ders = [np.asarray(state.s, dtype=float)]
+    for p in range(p_max):
+        nxt = np.zeros(N + 1)
+        for n in range(N + 1):
+            acc = -2.0 * ders[p][n + 1] if n + 1 <= N else 0.0
+            for i in range(p + 1):
+                c = math.comb(p, i)
+                for j in range(n):
+                    acc += c * ders[i][j] * ders[p - i][n - 1 - j]
+            nxt[n] = acc
+        ders.append(nxt)
+    worst, failures = 0.0, []
+    for p, arr in enumerate(ders):
+        for n in range(N + 1 - p):
+            bound = R ** (n + p + 2) * math.factorial(n + 1 + p) / math.factorial(n + 1)
+            worst = max(worst, abs(arr[n]) / bound)
+            if abs(arr[n]) / bound > 1.0 + 1e-9:
+                failures.append((n, p, float(arr[n]), bound))
+    return BoundsReport(passed=not failures, worst_ratio=worst, failures=tuple(failures))

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import reflectionless
-from reflectionless.cli import job_to_json, main, parse_input, run
+from reflectionless.cli import MAX_FLOW_STEPS, MAX_ORDER, job_to_json, main, parse_input, run
 from reflectionless.errors import SchemaError, UnknownCommand
 
 
@@ -49,12 +49,23 @@ class TestParseInput:
             ('"R":4,"eta":0', "/eta"),
             ('"R":4,"x_max":-0.1', "/x_max"),
             ('"R":4,"step":NaN', "/step"),
+            ('"R":4,"N":2.7', "/N"),
+            ('"R":4,"grid":2.5', "/grid"),
+            ('"R":4,"N":10001', "/N"),
+            ('"R":4,"x_max":1,"step":9e-5', "/step"),
         ],
     )
     def test_out_of_range_numbers(self, fields, pointer):
         with pytest.raises(SchemaError) as err:
             parse_input('{"command":"verify","setting":"jacobi",' + fields + "}")
         assert err.value.pointer == pointer
+
+    def test_size_limits_are_inclusive(self):
+        job = parse_input(
+            '{"command":"verify","setting":"jacobi","R":4,"N":10000.0,"x_max":1,"step":1e-4}'
+        )
+        assert job.param("N") == MAX_ORDER and type(job.param("N")) is int
+        assert job.param("x_max") / job.param("step") == MAX_FLOW_STEPS
 
     def test_unknown_command(self):
         with pytest.raises(UnknownCommand):
@@ -234,6 +245,11 @@ class TestMain:
         [
             (["jacobi", "--order", "0"], '{"setting":"jacobi","R":2}', "/N"),
             (["verify"], '{"setting":"jacobi","R":NaN}', "/R"),
+            # sizes that would exhaust memory or run for minutes are refused
+            (["jacobi", "--order", "100000000000"], '{"setting":"jacobi","R":2}', "/N"),
+            (["schrodinger"], '{"setting":"schrodinger","R":2,"N":1e12}', "/N"),
+            (["schrodinger"], '{"setting":"schrodinger","R":2,"step":1e-200}', "/step"),
+            (["schrodinger"], '{"setting":"schrodinger","R":2,"N":2.7}', "/N"),
         ],
     )
     def test_cli_refuses_out_of_range(self, tmp_path, capsys, argv, text, pointer):

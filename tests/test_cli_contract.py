@@ -17,10 +17,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from reflectionless import cli
+import reflectionless
+from reflectionless import cli, errors, jacobi
 from reflectionless.cli import main
 from reflectionless.herglotz import AdmissibilityReport
-from reflectionless.jacobi import JacobiWindow
+from reflectionless.jacobi import JacobiWindow, _assemble_side
 from reflectionless.measure import SUPPORT_MARGIN_REL, solve_r
 
 CONTRACT = settings(
@@ -178,3 +179,49 @@ def test_non_finite_result_is_refused(tmp_path, capsys, monkeypatch, command, na
     for f in out.iterdir():
         text = f.read_text().lower()
         assert "nan" not in text and "inf" not in text
+
+
+def _low_coupling(*args):
+    a, b = _assemble_side(*args)
+    a[0] = 0.5
+    return a, b
+
+
+def _ratio_jump(*args):
+    # excess ratio 100 between sites 1 and 2, beyond 1/r^2 = 4 at R = 2.5
+    a, b = _assemble_side(*args)
+    a[1] = math.sqrt(1.0 + 100.0 * (a[0] ** 2 - 1.0))
+    return a, b
+
+
+def _run_one_error(tmp_path, capsys, command, out):
+    measure = tmp_path / "m.json"
+    measure.write_text('{"setting":"jacobi","R":2.5,"atoms":[{"t":1.2,"w":0.01}]}')
+    assert main([command, "--input", str(measure), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize(
+    "patched, postcondition",
+    [(_low_coupling, "a_n >= 1 - 1e-9"), (_ratio_jump, "adjacent ratio")],
+)
+def test_window_postconditions_raise_moment_mismatch(tmp_path, capsys, monkeypatch, patched, postcondition):
+    monkeypatch.setattr(jacobi, "_assemble_side", patched)
+    err = _run_one_error(tmp_path, capsys, "jacobi", tmp_path / "out")
+    assert err["error"] == "MomentMismatch"
+    assert postcondition in err["message"]
+
+
+def test_unwritable_artifact_is_io_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "admissibility.json").mkdir(parents=True)
+    err = _run_one_error(tmp_path, capsys, "check", out)
+    assert err["error"] == "IoError"
+
+
+def test_every_error_type_is_exported():
+    for name, obj in vars(errors).items():
+        if isinstance(obj, type) and issubclass(obj, errors.ReflectionlessError):
+            assert getattr(reflectionless, name, None) is obj, name

@@ -18,7 +18,7 @@ from helpers import (
     scan_admissible_discrete,
 )
 from reflectionless import herglotz
-from reflectionless.errors import BranchAmbiguity, OnSupport
+from reflectionless.errors import BranchAmbiguity, NonConvergent, OnSupport
 from reflectionless.herglotz import (
     Setting,
     admissible_continuous,
@@ -538,6 +538,13 @@ class TestBoundaryDiagnostics:
     def test_density_free_schrodinger(self):
         est = stieltjes_density(ZERO, SCH2, "plus", 1.0)
         assert est.value == pytest.approx(1.0 / math.pi, abs=1e-6)
+
+    def test_density_at_an_eigenvalue_does_not_settle(self):
+        # the atom at t = 0.6 puts an eigenvalue of rho+ at E = -(t + 1/t),
+        # where Im m grows like 1/eta and the extrapolation cannot settle
+        t = 0.6
+        with pytest.raises(NonConvergent):
+            stieltjes_density(Measure.point(t, 0.01), Setting.jacobi(2.6), "plus", -(t + 1.0 / t))
 
     def test_residual_free(self):
         grid = default_residual_grid(JAC4)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_schrodinger_measure
+from helpers import loop_moment_bounds_ok, random_schrodinger_measure
 from reflectionless.errors import (
     AdmissibilityRequired,
     RiccatiBlowUp,
@@ -200,7 +200,7 @@ class TestHermiteSampler:
 class TestRiccati:
     def test_zero_potential_stays_zero(self):
         trace = integrate_flow(Measure.zero(), 8, 1.0, 1.0)
-        xs, path = riccati_oracle(trace, 0.3)
+        _, path = riccati_oracle(trace, 0.3)
         assert np.max(np.abs(path)) == 0.0
 
     def test_stable_directions(self):
@@ -272,6 +272,22 @@ class TestMomentBounds:
         report = moment_bounds_ok(state)
         assert not report.passed
         assert report.failures
+
+    def test_matches_loop_reference(self):
+        # the sums run in another order than the reference's, so the
+        # verdicts agree exactly and the values to rounding; in the second
+        # half an envelope ten times too tight lists every table entry
+        rng = np.random.RandomState(44)
+        for k in range(40):
+            R, N = rng.uniform(0.6, 3.0), rng.randint(4, 20)
+            s = rng.uniform(-1.1, 1.1, N + 1) * R ** (np.arange(N + 1) + 2.0)
+            state = MomentFlowState(0.0, tuple(s.tolist()), N, R if k < 20 else R / 10)
+            got, want = moment_bounds_ok(state, k % 4), loop_moment_bounds_ok(state, k % 4)
+            assert got.passed == want.passed
+            assert [f[:2] for f in got.failures] == [f[:2] for f in want.failures]
+            for f, g in zip(got.failures, want.failures):
+                assert f[2:] == pytest.approx(g[2:], rel=1e-12)
+            assert got.worst_ratio == pytest.approx(want.worst_ratio, rel=1e-12)
 
 
 class TestBinomialIdentity:
