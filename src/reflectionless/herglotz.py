@@ -325,9 +325,9 @@ def reflectionless_residual(sigma, setting, grid, eta):
     Zero at eta = 0 by construction; the off-axis value is a pure
     discretization diagnostic of size O(eta).
     """
-    worst = 0.0
-    for x in np.asarray(grid, dtype=float):
-        mp = m_value(sigma, setting, x + 1j * eta, "plus")
-        mm = m_value(sigma, setting, x + 1j * eta, "minus")
-        worst = max(worst, abs(mp + np.conj(mm)))
-    return float(worst)
+    diffs = [
+        abs(m_value(sigma, setting, x + 1j * eta, "plus")
+            + np.conj(m_value(sigma, setting, x + 1j * eta, "minus")))
+        for x in np.asarray(grid, dtype=float)
+    ]
+    return float(np.max(diffs, initial=0.0))  # NaN stays NaN

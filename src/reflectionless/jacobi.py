@@ -38,7 +38,6 @@ from .errors import (
 from .herglotz import admissible_discrete, outer_root
 from .measure import moments, quadrature_atoms
 
-CLAMP_TOL = 1e-6
 BREAKDOWN_TOL = 1e-12
 
 
@@ -111,7 +110,7 @@ def _deflated_moments(ts, ws, K):
     nu = np.empty(K + 1)
     nu[1:] = (ws[~inner] @ np.float_power(ts[~inner, None], -(k + 2))
               + w_in @ np.float_power(t_in[:, None], k))
-    nu[1::2] *= -1.0
+    nu[1::2] = 0.0 - nu[1::2]  # not -nu: a zero moment stays +0.0, so free rows get b = +0
     mass = w_in * (1.0 - t_in) * (1.0 + t_in) / (t_in * t_in)
     nu[0] = 1.0 - mass.sum()
     return tuple(nu.tolist()), tuple(zip((-(t_in + 1.0 / t_in)).tolist(), mass.tolist()))
@@ -227,33 +226,16 @@ def moments_to_recurrence(m, N):
 # window assembly
 
 
-def _assemble_side(alpha, beta, n_valid, n_rows, clamp_tol):
-    """Turn recurrence rows into (a, b) site lists with the free-tail clamp.
-
-    Coefficient deviations from the free values decay geometrically, so once
-    a row is within clamp_tol of free the whole remaining tail is below that
-    scale and is replaced by the exact free coefficients.  A pivot breakdown
-    before any near-free row signals genuinely deficient moments.
-    """
-    rows = n_rows if n_valid >= len(beta) else min(n_rows, n_valid - 1)  # before the failed pivot
-    a_k = np.sqrt(beta[1:rows + 1])
-    b_k = alpha[:rows]
-    near_free = np.flatnonzero(np.maximum(np.abs(a_k - 1.0), np.abs(b_k)) < clamp_tol)
-    if near_free.size:
-        rows = near_free[0]  # geometric decay: the rest of the tail is below clamp_tol
-    elif rows < n_rows:
-        raise HankelBreakdown(
-            n_valid + 1,
-            "moment pivot failed before the coefficients reached the free tail",
-        )
-    a_rows = np.ones(n_rows)
-    b_rows = np.zeros(n_rows)
-    a_rows[:rows] = a_k[:rows]
-    b_rows[:rows] = b_k[:rows]
-    return a_rows, b_rows
+def _assemble_side(alpha, beta, n_valid, n_rows):
+    """The (a, b) site lists of one side, straight from its recurrence rows:
+    a_k = sqrt(beta_k) and b_k = alpha_{k-1} for k = 1..n_rows.  A pivot
+    that failed within those rows signals deficient moments."""
+    if n_valid <= n_rows:
+        raise HankelBreakdown(n_valid + 1, "moment pivot failed within the rows the window needs")
+    return np.sqrt(beta[1:n_rows + 1]), alpha[:n_rows]
 
 
-def reconstruct(sigma, setting, N, clamp_tol=CLAMP_TOL):
+def reconstruct(sigma, setting, N):
     """Window of Jacobi coefficients for n in [-N, N] from an admissible measure.
 
     Site map fixed by oracle calibration: the rho+ recurrence fills sites
@@ -277,20 +259,10 @@ def reconstruct(sigma, setting, N, clamp_tol=CLAMP_TOL):
     alp, bep, nvp = moments_to_recurrence(plus, N + 1)
     alm, bem, nvm = moments_to_recurrence(minus, N + 1)
 
-    a_plus, b_plus = _assemble_side(alp, bep, nvp, N, clamp_tol)
-    a_minus_rows, b_minus_rows = _assemble_side(alm, bem, nvm, N, clamp_tol)
-
-    n_sites = 2 * N + 1
-    a = np.ones(n_sites)
-    b = np.zeros(n_sites)
-    zero = N  # array index of site 0
-    b[zero] = minus.b0
-    a[zero] = minus.a0
-    a[zero - 1] = minus.a_minus1
-    a[zero + 1:] = a_plus
-    b[zero + 1:] = b_plus
-    b[:zero] = b_minus_rows[::-1]
-    a[:zero - 1] = a_minus_rows[:N - 1][::-1]
+    a_plus, b_plus = _assemble_side(alp, bep, nvp, N)
+    a_minus, b_minus = _assemble_side(alm, bem, nvm, N)
+    a = np.concatenate([a_minus[:N - 1][::-1], [minus.a_minus1, minus.a0], a_plus])
+    b = np.concatenate([b_minus[::-1], [minus.b0], b_plus])
 
     if np.min(a) < 1.0 - 1e-9:
         raise MomentMismatch(

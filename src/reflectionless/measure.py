@@ -9,6 +9,7 @@ neutral and makes polynomial integrands exactly integrable.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -20,6 +21,7 @@ from .errors import (
     BadR,
     NegativeMomentAtZero,
     NegativeWeight,
+    NonFiniteOutput,
     OnSupport,
     SupportViolation,
 )
@@ -279,6 +281,8 @@ def moments(mu, ns):
 def cauchy(mu, lam):
     """Cauchy transform: integral of d mu(t) / (t - lam), lam off the support."""
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise NonFiniteOutput(f"Cauchy transform at a non-finite point {lam}")
     if any(t == lam for t, _ in mu.atoms):
         raise OnSupport(f"Cauchy transform evaluated on an atom at {lam}")
     if lam.imag == 0.0:

@@ -26,6 +26,7 @@ from .errors import (
 from .herglotz import admissible_continuous
 from .measure import moments
 
+MIN_FLOW_ORDER = 4
 BOUND_SLACK = 1e-9
 STEP_ERR_TOL = 1e-6
 BLOWUP_FACTOR = 10.0
@@ -68,8 +69,8 @@ def moment_bounds(N, R):
 
 def init_flow(sigma, N, R):
     """State at x = 0: sigma_n(0) are the moments of the representing measure."""
-    if N < 4:
-        raise ValueError("truncation order N must be at least 4")
+    if N < MIN_FLOW_ORDER:
+        raise ValueError(f"truncation order N must be at least {MIN_FLOW_ORDER}")
     from .herglotz import Setting
 
     setting = Setting.schrodinger(R)
@@ -239,15 +240,12 @@ def riccati_mismatch(trace, ws):
     p_flow is the generating function of the flow moments; the Riccati path
     is evaluated independently, so agreement cross-validates the hierarchy.
     """
-    worst = 0.0
     per_w = []
     for w in np.atleast_1d(ws):
         idx, path = riccati_oracle(trace, w)
         flow_p = moment_generating(trace.sigmas[idx], np.array([complex(w)]))[:, 0]
-        diff = float(np.max(np.abs(flow_p - path)))
-        per_w.append((complex(w), diff))
-        worst = max(worst, diff)
-    return worst, per_w
+        per_w.append((complex(w), float(np.max(np.abs(flow_p - path)))))
+    return float(np.max([d for _, d in per_w], initial=0.0)), per_w  # NaN stays NaN
 
 
 @dataclass(frozen=True)

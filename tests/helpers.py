@@ -245,12 +245,11 @@ def _reference_chebyshev(mu, N):
 
 
 def reference_window(ts, ws, N):
-    """reconstruct's window at clamp_tol = 0 for the measure sum w delta_t,
-    as (a, b) float arrays over sites -N..N, by a route that shares none of
-    the production one: power moments of rho+- straight from the Taylor
-    coefficients of F and -F, then the classical Chebyshev algorithm, in
-    mpmath with digits enough for the Hankel conditioning at this spread of
-    nodes and N."""
+    """reconstruct's window for the measure sum w delta_t, as (a, b) float
+    arrays over sites -N..N, by a route that shares none of the production
+    one: power moments of rho+- straight from the Taylor coefficients of F
+    and -F, then the classical Chebyshev algorithm, in mpmath with digits
+    enough for the Hankel conditioning at this spread of nodes and N."""
     rows = N + 1
     top = max([2.0] + [abs(t) + 1.0 / abs(t) for t in ts])
     dps = 40 + int(2 * rows * math.log10(2.0 * top + 2.0))
@@ -362,22 +361,17 @@ def loop_prop311_check(J, r, min_excess=1e-6):
     )
 
 
-def loop_assemble_side(alpha, beta, n_valid, n_rows, clamp_tol):
+def loop_assemble_side(alpha, beta, n_valid, n_rows):
     """jacobi._assemble_side one recurrence row at a time."""
-    a_rows = np.ones(n_rows)
-    b_rows = np.zeros(n_rows)
+    a_rows = np.empty(n_rows)
+    b_rows = np.empty(n_rows)
     for k in range(n_rows):
         if k + 1 >= n_valid and n_valid < len(beta):
             raise HankelBreakdown(
-                n_valid + 1,
-                "moment pivot failed before the coefficients reached the free tail",
+                n_valid + 1, "moment pivot failed within the rows the window needs"
             )
-        a_k = math.sqrt(beta[k + 1])
-        b_k = alpha[k]
-        if max(abs(a_k - 1.0), abs(b_k)) < clamp_tol:
-            break
-        a_rows[k] = a_k
-        b_rows[k] = b_k
+        a_rows[k] = math.sqrt(beta[k + 1])
+        b_rows[k] = alpha[k]
     return a_rows, b_rows
 
 

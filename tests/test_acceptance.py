@@ -139,7 +139,7 @@ def criterion_05_property_suite():
     min_a = math.inf
     worst_margin = math.inf
     for sigma, setting in _suite_measures(100):
-        window = reconstruct(sigma, setting, 40, clamp_tol=0.0)
+        window = reconstruct(sigma, setting, 40)
         low = min(window.a)
         min_a = min(min_a, low)
         assert low > 1.0, f"a_n > 1 violated: {low}"

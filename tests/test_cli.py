@@ -6,7 +6,15 @@ from pathlib import Path
 import pytest
 
 import reflectionless
-from reflectionless.cli import MAX_FLOW_STEPS, MAX_ORDER, job_to_json, main, parse_input, run
+from reflectionless.cli import (
+    MAX_FLOW_STEPS,
+    MAX_FLOW_WORK,
+    MAX_ORDER,
+    job_to_json,
+    main,
+    parse_input,
+    run,
+)
 from reflectionless.errors import SchemaError, UnknownCommand
 
 
@@ -66,6 +74,32 @@ class TestParseInput:
         )
         assert job.param("N") == MAX_ORDER and type(job.param("N")) is int
         assert job.param("x_max") / job.param("step") == MAX_FLOW_STEPS
+        job = parse_input(
+            '{"command":"schrodinger","setting":"schrodinger","R":4,'
+            '"N":4999,"x_max":1,"step":0.125}'
+        )
+        assert 8 * (job.param("N") + 1) ** 2 == MAX_FLOW_WORK
+        job = parse_input('{"command":"schrodinger","setting":"schrodinger","R":4,"N":4}')
+        assert job.param("N") == 4
+        # jobs that never run the flow keep the general limits
+        job = parse_input('{"command":"jacobi","setting":"jacobi","R":4,"N":1}')
+        assert job.param("N") == 1
+
+    @pytest.mark.parametrize(
+        "command, setting, fields",
+        [
+            ("schrodinger", "schrodinger", '"N":3'),
+            ("check", "schrodinger", '"N":3'),
+            ("schrodinger", "jacobi", '"N":3'),
+            # 8 flow steps at (N + 1)^2 = 5001^2, one order past the work bound
+            ("schrodinger", "schrodinger", '"N":5000,"x_max":1,"step":0.125'),
+            ("verify", "schrodinger", '"N":5000,"x_max":1,"step":0.125'),
+        ],
+    )
+    def test_flow_limits(self, command, setting, fields):
+        with pytest.raises(SchemaError) as err:
+            parse_input(f'{{"command":"{command}","setting":"{setting}","R":4,{fields}}}')
+        assert err.value.pointer == "/N"
 
     def test_unknown_command(self):
         with pytest.raises(UnknownCommand):
@@ -192,6 +226,9 @@ WIDE_R_JOBS = [
 ]
 
 
+ATOM_SCHRODINGER = '{"setting":"schrodinger","R":2,"atoms":[{"t":0.3,"w":0.8}]}'
+
+
 class TestMain:
     @pytest.mark.parametrize("text, rows", WIDE_R_JOBS, ids=["R9.16", "R8.13"])
     def test_cli_jacobi_wide_R_rows(self, tmp_path, text, rows):
@@ -250,6 +287,10 @@ class TestMain:
             (["schrodinger"], '{"setting":"schrodinger","R":2,"N":1e12}', "/N"),
             (["schrodinger"], '{"setting":"schrodinger","R":2,"step":1e-200}', "/step"),
             (["schrodinger"], '{"setting":"schrodinger","R":2,"N":2.7}', "/N"),
+            # the moment flow needs N >= 4, and its work is bounded as a whole
+            (["schrodinger", "--order", "3"], ATOM_SCHRODINGER, "/N"),
+            (["example", "--name", "delta0", "--order", "2"], "{}", "/N"),
+            (["schrodinger", "--order", "10000"], ATOM_SCHRODINGER, "/N"),
         ],
     )
     def test_cli_refuses_out_of_range(self, tmp_path, capsys, argv, text, pointer):
@@ -328,6 +369,27 @@ class TestMainRefusals:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, eta",
+        [
+            ('{"setting":"jacobi","R":2.01,"atoms":[{"t":1.05,"w":0.001}]}', "1e300"),
+            (README_MEASURE, "1e300"),
+            (README_MEASURE, "1e200"),
+        ],
+        ids=["atom-1e300", "readme-1e300", "readme-1e200"],
+    )
+    def test_overflowing_eta_refused(self, tmp_path, capsys, text, eta):
+        # z = x + i eta overflows in the disk root; the NaN it leaves is
+        # refused, neither written as 0 nor graded into a traceback
+        measure = tmp_path / "m.json"
+        measure.write_text(text)
+        status = main(["verify", "--eta", eta, "--input", str(measure), "--out", str(tmp_path)])
+        assert status == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NonFiniteOutput"
+        assert not (tmp_path / "verify.json").exists()
 
     @pytest.mark.parametrize("command", ["check", "jacobi", "verify"])
     def test_readme_measure_passes(self, tmp_path, command):

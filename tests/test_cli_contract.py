@@ -32,8 +32,8 @@ CONTRACT = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-# small sizes keep every job fast: the contract does not depend on them
-SIZE_FLAGS = ["--order", "6", "--grid", "8", "--step", "0.02", "--xmax", "0.1"]
+# small grids and flows keep every job fast; the order and eta come from the job
+SIZE_FLAGS = ["--grid", "8", "--step", "0.02", "--xmax", "0.1"]
 
 
 def _allowed(kind, R):
@@ -48,7 +48,8 @@ def _allowed(kind, R):
 @st.composite
 def valid_jobs(draw):
     """Measures inside the support region, some pieces within 1e-6 R of its
-    edge; weights range from tiny to inadmissibly large."""
+    edge; weights range from tiny to inadmissibly large.  N is drawn from
+    1-12 and eta log-uniformly from [1e-300, 1e300]."""
     kind = draw(st.sampled_from(["jacobi", "schrodinger"]))
     R = draw(st.floats(2.0005, 4.0) if kind == "jacobi" else st.floats(0.5, 3.0))
     lo, hi = draw(st.sampled_from(_allowed(kind, R)))
@@ -60,6 +61,8 @@ def valid_jobs(draw):
     mass = draw(st.floats(1e-9, 2.0))
     c1, c2 = draw(st.floats(-0.45, 0.45)), draw(st.floats(-0.45, 0.45))
     job = {"setting": kind, "R": R, "atoms": [], "pieces": []}
+    job["N"] = draw(st.integers(1, 12))
+    job["eta"] = 10.0 ** draw(st.floats(-300.0, 300.0))
     if b > a:
         job["pieces"].append({"a": a, "b": b, "cheb": [mass, c1 * mass, c2 * mass]})
     t = lo + cuts[2] * (hi - lo)
@@ -67,6 +70,14 @@ def valid_jobs(draw):
         job["atoms"].append({"t": t, "w": draw(st.floats(1e-9, 2.0)) * mass})
     return job
 
+
+ATOM_SCHRODINGER = {"setting": "schrodinger", "R": 2, "atoms": [{"t": 0.3, "w": 0.8}]}
+ATOM_JACOBI = {"setting": "jacobi", "R": 2.01, "atoms": [{"t": 1.05, "w": 0.001}]}
+README_MEASURE = {
+    "setting": "jacobi", "R": 2.01,
+    "atoms": [{"t": 1.05, "w": 0.001}, {"t": -1.02, "w": 0.002}],
+    "pieces": [{"a": 0.92, "b": 0.98, "cheb": [0.005, 0.0, 0.001]}],
+}
 
 BOUNDARY = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, 2.0, 2.0 + 4e-16, 1.0, -1.0, 1e-9])
 
@@ -80,7 +91,7 @@ def boundary_jobs(draw):
     if draw(st.booleans()):
         job["pieces"] = [{"a": draw(BOUNDARY), "b": draw(BOUNDARY), "cheb": [draw(BOUNDARY)]}]
     for key in draw(st.lists(st.sampled_from(["N", "grid", "eta"]), unique=True)):
-        job[key] = draw(st.sampled_from([1, 2, 1e-300, 0.5]))
+        job[key] = draw(st.sampled_from([1, 2, 1e-300, 0.5, 1e300]))
     return job
 
 
@@ -132,6 +143,10 @@ def _assert_finite_artifacts(out):
 @CONTRACT
 @given(COMMANDS, valid_jobs())
 @example("jacobi", {"setting": "schrodinger", "R": 3.0, "atoms": [{"t": -1.5, "w": 0.5}]})
+@example("schrodinger", {**ATOM_SCHRODINGER, "N": 3})
+@example("verify", {**ATOM_JACOBI, "eta": 1e300})
+@example("verify", {**README_MEASURE, "eta": 1e300})
+@example("verify", {**README_MEASURE, "eta": 1e200})
 def test_valid_jobs_meet_the_contract(command, job):
     _assert_contract(command, json.dumps(job).encode())
 
@@ -165,6 +180,8 @@ def _nan_window(*args, **kwargs):
         ("verify", "reflectionless_residual", lambda *args: math.nan),
         ("check", "admissible_discrete", lambda *args: AdmissibilityReport(True, math.inf, -2.0, ())),
         ("jacobi", "reconstruct", _nan_window),
+        # the plus side's residual comes first and must not hide a NaN after it
+        ("jacobi", "m_value", lambda sigma, setting, z, side: math.nan if side == "minus" else 0j),
     ],
 )
 def test_non_finite_result_is_refused(tmp_path, capsys, monkeypatch, command, name, patched):

@@ -550,6 +550,19 @@ class TestBoundaryDiagnostics:
         grid = default_residual_grid(JAC4)
         assert reflectionless_residual(ZERO, JAC4, grid, 1e-4) <= 1e-3
 
+    def test_residual_nan_is_not_hidden(self, monkeypatch):
+        # one NaN on the grid makes the maximum NaN, wherever it falls
+        grid = default_residual_grid(JAC4, 8)
+        m_value = herglotz.m_value
+
+        def nan_at_the_end(sigma, setting, z, side):
+            if z.real == grid[-1]:
+                return complex(math.nan, math.nan)
+            return m_value(sigma, setting, z, side)
+
+        monkeypatch.setattr(herglotz, "m_value", nan_at_the_end)
+        assert math.isnan(reflectionless_residual(DELTA1, JAC4, grid, 1e-4))
+
     def test_residual_scales_with_eta(self):
         grid = default_residual_grid(JAC4)
         r1 = reflectionless_residual(DELTA1, JAC4, grid, 1e-3)

@@ -10,6 +10,7 @@ from reflectionless.errors import (
     BadR,
     NegativeMomentAtZero,
     NegativeWeight,
+    NonFiniteOutput,
     OnSupport,
     SupportViolation,
 )
@@ -177,6 +178,14 @@ class TestCauchy:
             cauchy(Measure.point(1.0, 1.0), 1.0)
         with pytest.raises(OnSupport):
             cauchy(measure_with_piece(), 0.45)
+
+    @pytest.mark.parametrize(
+        "lam", [complex(math.nan, math.nan), complex(0.5, math.inf), complex(-math.inf, 1.0)]
+    )
+    def test_non_finite_point_refused(self, lam):
+        for mu in (Measure.point(1.0, 1.0), measure_with_piece()):
+            with pytest.raises(NonFiniteOutput):
+                cauchy(mu, lam)
 
     def test_piece_against_quad_oracle(self):
         a, b, coeffs = 0.3, 0.6, (1.0, 0.0, 0.25)

@@ -10,6 +10,7 @@ from reflectionless.errors import (
     StepTooLarge,
     TruncationBlowup,
 )
+from reflectionless import schrodinger
 from reflectionless.measure import Measure
 from reflectionless.schrodinger import (
     MomentFlowState,
@@ -224,6 +225,18 @@ class TestRiccati:
             ws = [0.3 / R, -0.3 / R, 0.3j / R, -0.3j / R]
             worst, _ = riccati_mismatch(trace, ws)
             assert worst <= 1e-6
+
+    def test_nan_mismatch_is_not_hidden(self, monkeypatch):
+        # a NaN for any w makes the worst value NaN, whatever came before it
+        trace = integrate_flow(DELTA0, 8, 2.0, 0.4)
+
+        def nan_for_negative_w(trace, w):
+            idx, p = riccati_oracle(trace, w)
+            return idx, p * math.nan if w.real < 0 else p
+
+        monkeypatch.setattr(schrodinger, "riccati_oracle", nan_for_negative_w)
+        worst, per_w = riccati_mismatch(trace, [0.1, -0.15])
+        assert math.isnan(worst) and math.isnan(per_w[1][1])
 
     def test_rejects_w_outside_disk(self):
         trace = integrate_flow(DELTA0, 8, 2.0, 0.4)
