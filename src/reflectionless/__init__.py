@@ -11,6 +11,7 @@ oracles (continued fractions, Riccati integration, boundary identities).
 
 from .errors import (
     AdmissibilityRequired,
+    BadParameter,
     BadR,
     BranchAmbiguity,
     FreeOperator,

@@ -22,6 +22,7 @@ import numpy as np
 from . import presets
 from .errors import (
     AdmissibilityRequired,
+    BadParameter,
     IoError,
     NonFiniteOutput,
     ReflectionlessError,
@@ -51,28 +52,8 @@ ORACLE_GRID = tuple(
 class Job:
     command: str
     measure: Measure
-    setting_kind: str
-    R: float
-    params: tuple  # sorted (key, value) pairs
-    preset: str = None
-    epsilon: float = None
-    mass: float = None
-
-    def param(self, key, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
-
-
-def _require(obj, key, kinds, pointer):
-    if key not in obj:
-        raise SchemaError(f"{pointer}/{key}", "missing required field")
-    val = obj[key]
-    if not isinstance(val, kinds) or isinstance(val, bool):
-        want = "number" if kinds == (int, float) else getattr(kinds, "__name__", str(kinds))
-        raise SchemaError(f"{pointer}/{key}", f"expected {want}, got {type(val).__name__}")
-    return val
+    setting: Setting
+    params: dict  # N, eta, grid, x_max, step
 
 
 def _finite(val, pointer):
@@ -88,10 +69,27 @@ def _finite(val, pointer):
     return val
 
 
-def _require_finite(obj, key, pointer):
+def _require(obj, key, pointer, kind=None):
+    """obj[key]: a finite number as a float when kind is None, else a kind."""
     if key not in obj:
         raise SchemaError(f"{pointer}/{key}", "missing required field")
-    return _finite(obj[key], f"{pointer}/{key}")
+    val = obj[key]
+    if kind is None:
+        return _finite(val, f"{pointer}/{key}")
+    if not isinstance(val, kind):
+        raise SchemaError(f"{pointer}/{key}", f"expected {kind.__name__}, got {type(val).__name__}")
+    return val
+
+
+def _objects(obj, key):
+    """(pointer, item) for each object in the list obj[key], which may be absent."""
+    items = obj.get(key, [])
+    if not isinstance(items, list):
+        raise SchemaError(f"/{key}", "expected a list")
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise SchemaError(f"/{key}/{i}", "expected an object")
+        yield f"/{key}/{i}", item
 
 
 _PARAM_KEYS = ("N", "eta", "grid", "x_max", "step")
@@ -99,8 +97,8 @@ _PARAM_KEYS = ("N", "eta", "grid", "x_max", "step")
 MAX_ORDER = 10_000
 MAX_FLOW_STEPS = 10_000  # per direction, ceil(x_max / step)
 # ceil(x_max / step) * (N + 1)^2 for jobs that may run the flow: each step costs
-# a dozen O(N^2) convolutions, and the slowest job this admits (N = 141 at 10^4
-# steps) runs in about 4.3 s on 2 vCPUs
+# a dozen O(N^2) convolutions.  The slowest jobs this admits run about 7 s on
+# 2 vCPUs (N = 141 at 10^4 steps: flow 4.7 s, Riccati cross-check 2.2 s)
 MAX_FLOW_WORK = 2e8
 
 
@@ -127,50 +125,38 @@ def _json_object(json_text):
 
 def parse_input(json_text):
     """Validated Job from a JSON job description (measure + parameters)."""
-    obj = _json_object(json_text)
+    return _parse_job(_json_object(json_text))
+
+
+def _parse_job(obj):
+    """Validated Job from a decoded job object: the one check of every field."""
     command = obj.get("command", "check")
     if not isinstance(command, str) or command not in COMMANDS:
         raise UnknownCommand(f"/command: unknown command {command!r}")
 
     if command == "example":
-        name = _require(obj, "name", str, "")
-        epsilon = obj.get("epsilon")
-        mass = obj.get("mass")
+        name = _require(obj, "name", "", str)
+        fields = {key: _finite(obj[key], f"/{key}") for key in ("epsilon", "mass") if key in obj}
         try:
-            measure, setting = presets.get(name, epsilon=epsilon, mass=mass)
-        except ValueError as exc:
-            raise SchemaError("/name", str(exc)) from None
-        params = default_params(setting.R)
+            measure, setting = presets.get(name, **fields)
+        except BadParameter as exc:
+            # each preset reads one field; only an unknown name is the name's fault
+            pointer = {"soliton": "/epsilon", "delta0": "/mass"}.get(name, "/name")
+            raise SchemaError(pointer, str(exc)) from None
     else:
-        setting_kind = _require(obj, "setting", str, "")
+        setting_kind = _require(obj, "setting", "", str)
         if setting_kind not in ("jacobi", "schrodinger"):
             raise SchemaError("/setting", f"unknown setting {setting_kind!r}")
-        R = _require_finite(obj, "R", "")
-        atoms = obj.get("atoms", [])
-        if not isinstance(atoms, list):
-            raise SchemaError("/atoms", "expected a list")
-        parsed_atoms = []
-        for i, atom in enumerate(atoms):
-            if not isinstance(atom, dict):
-                raise SchemaError(f"/atoms/{i}", "expected an object")
-            t = _require_finite(atom, "t", f"/atoms/{i}")
-            w = _require_finite(atom, "w", f"/atoms/{i}")
-            parsed_atoms.append((t, w))
-        pieces = obj.get("pieces", [])
-        if not isinstance(pieces, list):
-            raise SchemaError("/pieces", "expected a list")
-        parsed_pieces = []
-        for i, piece in enumerate(pieces):
-            if not isinstance(piece, dict):
-                raise SchemaError(f"/pieces/{i}", "expected an object")
-            a = _require_finite(piece, "a", f"/pieces/{i}")
-            b = _require_finite(piece, "b", f"/pieces/{i}")
-            cheb = _require(piece, "cheb", list, f"/pieces/{i}")
-            cheb = tuple(_finite(c, f"/pieces/{i}/cheb/{j}") for j, c in enumerate(cheb))
-            parsed_pieces.append((a, b, cheb))
-        measure = Measure.with_pieces(parsed_atoms, parsed_pieces)
+        R = _require(obj, "R", "")
+        atoms = [(_require(atom, "t", p), _require(atom, "w", p)) for p, atom in _objects(obj, "atoms")]
+        pieces = []
+        for p, piece in _objects(obj, "pieces"):
+            a, b = _require(piece, "a", p), _require(piece, "b", p)
+            cheb = _require(piece, "cheb", p, list)
+            pieces.append((a, b, tuple(_finite(c, f"{p}/cheb/{j}") for j, c in enumerate(cheb))))
+        measure = Measure.with_pieces(atoms, pieces)
         setting = Setting.jacobi(R) if setting_kind == "jacobi" else Setting.schrodinger(R)
-        params = default_params(R)
+    params = default_params(setting.R)
 
     for key in _PARAM_KEYS:
         if key in obj:
@@ -197,36 +183,7 @@ def parse_input(json_text):
         if math.ceil(params["x_max"] / params["step"]) * (N + 1) ** 2 > MAX_FLOW_WORK:
             raise SchemaError("/N", f"flow steps x (N + 1)^2 must be at most {MAX_FLOW_WORK:g}")
 
-    return Job(
-        command=command,
-        measure=measure,
-        setting_kind=setting.kind,
-        R=setting.R,
-        params=tuple(sorted(params.items())),
-        preset=obj.get("name"),
-        epsilon=obj.get("epsilon"),
-        mass=obj.get("mass"),
-    )
-
-
-def job_to_json(job):
-    """Serialize a Job back to its JSON schema (round-trips parse_input)."""
-    obj = {"command": job.command}
-    if job.command == "example":
-        obj["name"] = job.preset
-        if job.epsilon is not None:
-            obj["epsilon"] = job.epsilon
-        if job.mass is not None:
-            obj["mass"] = job.mass
-    else:
-        obj["setting"] = job.setting_kind
-        obj["R"] = job.R
-        obj["atoms"] = [{"t": t, "w": w} for t, w in job.measure.atoms]
-        obj["pieces"] = [
-            {"a": p.a, "b": p.b, "cheb": list(p.cheb)} for p in job.measure.pieces
-        ]
-    obj.update({k: v for k, v in job.params})
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return Job(command=command, measure=measure, setting=setting, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -265,34 +222,30 @@ def _write(path, text):
 # commands
 
 
-def _admissibility_report(job, setting):
+def run_check(job, out):
+    setting = job.setting
     if setting.kind == "jacobi":
         rep = admissible_discrete(job.measure, setting)
     else:
         rep = admissible_continuous(job.measure, setting)
-    return rep, {
-        "R": setting.R,
-        "argmin": rep.argmin,
-        "min_value": rep.min_value,
-        "passed": rep.passed,
-        "samples": [[e, v] for e, v in rep.samples],
-        "setting": setting.kind,
-    }
-
-
-def run_check(job, setting, out):
-    rep, payload = _admissibility_report(job, setting)
-    emit_json(payload, out / "admissibility.json")
+    emit_json(
+        {
+            "R": setting.R,
+            "argmin": rep.argmin,
+            "min_value": rep.min_value,
+            "passed": rep.passed,
+            "samples": [[e, v] for e, v in rep.samples],
+            "setting": setting.kind,
+        },
+        out / "admissibility.json",
+    )
     return 0 if rep.passed else 2
 
 
-def run_jacobi(job, setting, out):
-    N = int(job.param("N"))
+def run_jacobi(job, out):
+    N, setting = job.params["N"], job.setting
     window = reconstruct(job.measure, setting, N)
-    rows = [
-        (n, window.a_at(n), window.b_at(n))
-        for n in range(window.n_min, window.n_max + 1)
-    ]
+    rows = zip(range(window.n_min, window.n_max + 1), window.a, window.b)
     emit_csv(("n", "a_n", "b_n"), rows, out / "jacobi_window.csv")
     z_grid = np.asarray(ORACLE_GRID)
     residuals = [
@@ -312,11 +265,9 @@ def run_jacobi(job, setting, out):
     return 0
 
 
-def run_schrodinger(job, setting, out):
-    N = int(job.param("N"))
-    trace = integrate_flow(
-        job.measure, N, setting.R, job.param("x_max"), step=job.param("step")
-    )
+def run_schrodinger(job, out):
+    N, R = job.params["N"], job.setting.R
+    trace = integrate_flow(job.measure, N, R, job.params["x_max"], step=job.params["step"])
     n_sig = min(N, 8) + 1
     header = ["x", "V"] + [f"sigma_{k}" for k in range(n_sig)]
     rows = [
@@ -325,7 +276,7 @@ def run_schrodinger(job, setting, out):
     ]
     emit_csv(header, rows, out / "potential_trace.csv")
 
-    ws = np.array([0.3 / setting.R, 0.3j / setting.R, -0.3 / setting.R])
+    ws = np.array([0.3 / R, 0.3j / R, -0.3 / R])
     mismatch, _ = riccati_mismatch(trace, ws)
     emit_json(
         {
@@ -340,10 +291,9 @@ def run_schrodinger(job, setting, out):
     return 0
 
 
-def run_verify(job, setting, out):
-    eta = float(job.param("eta"))
-    n_grid = int(job.param("grid"))
-    grid = default_residual_grid(setting, min(n_grid, 512))
+def run_verify(job, out):
+    eta, setting = job.params["eta"], job.setting
+    grid = default_residual_grid(setting, min(job.params["grid"], 512))
     residual = reflectionless_residual(job.measure, setting, grid, eta)
     payload = {
         "eta": eta,
@@ -368,23 +318,25 @@ def run_verify(job, setting, out):
     return 0
 
 
-def run_example(job, setting, out):
-    status = run_check(job, setting, out)
-    if setting.kind == "jacobi":
+def run_example(job, out):
+    status = run_check(job, out)
+    if job.setting.kind == "jacobi":
         if status == 0:
-            run_jacobi(job, setting, out)
+            run_jacobi(job, out)
     else:
-        run_schrodinger(job, setting, out)
-    run_verify(job, setting, out)
+        run_schrodinger(job, out)
+    run_verify(job, out)
     return status
 
 
 def run(job, out_dir="."):
     """Validate the job's measure, then dispatch; returns the exit status."""
-    setting = Setting.jacobi(job.R) if job.setting_kind == "jacobi" else Setting.schrodinger(job.R)
-    setting.validated(job.measure)
+    job.setting.validated(job.measure)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot make {out}: {exc}") from None
     runner = {
         "check": run_check,
         "jacobi": run_jacobi,
@@ -392,15 +344,23 @@ def run(job, out_dir="."):
         "verify": run_verify,
         "example": run_example,
     }[job.command]
-    return runner(job, setting, out)
+    return runner(job, out)
 
 
 # ---------------------------------------------------------------------------
 # argument handling
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a SchemaError, reported like any other bad input
+    (exit 1, one JSON line), never argparse's exit 2 with usage text."""
+
+    def error(self, message):
+        raise SchemaError("", message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reflectionless",
         description="Measure-driven construction and verification of reflectionless operators.",
     )
@@ -409,38 +369,44 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--input", help="job/measure JSON file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--order", type=int, dest="N", help="truncation order N")
-        p.add_argument("--eta", type=float, help="boundary offset for residuals")
-        p.add_argument("--grid", type=int, help="number of residual grid points")
-        p.add_argument("--xmax", type=float, dest="x_max", help="flow half-width")
-        p.add_argument("--step", type=float, help="flow step size")
+        # number flags stay text here: parse_input's checks read them like job-file fields
+        p.add_argument("--order", dest="N", help="truncation order N")
+        p.add_argument("--eta", help="boundary offset for residuals")
+        p.add_argument("--grid", help="number of residual grid points")
+        p.add_argument("--xmax", dest="x_max", help="flow half-width")
+        p.add_argument("--step", help="flow step size")
         if name == "example":
             p.add_argument("--name", help="preset: free, delta1, soliton, delta0")
-            p.add_argument("--epsilon", type=float, help="soliton mass defect")
-            p.add_argument("--mass", type=float, help="delta0 atom mass")
+            p.add_argument("--epsilon", help="soliton mass defect")
+            p.add_argument("--mass", help="delta0 atom mass")
     return parser
 
 
+def _number(text, pointer):
+    try:
+        return float(text)
+    except ValueError:
+        raise SchemaError(pointer, f"expected a number, got {text!r}") from None
+
+
 def _job_from_args(args):
-    obj = _json_object(Path(args.input).read_bytes()) if args.input else {}
+    obj = {}
+    if args.input:
+        try:
+            obj = _json_object(Path(args.input).read_bytes())
+        except OSError as exc:
+            raise IoError(f"cannot read {args.input}: {exc}") from None
     obj["command"] = args.command
-    if args.command == "example":
-        if getattr(args, "name", None):
-            obj["name"] = args.name
-        if getattr(args, "epsilon", None) is not None:
-            obj["epsilon"] = args.epsilon
-        if getattr(args, "mass", None) is not None:
-            obj["mass"] = args.mass
-    for key in _PARAM_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            obj[key] = val
-    return parse_input(json.dumps(obj))
+    for key in ("name", "epsilon", "mass", *_PARAM_KEYS):
+        text = getattr(args, key, None)
+        if text is not None:
+            obj[key] = text if key == "name" else _number(text, f"/{key}")
+    return _parse_job(obj)
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         job = _job_from_args(args)
         # stderr holds nothing but the error line: floating-point warnings
         # stay off, and a non-finite result is refused where it is written

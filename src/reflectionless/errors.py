@@ -84,6 +84,13 @@ class NonConvergent(ReflectionlessError):
     """Richardson extrapolation of boundary values failed to settle."""
 
 
+class BadParameter(ReflectionlessError, ValueError):
+    """A function argument outside its accepted range or set of names.
+
+    Also a ValueError, so callers that catch ValueError keep working.
+    """
+
+
 class SchemaError(ReflectionlessError):
     """Input JSON does not match the job schema.
 
@@ -100,7 +107,8 @@ class UnknownCommand(ReflectionlessError):
 
 
 class IoError(ReflectionlessError):
-    """Could not write an output artifact."""
+    """Could not read the job file, make the output directory or write an
+    output artifact."""
 
 
 class NonFiniteOutput(ReflectionlessError):

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadR, BranchAmbiguity, NonConvergent
+from .errors import BadParameter, BadR, BranchAmbiguity, NonConvergent
 from .measure import cauchy, moment, quadrature_atoms, solve_r, validate
 
 ADMISSIBILITY_TOL = 1e-12
@@ -113,7 +113,7 @@ def phi_inv(setting, z, region):
     if z.imag == 0.0:
         raise BranchAmbiguity(f"both preimages of real z = {z} meet the branch cut")
     if region not in ("upper", "lower"):
-        raise ValueError(f"unknown region {region!r}")
+        raise BadParameter(f"unknown region {region!r}")
     if setting.kind == "jacobi":
         big = outer_root(z)
         return 1.0 / big if region == "upper" else big
@@ -137,7 +137,7 @@ def m_value(sigma, setting, z, side):
     if side == "minus":
         lam = phi_inv(setting, z, "lower")
         return -f_value(sigma, setting, lam.conjugate()).conjugate()
-    raise ValueError(f"unknown side {side!r}")
+    raise BadParameter(f"unknown side {side!r}")
 
 
 def h_fn(sigma, setting, lam):

@@ -29,6 +29,7 @@ import numpy as np
 from . import _kernels
 from .errors import (
     AdmissibilityRequired,
+    BadParameter,
     BadR,
     FreeOperator,
     HankelBreakdown,
@@ -243,7 +244,7 @@ def reconstruct(sigma, setting, N):
     recurrence fills sites -1..-N (couplings a_{-2}..a_{-N}).
     """
     if N < 1:
-        raise ValueError("window half-width N must be at least 1")
+        raise BadParameter("window half-width N must be at least 1")
     if setting.kind != "jacobi":
         raise BadR(f"reconstruct needs the jacobi setting, got {setting.kind!r}")
     setting.validated(sigma)
@@ -311,7 +312,7 @@ def m_oracle(J, z, side):
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(z_arr.imag <= 0):
-        raise ValueError("oracle needs Im z > 0")
+        raise BadParameter("oracle needs Im z > 0")
     u = np.array([1.0 / outer_root(zz) for zz in z_arr], dtype=complex)
     zero = -J.n_min  # array index of site 0
     if side == "plus":
@@ -319,7 +320,7 @@ def m_oracle(J, z, side):
     elif side == "minus":
         cf, sites, seed = _kernels.cf_minus, slice(0, zero + 1), -1.0 / u
     else:
-        raise ValueError(f"unknown side {side!r}")
+        raise BadParameter(f"unknown side {side!r}")
     a, b = np.asarray(J.a[sites]), np.asarray(J.b[sites])
     out = cf(a, b, z_arr, _settle(cf, z_arr, seed))
     return out[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .errors import BadParameter
 from .herglotz import Setting
 from .measure import Measure
 
@@ -20,17 +21,15 @@ def delta1():
 
 
 def soliton(epsilon):
-    epsilon = float(epsilon)
     if not 0.0 < epsilon < 1.0:
-        raise ValueError("soliton needs 0 < epsilon < 1")
+        raise BadParameter("soliton needs 0 < epsilon < 1")
     R = (1.0 + 1.0 / epsilon) * (1.0 + SOLITON_R_BUMP)
     return Measure.point(1.0, 1.0 - epsilon), Setting.jacobi(R)
 
 
 def delta0(mass=1.0):
-    mass = float(mass)
     if not mass > 0.0:
-        raise ValueError("delta0 needs a positive mass")
+        raise BadParameter("delta0 needs a positive mass")
     return Measure.point(0.0, mass), Setting.schrodinger(2.0)
 
 
@@ -41,8 +40,8 @@ def get(name, epsilon=None, mass=None):
         return delta1()
     if name == "soliton":
         if epsilon is None:
-            raise ValueError("soliton preset needs epsilon")
+            raise BadParameter("soliton preset needs epsilon")
         return soliton(epsilon)
     if name == "delta0":
         return delta0(1.0 if mass is None else mass)
-    raise ValueError(f"unknown preset {name!r}")
+    raise BadParameter(f"unknown preset {name!r}")

@@ -19,11 +19,12 @@ import numpy as np
 from . import _kernels
 from .errors import (
     AdmissibilityRequired,
+    BadParameter,
     RiccatiBlowUp,
     StepTooLarge,
     TruncationBlowup,
 )
-from .herglotz import admissible_continuous
+from .herglotz import Setting, admissible_continuous
 from .measure import moments
 
 MIN_FLOW_ORDER = 4
@@ -70,9 +71,7 @@ def moment_bounds(N, R):
 def init_flow(sigma, N, R):
     """State at x = 0: sigma_n(0) are the moments of the representing measure."""
     if N < MIN_FLOW_ORDER:
-        raise ValueError(f"truncation order N must be at least {MIN_FLOW_ORDER}")
-    from .herglotz import Setting
-
+        raise BadParameter(f"truncation order N must be at least {MIN_FLOW_ORDER}")
     setting = Setting.schrodinger(R)
     setting.validated(sigma)
     report = admissible_continuous(sigma, setting)
@@ -112,7 +111,7 @@ def integrate_flow(sigma, N, R, x_max, step=None):
     raises TruncationBlowup at the offending x.
     """
     if not x_max > 0.0:
-        raise ValueError("x_max must be positive")
+        raise BadParameter("x_max must be positive")
     state0 = init_flow(sigma, N, R)
     h = step if step is not None else 1.0 / (20.0 * R)
     n_steps = max(1, int(math.ceil(x_max / h - 1e-12)))
@@ -211,7 +210,7 @@ def riccati_oracle(trace, w):
     """
     w = complex(w)
     if abs(w) >= 1.0 / trace.R:
-        raise ValueError("w must lie inside the convergence disk |w| < 1/R")
+        raise BadParameter("w must lie inside the convergence disk |w| < 1/R")
     V = _hermite_sampler(trace.xs, trace.sigmas)
     n = len(trace.xs) // 2
     h = trace.step / 2

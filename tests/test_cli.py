@@ -10,7 +10,6 @@ from reflectionless.cli import (
     MAX_FLOW_STEPS,
     MAX_FLOW_WORK,
     MAX_ORDER,
-    job_to_json,
     main,
     parse_input,
     run,
@@ -22,14 +21,14 @@ class TestParseInput:
     def test_check_job_echo(self):
         job = parse_input('{"command":"check","setting":"jacobi","R":2,"atoms":[{"t":1,"w":1}]}')
         assert job.command == "check"
-        assert job.setting_kind == "jacobi"
-        assert job.R == 2.0
+        assert job.setting.kind == "jacobi"
+        assert job.setting.R == 2.0
         assert job.measure.atoms == ((1.0, 1.0),)
-        assert job.param("N") == 40
-        assert job.param("eta") == 1e-4
-        assert job.param("grid") == 512
-        assert job.param("x_max") == pytest.approx(0.4)
-        assert job.param("step") == pytest.approx(1.0 / 40.0)
+        assert job.params["N"] == 40
+        assert job.params["eta"] == 1e-4
+        assert job.params["grid"] == 512
+        assert job.params["x_max"] == pytest.approx(0.4)
+        assert job.params["step"] == pytest.approx(1.0 / 40.0)
 
     def test_missing_R(self):
         with pytest.raises(SchemaError) as err:
@@ -72,18 +71,18 @@ class TestParseInput:
         job = parse_input(
             '{"command":"verify","setting":"jacobi","R":4,"N":10000.0,"x_max":1,"step":1e-4}'
         )
-        assert job.param("N") == MAX_ORDER and type(job.param("N")) is int
-        assert job.param("x_max") / job.param("step") == MAX_FLOW_STEPS
+        assert job.params["N"] == MAX_ORDER and type(job.params["N"]) is int
+        assert job.params["x_max"] / job.params["step"] == MAX_FLOW_STEPS
         job = parse_input(
             '{"command":"schrodinger","setting":"schrodinger","R":4,'
             '"N":4999,"x_max":1,"step":0.125}'
         )
-        assert 8 * (job.param("N") + 1) ** 2 == MAX_FLOW_WORK
+        assert 8 * (job.params["N"] + 1) ** 2 == MAX_FLOW_WORK
         job = parse_input('{"command":"schrodinger","setting":"schrodinger","R":4,"N":4}')
-        assert job.param("N") == 4
+        assert job.params["N"] == 4
         # jobs that never run the flow keep the general limits
         job = parse_input('{"command":"jacobi","setting":"jacobi","R":4,"N":1}')
-        assert job.param("N") == 1
+        assert job.params["N"] == 1
 
     @pytest.mark.parametrize(
         "command, setting, fields",
@@ -108,21 +107,9 @@ class TestParseInput:
     def test_example_preset(self):
         job = parse_input('{"command":"example","name":"soliton","epsilon":0.25}')
         assert job.command == "example"
-        assert job.preset == "soliton"
         assert job.measure.atoms == ((1.0, 0.75),)
-        assert job.R == pytest.approx(5.0, rel=1e-5)
-
-    def test_round_trip(self):
-        text = (
-            '{"command":"verify","setting":"jacobi","R":4,'
-            '"atoms":[{"t":1.0,"w":0.5},{"t":-1.2,"w":0.25}],"eta":1e-3}'
-        )
-        job = parse_input(text)
-        assert parse_input(job_to_json(job)) == job
-
-    def test_round_trip_example(self):
-        job = parse_input('{"command":"example","name":"delta0","mass":2.0}')
-        assert parse_input(job_to_json(job)) == job
+        assert job.setting.kind == "jacobi"
+        assert job.setting.R == pytest.approx(5.0, rel=1e-5)
 
 
 class TestRun:
@@ -227,6 +214,12 @@ WIDE_R_JOBS = [
 
 
 ATOM_SCHRODINGER = '{"setting":"schrodinger","R":2,"atoms":[{"t":0.3,"w":0.8}]}'
+# the measure file shown in the README
+README_MEASURE = (
+    '{"setting":"jacobi","R":2.01,'
+    '"atoms":[{"t":1.05,"w":0.001},{"t":-1.02,"w":0.002}],'
+    '"pieces":[{"a":0.92,"b":0.98,"cheb":[0.005,0.0,0.001]}]}'
+)
 
 
 class TestMain:
@@ -291,6 +284,24 @@ class TestMain:
             (["schrodinger", "--order", "3"], ATOM_SCHRODINGER, "/N"),
             (["example", "--name", "delta0", "--order", "2"], "{}", "/N"),
             (["schrodinger", "--order", "10000"], ATOM_SCHRODINGER, "/N"),
+            # flag text is read like a job-file number, not by argparse (exit 2)
+            (["jacobi", "--order", "abc"], README_MEASURE, "/N"),
+            (["jacobi", "--order", "1.5"], README_MEASURE, "/N"),
+            (["jacobi", "--eta", "x"], README_MEASURE, "/eta"),
+            (["jacobi", "--grid", "nan"], README_MEASURE, "/grid"),
+            (["jacobi", "--step", "1e999"], README_MEASURE, "/step"),
+            (["jacobi", "--xmax", ""], README_MEASURE, "/x_max"),
+            # preset fields are finite JSON numbers, refused at their own pointer
+            (["example"], '{"name":"soliton","epsilon":[1]}', "/epsilon"),
+            (["example"], '{"name":"delta0","mass":{"a":1}}', "/mass"),
+            (["example"], '{"name":"delta0","mass":"2"}', "/mass"),
+            (["example"], '{"name":"soliton","epsilon":NaN}', "/epsilon"),
+            (["example"], '{"name":"soliton"}', "/epsilon"),
+            (["example"], '{"name":7}', "/name"),
+            (["example", "--name", "soliton", "--epsilon", "2"], "{}", "/epsilon"),
+            (["example", "--name", "delta0", "--mass", "-1"], "{}", "/mass"),
+            (["example", "--name", "delta0", "--mass", "0"], "{}", "/mass"),
+            (["example", "--name", "nope"], "{}", "/name"),
         ],
     )
     def test_cli_refuses_out_of_range(self, tmp_path, capsys, argv, text, pointer):
@@ -310,12 +321,6 @@ OVERLAP_MEASURE = (
     '{"setting":"jacobi","R":2.01,'
     '"atoms":[{"t":0.95,"w":0.01},{"t":-1.02,"w":0.02}],'
     '"pieces":[{"a":0.92,"b":0.98,"cheb":[0.05,0.0,0.01]}]}'
-)
-# the measure file shown in the README
-README_MEASURE = (
-    '{"setting":"jacobi","R":2.01,'
-    '"atoms":[{"t":1.05,"w":0.001},{"t":-1.02,"w":0.002}],'
-    '"pieces":[{"a":0.92,"b":0.98,"cheb":[0.005,0.0,0.001]}]}'
 )
 
 
@@ -396,6 +401,47 @@ class TestMainRefusals:
         measure = tmp_path / "m.json"
         measure.write_text(README_MEASURE)
         assert main([command, "--input", str(measure), "--out", str(tmp_path)]) == 0
+
+
+def _one_error_line(capsys):
+    """The single JSON error line a refused job leaves on stderr."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+class TestUsageErrors:
+    """Usage and file errors exit 1 with one JSON line, never argparse's exit
+    2 with usage text or a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["frobnicate"], ["check", "--frob", "1"], ["jacobi", "--order"], []],
+        ids=["unknown-command", "unknown-flag", "missing-value", "no-command"],
+    )
+    def test_usage_error(self, capsys, argv):
+        assert main(argv) == 1
+        err = _one_error_line(capsys)
+        assert err["error"] == "SchemaError"
+        assert err["pointer"] == ""
+
+    def test_order_in_exponent_notation(self, tmp_path):
+        measure = tmp_path / "m.json"
+        measure.write_text('{"setting":"jacobi","R":2}')
+        assert main(["jacobi", "--order", "4e1", "--input", str(measure), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "jacobi_window.csv").read_text().splitlines()
+        assert len(lines) == 1 + 81  # header + sites -40..40
+
+    def test_unreadable_input_is_io_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["check", "--input", str(missing), "--out", str(tmp_path)]) == 1
+        assert _one_error_line(capsys)["error"] == "IoError"
+
+    def test_output_directory_that_cannot_be_made_is_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["example", "--name", "free", "--out", str(blocker / "out")]) == 1
+        assert _one_error_line(capsys)["error"] == "IoError"
 
 
 def _run_isolated(code):

@@ -11,6 +11,7 @@ import math
 import tempfile
 import warnings
 from contextlib import redirect_stderr
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -20,13 +21,17 @@ from hypothesis import strategies as st
 import reflectionless
 from reflectionless import cli, errors, jacobi
 from reflectionless.cli import main
-from reflectionless.herglotz import AdmissibilityReport
-from reflectionless.jacobi import JacobiWindow, _assemble_side
-from reflectionless.measure import SUPPORT_MARGIN_REL, solve_r
+from reflectionless.herglotz import AdmissibilityReport, Setting, m_value, phi_inv
+from reflectionless.jacobi import JacobiWindow, _assemble_side, m_oracle, reconstruct
+from reflectionless.measure import SUPPORT_MARGIN_REL, Measure, solve_r
+from reflectionless.schrodinger import init_flow, integrate_flow, riccati_oracle
 
+# One drawn job takes about 10 ms.  The slowest jobs the CLI's work bounds admit
+# take about 7 s on 2 vCPUs (schrodinger at N = 40 and 10^4 flow steps over
+# x_max = 0.4), so only a job that escapes those bounds misses the deadline.
 CONTRACT = settings(
     max_examples=60,
-    deadline=None,
+    deadline=timedelta(seconds=10),
     derandomize=True,
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
@@ -34,6 +39,24 @@ CONTRACT = settings(
 
 # small grids and flows keep every job fast; the order and eta come from the job
 SIZE_FLAGS = ["--grid", "8", "--step", "0.02", "--xmax", "0.1"]
+
+# any JSON value: what a job file may hold where a number or a name belongs
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+PRESET_NAMES = st.sampled_from(["free", "delta1", "soliton", "delta0"])
+# the example command's fields: a preset name, and epsilon and mass each
+# optional and in their usual ranges
+PRESET_FIELDS = st.fixed_dictionaries(
+    {"name": PRESET_NAMES}, optional={"epsilon": st.floats(0.0, 1.0), "mass": st.floats(0.0, 4.0)}
+)
+# the same fields when they may hold any JSON value
+ANY_PRESET_FIELDS = st.fixed_dictionaries(
+    {"name": PRESET_NAMES | JSON_VALUES},
+    optional={"epsilon": st.floats(0.0, 1.0) | JSON_VALUES, "mass": st.floats(0.0, 4.0) | JSON_VALUES},
+)
 
 
 def _allowed(kind, R):
@@ -49,7 +72,8 @@ def _allowed(kind, R):
 def valid_jobs(draw):
     """Measures inside the support region, some pieces within 1e-6 R of its
     edge; weights range from tiny to inadmissibly large.  N is drawn from
-    1-12 and eta log-uniformly from [1e-300, 1e300]."""
+    1-12 and eta log-uniformly from [1e-300, 1e300].  Each job also names a
+    preset, which the example command runs instead of the measure."""
     kind = draw(st.sampled_from(["jacobi", "schrodinger"]))
     R = draw(st.floats(2.0005, 4.0) if kind == "jacobi" else st.floats(0.5, 3.0))
     lo, hi = draw(st.sampled_from(_allowed(kind, R)))
@@ -68,7 +92,7 @@ def valid_jobs(draw):
     t = lo + cuts[2] * (hi - lo)
     if draw(st.booleans()) and not a <= t <= b:
         job["atoms"].append({"t": t, "w": draw(st.floats(1e-9, 2.0)) * mass})
-    return job
+    return {**job, **draw(PRESET_FIELDS)}
 
 
 ATOM_SCHRODINGER = {"setting": "schrodinger", "R": 2, "atoms": [{"t": 0.3, "w": 0.8}]}
@@ -84,7 +108,8 @@ BOUNDARY = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, 2.0, 2.0 + 4e-16,
 
 @st.composite
 def boundary_jobs(draw):
-    """Jobs whose numbers sit on or next to the edges of what is allowed."""
+    """Jobs whose numbers sit on or next to the edges of what is allowed,
+    with preset fields that may hold any JSON value."""
     job = {"setting": draw(st.sampled_from(["jacobi", "schrodinger", "other"])), "R": draw(BOUNDARY)}
     if draw(st.booleans()):
         job["atoms"] = [{"t": draw(BOUNDARY), "w": draw(BOUNDARY)}]
@@ -92,7 +117,7 @@ def boundary_jobs(draw):
         job["pieces"] = [{"a": draw(BOUNDARY), "b": draw(BOUNDARY), "cheb": [draw(BOUNDARY)]}]
     for key in draw(st.lists(st.sampled_from(["N", "grid", "eta"]), unique=True)):
         job[key] = draw(st.sampled_from([1, 2, 1e-300, 0.5, 1e300]))
-    return job
+    return {**job, **draw(ANY_PRESET_FIELDS)}
 
 
 def _corrupt(data, edits):
@@ -103,18 +128,19 @@ def _corrupt(data, edits):
     return bytes(data)
 
 
-COMMANDS = st.sampled_from(["check", "jacobi", "schrodinger", "verify"])
+COMMANDS = st.sampled_from(["check", "jacobi", "schrodinger", "verify", "example"])
 
 
-def _assert_contract(command, payload):
+def _assert_contract(command, payload, flags=()):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "job.json"
         path.write_bytes(payload)
         out = Path(tmp) / "out"
         err = io.StringIO()
+        argv = [command, "--input", str(path), "--out", str(out), *SIZE_FLAGS, *flags]
         with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
             warnings.simplefilter("always")
-            status = main([command, "--input", str(path), "--out", str(out), *SIZE_FLAGS])
+            status = main(argv)
         assert not caught, [str(w.message) for w in caught]
         lines = err.getvalue().splitlines()
         assert status in (0, 1, 2)
@@ -156,6 +182,8 @@ def test_valid_jobs_meet_the_contract(command, job):
 @example("jacobi", {"setting": "schrodinger", "R": 2.0, "atoms": [{"t": 1e-300, "w": 1e-300}]})
 @example("verify", {"setting": "schrodinger", "R": 1e300})
 @example("schrodinger", {"setting": "schrodinger", "R": 1e300})
+@example("example", {"name": "soliton", "epsilon": [1]})
+@example("example", {"name": "delta0", "mass": {"a": 1}})
 def test_boundary_numbers_meet_the_contract(command, job):
     _assert_contract(command, json.dumps(job).encode())
 
@@ -168,6 +196,43 @@ def test_boundary_numbers_meet_the_contract(command, job):
 )
 def test_corrupted_bytes_meet_the_contract(command, job, edits):
     _assert_contract(command, _corrupt(json.dumps(job).encode(), edits))
+
+
+FLAGS = ["--order", "--eta", "--grid", "--xmax", "--step", "--epsilon", "--mass", "--name"]
+# number spellings of every kind, and text that is no number at all
+FLAG_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.floats().map(lambda x: format(x, "e")),
+    st.from_regex(r"[+-]?(\d{1,5}(\.\d{0,3})?|\.\d{1,3})([eE][+-]?\d{1,3})?", fullmatch=True),
+)
+
+
+@st.composite
+def flag_argv(draw):
+    """Flags with drawn text, each as `--flag text` or `--flag=text`."""
+    argv = []
+    for flag, text in draw(st.lists(st.tuples(st.sampled_from(FLAGS), FLAG_TEXT), min_size=1, max_size=3)):
+        argv += [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
+    return argv
+
+
+@CONTRACT
+@given(
+    COMMANDS,
+    st.sampled_from([{**README_MEASURE, "name": "soliton", "epsilon": 0.25},
+                     {**ATOM_SCHRODINGER, "name": "delta0"}]),
+    flag_argv(),
+)
+@example("jacobi", README_MEASURE, ["--order", "abc"])
+@example("jacobi", README_MEASURE, ["--order", "1.5"])
+@example("jacobi", README_MEASURE, ["--eta", "x"])
+@example("jacobi", README_MEASURE, ["--frob", "1"])
+@example("jacobi", README_MEASURE, ["--order"])
+@example("example", README_MEASURE, ["--name", "soliton", "--epsilon", "2"])
+def test_flag_text_meets_the_contract(command, job, flags):
+    _assert_contract(command, json.dumps(job).encode(), flags)
 
 
 def _nan_window(*args, **kwargs):
@@ -242,3 +307,28 @@ def test_every_error_type_is_exported():
     for name, obj in vars(errors).items():
         if isinstance(obj, type) and issubclass(obj, errors.ReflectionlessError):
             assert getattr(reflectionless, name, None) is obj, name
+
+
+_DELTA0 = Measure.point(0.0, 1.0)
+_FREE = JacobiWindow.free(3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: reconstruct(Measure.zero(), Setting.jacobi(2.5), 0),
+        lambda: init_flow(_DELTA0, 3, 2.0),
+        lambda: integrate_flow(_DELTA0, 8, 2.0, 0.0),
+        lambda: m_oracle(_FREE, -1j, "plus"),
+        lambda: m_oracle(_FREE, 1j, "up"),
+        lambda: riccati_oracle(integrate_flow(_DELTA0, 8, 2.0, 0.4), 0.6),
+        lambda: phi_inv(Setting.jacobi(2.5), 1j, "middle"),
+        lambda: m_value(Measure.zero(), Setting.jacobi(2.5), 1j, "up"),
+    ],
+    ids=["reconstruct-N", "init_flow-N", "integrate_flow-x_max", "m_oracle-z", "m_oracle-side",
+         "riccati_oracle-w", "phi_inv-region", "m_value-side"],
+)
+def test_bad_parameter_is_a_typed_value_error(call):
+    with pytest.raises(errors.BadParameter) as err:
+        call()
+    assert isinstance(err.value, ValueError)
