@@ -1,8 +1,9 @@
 """Hot numeric kernels: continued fractions, moment-flow RK4 and Riccati paths.
 
-All are vectorized numpy.  The RK4 step looks up ``_deriv_numpy`` as a module
-global on every call, so a wrapper swapped in under that name sees every
-derivative evaluation.
+All but the Riccati path are vectorized numpy; it walks one w on Python
+complex scalars.  The RK4 step looks up ``_deriv_numpy`` as a module global
+on every call, so a wrapper swapped in under that name sees every derivative
+evaluation.
 """
 
 from __future__ import annotations
@@ -79,20 +80,18 @@ def flow_integrate(s0, h, n_steps, bounds, err_tol):
 
 
 def riccati_path(p0, v_nodes, v_mids, h, w):
-    # dp/dx = -V + p^2 - (2/w) p, one column per w value
+    # dp/dx = -V + p^2 - (2/w) p for one w: RK4 on Python complex scalars
     c = 2.0 / w
-    path = np.empty((v_mids.size + 1, w.size), dtype=np.complex128)
-    path[0] = p0
-    p = p0.astype(np.complex128).copy()
-    for k in range(v_mids.size):
-        k1 = -v_nodes[k] + p * p - c * p
+    p = complex(p0)
+    path = [p]
+    for vk, vm, vk1 in zip(v_nodes.tolist(), v_mids.tolist(), v_nodes[1:].tolist()):
+        k1 = -vk + p * p - c * p
         q = p + 0.5 * h * k1
-        k2 = -v_mids[k] + q * q - c * q
+        k2 = -vm + q * q - c * q
         q = p + 0.5 * h * k2
-        k3 = -v_mids[k] + q * q - c * q
+        k3 = -vm + q * q - c * q
         q = p + h * k3
-        k4 = -v_nodes[k + 1] + q * q - c * q
+        k4 = -vk1 + q * q - c * q
         p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        path[k + 1] = p
-    return path
-
+        path.append(p)
+    return np.array(path)

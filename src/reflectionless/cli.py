@@ -95,18 +95,19 @@ def _objects(obj, key):
 _PARAM_KEYS = ("N", "eta", "grid", "x_max", "step")
 # largest accepted sizes: one parameter beyond them can exhaust memory or run for minutes
 MAX_ORDER = 10_000
-MAX_FLOW_STEPS = 10_000  # per direction, ceil(x_max / step)
-# ceil(x_max / step) * (N + 1)^2 for jobs that may run the flow: each step costs
-# a dozen O(N^2) convolutions.  The slowest jobs this admits run about 7 s on
-# 2 vCPUs (N = 141 at 10^4 steps: flow 4.7 s, Riccati cross-check 2.2 s)
-MAX_FLOW_WORK = 2e8
+MAX_GRID = 512
+# the flow jobs' budget on ceil(x_max / step) * ((N + 1)^2 + FLOW_STEP_COST): a flow
+# step, Riccati cross-check included, costs about 0.31 ms + 12 ns (N + 1)^2 on 2 vCPUs,
+# and the slowest jobs admitted run 3.6 s (4.3 s where moment products underflow)
+FLOW_STEP_COST = 25_000
+MAX_FLOW_WORK = 2.5e8
 
 
 def default_params(R):
     return {
         "N": 40,
         "eta": 1e-4,
-        "grid": 512,
+        "grid": MAX_GRID,
         "x_max": 0.8 / R,
         "step": 1.0 / (20.0 * R),
     }
@@ -147,6 +148,8 @@ def _parse_job(obj):
         setting_kind = _require(obj, "setting", "", str)
         if setting_kind not in ("jacobi", "schrodinger"):
             raise SchemaError("/setting", f"unknown setting {setting_kind!r}")
+        if command in ("jacobi", "schrodinger") and setting_kind != command:
+            raise SchemaError("/setting", f"the {command} command needs the {command} setting")
         R = _require(obj, "R", "")
         atoms = [(_require(atom, "t", p), _require(atom, "w", p)) for p, atom in _objects(obj, "atoms")]
         pieces = []
@@ -166,22 +169,21 @@ def _parse_job(obj):
                     raise SchemaError(f"/{key}", f"expected an integer, got {val!r}")
                 if val < 1:
                     raise SchemaError(f"/{key}", f"must be at least 1, got {val:g}")
+                most = MAX_ORDER if key == "N" else MAX_GRID
+                if val > most:
+                    raise SchemaError(f"/{key}", f"must be at most {most}, got {val:g}")
                 val = int(val)
             elif not val > 0.0:
                 raise SchemaError(f"/{key}", f"must be positive, got {val!r}")
             params[key] = val
-    if params["N"] > MAX_ORDER:
-        raise SchemaError("/N", f"must be at most {MAX_ORDER}, got {params['N']:g}")
-    if params["x_max"] / params["step"] > MAX_FLOW_STEPS:
-        raise SchemaError(
-            "/step", f"x_max / step must be at most {MAX_FLOW_STEPS} flow steps"
-        )
-    if setting.kind == "schrodinger" or command == "schrodinger":  # jobs that may run the flow
-        N = params["N"]
+    if setting.kind == "schrodinger" and command in ("schrodinger", "example"):  # the flow jobs
+        N, steps = params["N"], params["x_max"] / params["step"]
         if N < MIN_FLOW_ORDER:
             raise SchemaError("/N", f"must be at least {MIN_FLOW_ORDER} for the flow, got {N}")
-        if math.ceil(params["x_max"] / params["step"]) * (N + 1) ** 2 > MAX_FLOW_WORK:
-            raise SchemaError("/N", f"flow steps x (N + 1)^2 must be at most {MAX_FLOW_WORK:g}")
+        # a ratio beyond the budget is refused before ceil, which an infinite one breaks
+        if steps > MAX_FLOW_WORK or math.ceil(steps) * ((N + 1) ** 2 + FLOW_STEP_COST) > MAX_FLOW_WORK:
+            work = f"ceil(x_max / step) * ((N + 1)^2 + {FLOW_STEP_COST})"
+            raise SchemaError("/step", f"{work} must be at most {MAX_FLOW_WORK:g}")
 
     return Job(command=command, measure=measure, setting=setting, params=params)
 
@@ -293,7 +295,7 @@ def run_schrodinger(job, out):
 
 def run_verify(job, out):
     eta, setting = job.params["eta"], job.setting
-    grid = default_residual_grid(setting, min(job.params["grid"], 512))
+    grid = default_residual_grid(setting, job.params["grid"])
     residual = reflectionless_residual(job.measure, setting, grid, eta)
     payload = {
         "eta": eta,

@@ -109,16 +109,11 @@ def support_bounds(mu):
 
 
 def solve_r(R):
-    """Solve r + 1/r = R with 0 < r <= 1, polished to 1e-14."""
+    """Solve r + 1/r = R with 0 < r <= 1, without cancellation: the product
+    of square roots stays finite up to the largest float R."""
     if not 2.0 <= R < math.inf:
         raise BadR(f"jacobi setting needs 2 <= R < inf, got {R}")
-    r = (R - math.sqrt(R * R - 4.0)) / 2.0 if R > 2.0 else 1.0
-    for _ in range(3):
-        d = 1.0 - 1.0 / (r * r)
-        if d == 0.0:
-            break
-        r -= (r + 1.0 / r - R) / d
-    return min(r, 1.0)
+    return 1.0 / (R / 2.0 + math.sqrt(R - 2.0) * math.sqrt(R + 2.0) / 2.0)
 
 
 def _check_interval_inside(lo, hi, intervals, offender):

@@ -209,21 +209,19 @@ def riccati_oracle(trace, w):
     10 R, the sign of leaving the analyticity domain.
     """
     w = complex(w)
-    if abs(w) >= 1.0 / trace.R:
-        raise BadParameter("w must lie inside the convergence disk |w| < 1/R")
+    if not 0.0 < abs(w) < 1.0 / trace.R:
+        raise BadParameter("w must be nonzero and inside the convergence disk |w| < 1/R")
     V = _hermite_sampler(trace.xs, trace.sigmas)
     n = len(trace.xs) // 2
     h = trace.step / 2
-    p0 = np.atleast_1d(moment_generating(trace.sigmas[n], w))
+    p0 = moment_generating(trace.sigmas[n], w)
     directions = stable_riccati_directions(w)
 
     p = np.empty(2 * n + 1, dtype=complex)
     for direction in directions:
         nodes = direction * h * np.arange(2 * n + 1)
         mids = nodes[:-1] + direction * 0.5 * h
-        path = _kernels.riccati_path(
-            p0, V(nodes), V(mids), direction * h, np.atleast_1d(w)
-        )[:, 0]
+        path = _kernels.riccati_path(p0, V(nodes), V(mids), direction * h, w)
         bad = ~np.isfinite(path) | (np.abs(path) > BLOWUP_FACTOR * trace.R)
         if np.any(bad):
             k = int(np.argmax(bad))
@@ -242,7 +240,7 @@ def riccati_mismatch(trace, ws):
     per_w = []
     for w in np.atleast_1d(ws):
         idx, path = riccati_oracle(trace, w)
-        flow_p = moment_generating(trace.sigmas[idx], np.array([complex(w)]))[:, 0]
+        flow_p = moment_generating(trace.sigmas[idx], w)
         per_w.append((complex(w), float(np.max(np.abs(flow_p - path)))))
     return float(np.max([d for _, d in per_w], initial=0.0)), per_w  # NaN stays NaN
 

@@ -294,6 +294,26 @@ def loop_cf_minus(a, b, z, seed):
     return m
 
 
+def numpy_riccati_path(p0, v_nodes, v_mids, h, w):
+    """_kernels.riccati_path as one numpy column per w value: its bit-for-bit
+    reference."""
+    c = 2.0 / w
+    path = np.empty((v_mids.size + 1, w.size), dtype=np.complex128)
+    path[0] = p0
+    p = p0.astype(np.complex128).copy()
+    for k in range(v_mids.size):
+        k1 = -v_nodes[k] + p * p - c * p
+        q = p + 0.5 * h * k1
+        k2 = -v_mids[k] + q * q - c * q
+        q = p + 0.5 * h * k2
+        k3 = -v_mids[k] + q * q - c * q
+        q = p + h * k3
+        k4 = -v_nodes[k + 1] + q * q - c * q
+        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        path[k + 1] = p
+    return path
+
+
 def padded_m_oracle(J, z, side, pad=200):
     """The window's m functions by continued fractions over the window
     extended by `pad` free sites on the far side, seeded there with the free

@@ -7,8 +7,9 @@ import pytest
 
 import reflectionless
 from reflectionless.cli import (
-    MAX_FLOW_STEPS,
+    FLOW_STEP_COST,
     MAX_FLOW_WORK,
+    MAX_GRID,
     MAX_ORDER,
     main,
     parse_input,
@@ -59,7 +60,7 @@ class TestParseInput:
             ('"R":4,"N":2.7', "/N"),
             ('"R":4,"grid":2.5', "/grid"),
             ('"R":4,"N":10001', "/N"),
-            ('"R":4,"x_max":1,"step":9e-5', "/step"),
+            ('"R":4,"grid":513', "/grid"),
         ],
     )
     def test_out_of_range_numbers(self, fields, pointer):
@@ -68,37 +69,44 @@ class TestParseInput:
         assert err.value.pointer == pointer
 
     def test_size_limits_are_inclusive(self):
-        job = parse_input(
-            '{"command":"verify","setting":"jacobi","R":4,"N":10000.0,"x_max":1,"step":1e-4}'
-        )
+        job = parse_input('{"command":"verify","setting":"jacobi","R":4,"N":10000.0,"grid":512}')
         assert job.params["N"] == MAX_ORDER and type(job.params["N"]) is int
-        assert job.params["x_max"] / job.params["step"] == MAX_FLOW_STEPS
-        job = parse_input(
-            '{"command":"schrodinger","setting":"schrodinger","R":4,'
-            '"N":4999,"x_max":1,"step":0.125}'
-        )
-        assert 8 * (job.params["N"] + 1) ** 2 == MAX_FLOW_WORK
+        assert job.params["grid"] == MAX_GRID
         job = parse_input('{"command":"schrodinger","setting":"schrodinger","R":4,"N":4}')
         assert job.params["N"] == 4
         # jobs that never run the flow keep the general limits
         job = parse_input('{"command":"jacobi","setting":"jacobi","R":4,"N":1}')
         assert job.params["N"] == 1
 
+    @pytest.mark.parametrize("N, steps", [(4, 9990), (73, 8203)])
+    @pytest.mark.parametrize("command", ["schrodinger", "example"])
+    def test_flow_budget_edge(self, command, N, steps):
+        # step = 2^-13 and x_max = k steps of it: the step count is exact
+        def job(k):
+            fields = f'"N":{N},"x_max":{k * 2.0 ** -13!r},"step":{2.0 ** -13!r}'
+            if command == "example":
+                return parse_input(f'{{"command":"example","name":"delta0",{fields}}}')
+            return parse_input(f'{{"command":"schrodinger","setting":"schrodinger","R":4,{fields}}}')
+
+        assert steps * ((N + 1) ** 2 + FLOW_STEP_COST) <= MAX_FLOW_WORK
+        params = job(steps).params
+        assert params["x_max"] / params["step"] == steps
+        with pytest.raises(SchemaError) as err:
+            job(steps + 1)
+        assert err.value.pointer == "/step"
+
     @pytest.mark.parametrize(
         "command, setting, fields",
         [
             ("schrodinger", "schrodinger", '"N":3'),
-            ("check", "schrodinger", '"N":3'),
             ("schrodinger", "jacobi", '"N":3'),
-            # 8 flow steps at (N + 1)^2 = 5001^2, one order past the work bound
-            ("schrodinger", "schrodinger", '"N":5000,"x_max":1,"step":0.125'),
-            ("verify", "schrodinger", '"N":5000,"x_max":1,"step":0.125'),
         ],
     )
     def test_flow_limits(self, command, setting, fields):
         with pytest.raises(SchemaError) as err:
             parse_input(f'{{"command":"{command}","setting":"{setting}","R":4,{fields}}}')
-        assert err.value.pointer == "/N"
+        # a command on the other setting's measure is refused before its limits
+        assert err.value.pointer == ("/N" if setting == command else "/setting")
 
     def test_unknown_command(self):
         with pytest.raises(UnknownCommand):
@@ -254,6 +262,13 @@ class TestMain:
         assert err["error"] == "SchemaError"
         assert err["pointer"] == "/R"
 
+    @pytest.mark.parametrize("R", ["1e9", "1e300"])
+    def test_cli_check_at_huge_R(self, tmp_path, R):
+        # r = 1/R to the last bit; r + 1/r = R once cancelled to r = 0 or NaN
+        measure = tmp_path / "m.json"
+        measure.write_text(f'{{"setting":"jacobi","R":{R}}}')
+        assert main(["check", "--input", str(measure), "--out", str(tmp_path)]) == 0
+
     def test_cli_flag_overrides(self, tmp_path):
         measure = tmp_path / "m.json"
         measure.write_text('{"setting":"jacobi","R":2}')
@@ -263,6 +278,18 @@ class TestMain:
         assert status == 0
         lines = (tmp_path / "jacobi_window.csv").read_text().splitlines()
         assert len(lines) == 1 + 9  # header + sites -4..4
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("check", ATOM_SCHRODINGER), ("verify", ATOM_SCHRODINGER), ("jacobi", README_MEASURE)],
+        ids=["check", "verify", "jacobi"],
+    )
+    def test_flow_limits_bind_only_flow_jobs(self, tmp_path, command, text):
+        # an order below the flow's and a step past its budget are never read here
+        measure = tmp_path / "m.json"
+        measure.write_text(text)
+        argv = [command, "--order", "3", "--step", "1e-9", "--grid", "8"]
+        assert main(argv + ["--input", str(measure), "--out", str(tmp_path)]) == 0
 
     def test_cli_admissibility_exit_code(self, tmp_path):
         measure = tmp_path / "m.json"
@@ -280,10 +307,10 @@ class TestMain:
             (["schrodinger"], '{"setting":"schrodinger","R":2,"N":1e12}', "/N"),
             (["schrodinger"], '{"setting":"schrodinger","R":2,"step":1e-200}', "/step"),
             (["schrodinger"], '{"setting":"schrodinger","R":2,"N":2.7}', "/N"),
-            # the moment flow needs N >= 4, and its work is bounded as a whole
+            # the moment flow needs N >= 4, and no job takes N beyond 10^4
             (["schrodinger", "--order", "3"], ATOM_SCHRODINGER, "/N"),
             (["example", "--name", "delta0", "--order", "2"], "{}", "/N"),
-            (["schrodinger", "--order", "10000"], ATOM_SCHRODINGER, "/N"),
+            (["schrodinger", "--order", "10001"], ATOM_SCHRODINGER, "/N"),
             # flag text is read like a job-file number, not by argparse (exit 2)
             (["jacobi", "--order", "abc"], README_MEASURE, "/N"),
             (["jacobi", "--order", "1.5"], README_MEASURE, "/N"),
@@ -302,6 +329,13 @@ class TestMain:
             (["example", "--name", "delta0", "--mass", "-1"], "{}", "/mass"),
             (["example", "--name", "delta0", "--mass", "0"], "{}", "/mass"),
             (["example", "--name", "nope"], "{}", "/name"),
+            # the flow budget binds the flow jobs, and grids beyond 512 points are refused
+            (["schrodinger", "--order", "10000"], ATOM_SCHRODINGER, "/step"),
+            (["example", "--name", "delta0", "--step", "1e-9"], "{}", "/step"),
+            (["verify", "--grid", "513"], README_MEASURE, "/grid"),
+            # each reconstructing command reads its own setting
+            (["schrodinger"], README_MEASURE, "/setting"),
+            (["jacobi"], ATOM_SCHRODINGER, "/setting"),
         ],
     )
     def test_cli_refuses_out_of_range(self, tmp_path, capsys, argv, text, pointer):
@@ -366,6 +400,8 @@ class TestMainRefusals:
         ],
     )
     def test_invalid_measure_refused(self, tmp_path, capsys, command, text, error):
+        if command == "jacobi" and '"schrodinger"' in text:
+            error = "SchemaError"  # the jacobi command refuses the setting before the measure
         measure = tmp_path / "m.json"
         measure.write_text(text)
         status = main([command, "--input", str(measure), "--out", str(tmp_path / "out")])

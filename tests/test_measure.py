@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
@@ -86,6 +87,13 @@ class TestValidate:
                 setting(R)
         with pytest.raises(BadR):
             validate(Measure.zero(), "schrodinger", R)
+
+    @pytest.mark.parametrize("R", [2.0, 2.0 + 4e-16, 2.01, 1e8, 1e9, 1e154, 1e300, 1.7e308])
+    def test_solve_r_against_mpmath(self, R):
+        with mpmath.workdps(60):
+            true = 2 / (R + mpmath.sqrt(mpmath.mpf(R) ** 2 - 4))
+            ulps = abs(solve_r(R) - true) / math.ulp(float(true))
+        assert ulps <= 2
 
     def test_overlapping_pieces(self):
         mu = Measure.with_pieces([], [(0.4, 0.7, (1.0,)), (0.6, 0.9, (1.0,))])

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import loop_moment_bounds_ok, random_schrodinger_measure
+from helpers import loop_moment_bounds_ok, numpy_riccati_path, random_schrodinger_measure
 from reflectionless.errors import (
     AdmissibilityRequired,
+    BadParameter,
     RiccatiBlowUp,
     StepTooLarge,
     TruncationBlowup,
 )
-from reflectionless import schrodinger
+from reflectionless import _kernels, schrodinger
 from reflectionless.measure import Measure
 from reflectionless.schrodinger import (
     MomentFlowState,
@@ -27,6 +28,7 @@ from reflectionless.schrodinger import (
 )
 
 DELTA0 = Measure.point(0.0, 1.0)
+PIECE = Measure.with_pieces([(0.9, 0.2)], [(-0.5, 0.5, (0.4, 0.0, 0.1))])
 
 
 def hankel_min_eig(s, half):
@@ -237,6 +239,29 @@ class TestRiccati:
         monkeypatch.setattr(schrodinger, "riccati_oracle", nan_for_negative_w)
         worst, per_w = riccati_mismatch(trace, [0.1, -0.15])
         assert math.isnan(worst) and math.isnan(per_w[1][1])
+
+    @pytest.mark.parametrize("N, R, sigma", [(16, 2.0, DELTA0), (24, 1.5, PIECE)], ids=["delta0", "piece"])
+    def test_scalar_walk_matches_numpy_columns(self, monkeypatch, N, R, sigma):
+        # the CLI's w values, walked by the scalar kernel and by the numpy
+        # one-column reference: the same bits
+        trace = integrate_flow(sigma, N, R, 0.5 / R, step=0.01 / R)
+        for w in (0.3 / R, 0.3j / R, -0.3 / R):
+            idx, p = riccati_oracle(trace, w)
+            with monkeypatch.context() as m:
+                m.setattr(
+                    _kernels, "riccati_path",
+                    lambda p0, vn, vm, h, w: numpy_riccati_path(
+                        np.atleast_1d(p0), vn, vm, h, np.atleast_1d(w)
+                    )[:, 0],
+                )
+                ref_idx, ref = riccati_oracle(trace, w)
+            assert idx.tobytes() == ref_idx.tobytes()
+            assert p.tobytes() == ref.tobytes()
+
+    def test_rejects_zero_w(self):
+        trace = integrate_flow(DELTA0, 8, 2.0, 0.4)
+        with pytest.raises(BadParameter):
+            riccati_oracle(trace, 0.0)
 
     def test_rejects_w_outside_disk(self):
         trace = integrate_flow(DELTA0, 8, 2.0, 0.4)
