@@ -42,10 +42,8 @@ from .herglotz import (
     default_residual_grid,
     f_continuous,
     f_discrete,
-    h_fn,
     herglotz_exp,
     m_value,
-    phi,
     phi_inv,
     reflectionless_residual,
     stieltjes_density,
@@ -62,24 +60,17 @@ from .jacobi import (
     rho_plus_moments,
 )
 from .measure import (
-    EMPTY_SUPPORT,
     Measure,
     Piece,
-    SupportInfo,
     cauchy,
     moment,
-    support_bounds,
     validate,
 )
 from .schrodinger import (
-    BoundsReport,
-    MomentFlowState,
     PotentialTrace,
     binomial_sum_identity,
-    flow_derivative,
     init_flow,
     integrate_flow,
-    moment_bounds_ok,
     moment_generating,
     riccati_oracle,
 )

@@ -16,12 +16,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import BadParameter, BadR, BranchAmbiguity, NonConvergent
-from .measure import cauchy, moment, quadrature_atoms, solve_r, validate
+from .measure import cauchy, quadrature_atoms, solve_r, validate
 
 ADMISSIBILITY_TOL = 1e-12
 SAMPLES_PER_RAY = 64
@@ -62,15 +61,9 @@ class AdmissibilityReport:
     samples: tuple  # (spectral parameter E, boundary-function value)
 
 
-@lru_cache(maxsize=65536)
-def _cached_moment(sigma, n):
-    return moment(sigma, n)
-
-
 def f_discrete(sigma, lam):
     """F(lam) = -s_{-1} + (1 - s_{-2}) lam + Cauchy transform, jacobi setting."""
-    s1 = _cached_moment(sigma, -1)
-    s2 = _cached_moment(sigma, -2)
+    s1, s2 = sigma.inverse_moments
     return -s1 + (1.0 - s2) * complex(lam) + cauchy(sigma, lam)
 
 
@@ -85,16 +78,6 @@ def f_value(sigma, setting, lam):
     return f_continuous(sigma, lam)
 
 
-def phi(setting, lam):
-    """Conformal map onto C+ u S u C-: -lam - 1/lam (jacobi), -lam^2 (schrodinger)."""
-    lam = complex(lam)
-    if setting.kind == "jacobi":
-        if lam == 0:
-            raise ValueError("phi undefined at lambda = 0")
-        return -lam - 1.0 / lam
-    return -lam * lam
-
-
 def outer_root(z):
     """Root of lam^2 + z lam + 1 = 0 with |lam| >= 1; its reciprocal is the
     unit-disk root, the free m_plus.  The arithmetic follows the type of z."""
@@ -104,7 +87,8 @@ def outer_root(z):
 
 
 def phi_inv(setting, z, region):
-    """Preimage of z under phi on the requested branch.
+    """Preimage of z under the conformal map phi onto C+ u S u C-, which is
+    -lam - 1/lam (jacobi) or -lam^2 (schrodinger), on the requested branch.
 
     jacobi: 'upper' is the unit-disk root, 'lower' its reflection outside.
     schrodinger: 'upper' is the Re < 0 square root, 'lower' the Re > 0 one.
@@ -140,22 +124,6 @@ def m_value(sigma, setting, z, side):
     raise BadParameter(f"unknown side {side!r}")
 
 
-def h_fn(sigma, setting, lam):
-    """The summed function m_plus + m_minus pulled back through phi.
-
-    jacobi: (lam - 1/lam)(1 - s_{-2} + int ds/((t-lam)(t-1/lam)));
-    schrodinger: 2 lam (1 + int ds/(t^2 - lam^2)).  Computed through the
-    partial-fraction split, which is the same analytic function.
-    """
-    lam = complex(lam)
-    if setting.kind == "jacobi":
-        if lam == 0:
-            raise ValueError("h undefined at lambda = 0")
-        s2 = _cached_moment(sigma, -2)
-        return (1.0 - s2) * (lam - 1.0 / lam) + cauchy(sigma, lam) - cauchy(sigma, 1.0 / lam)
-    return 2.0 * lam + cauchy(sigma, lam) - cauchy(sigma, -lam)
-
-
 # ---------------------------------------------------------------------------
 # admissibility inequalities
 
@@ -165,7 +133,7 @@ def _boundary_atoms(sigma, s):
     for the boundary kernels of both rays at every s' <= s, whose poles lie
     beyond +-s and +-1/s."""
     ts, ws = quadrature_atoms(sigma, (s, 1.0 / s, -s, -1.0 / s))
-    return 1.0 - _cached_moment(sigma, -2), ts[:, None], ws[:, None]
+    return 1.0 - sigma.inverse_moments[1], ts[:, None], ws[:, None]
 
 
 def _boundary_on_s_grid(atoms, s, root_sign):

@@ -65,11 +65,6 @@ class JacobiWindow:
     def b_at(self, n):
         return self.b[n - self.n_min] if self.n_min <= n <= self.n_max else 0.0
 
-    @staticmethod
-    def free(N, R=2.0):
-        n = 2 * N + 1
-        return JacobiWindow(-N, N, (1.0,) * n, (0.0,) * n, float(R))
-
 
 @dataclass(frozen=True)
 class AsymptoticMoments:

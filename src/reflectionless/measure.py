@@ -67,10 +67,6 @@ class Measure:
                          for a, b, cheb in pieces),
         )
 
-    @property
-    def is_zero(self):
-        return not self.atoms and not self.pieces
-
     @cached_property
     def atom_arrays(self):
         """Atom positions and weights as read-only arrays, built once."""
@@ -78,34 +74,10 @@ class Measure:
         arr.flags.writeable = False
         return arr[:, 0], arr[:, 1]
 
-
-@dataclass(frozen=True)
-class SupportInfo:
-    min: float
-    max: float
-    distance_to_zero: float
-
-    @property
-    def empty(self):
-        return self.min > self.max
-
-
-EMPTY_SUPPORT = SupportInfo(math.inf, -math.inf, math.inf)
-
-
-def support_bounds(mu):
-    """Exact support extremes over atoms and piece endpoints."""
-    lo, hi, dist = math.inf, -math.inf, math.inf
-    ts, _ = mu.atom_arrays
-    for t in ts:
-        lo, hi = min(lo, t), max(hi, t)
-        dist = min(dist, abs(t))
-    for p in mu.pieces:
-        lo, hi = min(lo, p.a), max(hi, p.b)
-        dist = min(dist, 0.0 if p.a <= 0.0 <= p.b else min(abs(p.a), abs(p.b)))
-    if lo > hi:
-        return EMPTY_SUPPORT
-    return SupportInfo(lo, hi, dist)
+    @cached_property
+    def inverse_moments(self):
+        """(s_{-1}, s_{-2}), the moments F's linear part reads, computed once."""
+        return moment(self, -1), moment(self, -2)
 
 
 def solve_r(R):
@@ -267,7 +239,7 @@ def moment(mu, n):
 def moments(mu, ns):
     """moment(mu, n) for every n in ns, in one pass over the quadrature atoms."""
     ns = np.asarray(ns, dtype=int)
-    if np.any(ns < 0) and not mu.is_zero and support_bounds(mu).distance_to_zero <= 0.0:
+    if np.any(ns < 0) and (0.0 in mu.atom_arrays[0] or any(p.a <= 0.0 <= p.b for p in mu.pieces)):
         raise NegativeMomentAtZero(f"moment {ns.min()} undefined: support touches t = 0")
     ts, ws = quadrature_atoms(mu, (0.0,), int(np.max(np.abs(ns), initial=0)))
     return np.sum(ws[:, None] * np.float_power(ts[:, None], ns), axis=0)

@@ -33,20 +33,6 @@ STEP_ERR_TOL = 1e-6
 BLOWUP_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
-class MomentFlowState:
-    """Moment vector (sigma_0(x) ... sigma_N(x)) of the x-shifted measure."""
-
-    x: float
-    s: tuple
-    N: int
-    R: float
-
-    def __post_init__(self):
-        if len(self.s) != self.N + 1:
-            raise ValueError("state must hold N + 1 moments")
-
-
 @dataclass(frozen=True, eq=False)
 class PotentialTrace:
     """Sampled potential V = -2 sigma_0 along the flow, plus the raw moments."""
@@ -69,7 +55,8 @@ def moment_bounds(N, R):
 
 
 def init_flow(sigma, N, R):
-    """State at x = 0: sigma_n(0) are the moments of the representing measure."""
+    """Moments sigma_0(0) ... sigma_N(0) of the representing measure: the
+    flow's state at x = 0, as a float64 array."""
     if N < MIN_FLOW_ORDER:
         raise BadParameter(f"truncation order N must be at least {MIN_FLOW_ORDER}")
     setting = Setting.schrodinger(R)
@@ -79,17 +66,7 @@ def init_flow(sigma, N, R):
         raise AdmissibilityRequired(
             f"measure fails the endpoint inequality (value {report.min_value:.6g})"
         )
-    s = tuple(moments(sigma, range(N + 1)).tolist())
-    return MomentFlowState(x=0.0, s=s, N=N, R=R)
-
-
-def flow_derivative(state):
-    """Right-hand side of the truncated hierarchy at the given state.
-
-    The closure sets sigma_{N+1} = 0; the neglected term is bounded by
-    2 R^(N+3) by the moment envelope.
-    """
-    return _kernels._deriv_numpy(np.asarray(state.s, dtype=float))
+    return moments(sigma, range(N + 1))
 
 
 def _truncation_envelope(N, R, x):
@@ -112,11 +89,10 @@ def integrate_flow(sigma, N, R, x_max, step=None):
     """
     if not x_max > 0.0:
         raise BadParameter("x_max must be positive")
-    state0 = init_flow(sigma, N, R)
+    s0 = init_flow(sigma, N, R)
     h = step if step is not None else 1.0 / (20.0 * R)
     n_steps = max(1, int(math.ceil(x_max / h - 1e-12)))
     h = x_max / n_steps
-    s0 = np.asarray(state0.s, dtype=float)
     bounds = moment_bounds(N, R)
 
     sig = np.empty((2 * n_steps + 1, N + 1))
@@ -243,48 +219,6 @@ def riccati_mismatch(trace, ws):
         flow_p = moment_generating(trace.sigmas[idx], w)
         per_w.append((complex(w), float(np.max(np.abs(flow_p - path)))))
     return float(np.max([d for _, d in per_w], initial=0.0)), per_w  # NaN stays NaN
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    passed: bool
-    worst_ratio: float
-    failures: tuple
-
-
-def moment_bounds_ok(state, p_max=0):
-    """Check the moment envelope and its derivative strengthenings.
-
-    Derivatives sigma_n^(p) are formed by differentiating the hierarchy
-    with Leibniz's rule on its convolution (each application consumes one
-    moment index, so order p is checkable for n <= N - p); the bound is
-    |sigma_n^(p)| <= R^(n+p+2) (n+1+p)!/(n+1)!.
-    """
-    s = np.asarray(state.s, dtype=float)
-    R = state.R
-    N = state.N
-    ders = [s]
-    for p in range(p_max):
-        nxt = np.zeros(N + 1)
-        nxt[:-1] = -2.0 * ders[p][1:]
-        for i in range(p + 1):
-            nxt[1:] += math.comb(p, i) * np.convolve(ders[i], ders[p - i])[:N]
-        ders.append(nxt)
-
-    worst = 0.0
-    failures = []
-    for p, arr in enumerate(ders):
-        for n in range(N + 1 - p):
-            bound = math.exp(
-                (n + p + 2) * math.log(R)
-                + math.lgamma(n + 2 + p)
-                - math.lgamma(n + 2)
-            )
-            ratio = abs(arr[n]) / bound
-            worst = max(worst, ratio)
-            if ratio > 1.0 + BOUND_SLACK:
-                failures.append((n, p, float(arr[n]), bound))
-    return BoundsReport(passed=not failures, worst_ratio=float(worst), failures=tuple(failures))
 
 
 def binomial_sum_identity(N1, N2, p):

@@ -9,8 +9,7 @@ import numpy as np
 from reflectionless import Measure, Setting, herglotz
 from reflectionless.errors import FreeOperator, HankelBreakdown
 from reflectionless.herglotz import AdmissibilityReport, admissible_continuous, admissible_discrete
-from reflectionless.jacobi import RatioReport
-from reflectionless.schrodinger import BoundsReport
+from reflectionless.jacobi import JacobiWindow, RatioReport
 from reflectionless.measure import quadrature_atoms, solve_r
 
 
@@ -218,12 +217,14 @@ def _reference_power_moments(f, count):
     """Power moments mu_0..mu_{count-1} of the measure whose m function is
     sum_{k>=1} f[k-1] lam^k, with lam = -w C(w^2) the disk root as a series
     in w = 1/z (C the Catalan series): [w^{n+1}] lam^k is (-1)^k k/(n+1)
-    C(n+1, (n+1-k)/2), and m = -sum mu_n w^{n+1}."""
+    C(n+1, (n+1-k)/2), and m = -sum mu_n w^{n+1}.  That coefficient is an
+    integer, a Catalan-triangle entry, so it is formed exactly in integers."""
     mu = []
     for n in range(count):
         total = mpmath.mpf(0)
         for k in range(n + 1, 0, -2):
-            c = mpmath.mpf(k * math.comb(n + 1, (n + 1 - k) // 2)) / (n + 1)
+            c, rem = divmod(k * math.comb(n + 1, (n + 1 - k) // 2), n + 1)
+            assert rem == 0
             total += f[k - 1] * c if k % 2 else -f[k - 1] * c
         mu.append(total)
     return mu
@@ -395,11 +396,14 @@ def loop_assemble_side(alpha, beta, n_valid, n_rows):
     return a_rows, b_rows
 
 
-def loop_moment_bounds_ok(state, p_max=0):
-    """schrodinger.moment_bounds_ok with each derivative table built one
-    product at a time, differentiating each term of the hierarchy."""
-    R, N = state.R, state.N
-    ders = [np.asarray(state.s, dtype=float)]
+def loop_moment_bounds_ok(s, R, p_max=0):
+    """The moment envelope |sigma_n^(p)| <= R^(n+p+2) (n+1+p)!/(n+1)! for the
+    moment vector s and its x-derivatives up to order p_max, each derivative
+    table built one product at a time by differentiating each term of the
+    hierarchy (order p is checkable for n <= N - p).  Returns (passed,
+    worst_ratio, failures), each failure (n, p, value, bound)."""
+    N = len(s) - 1
+    ders = [np.asarray(s, dtype=float)]
     for p in range(p_max):
         nxt = np.zeros(N + 1)
         for n in range(N + 1):
@@ -417,4 +421,10 @@ def loop_moment_bounds_ok(state, p_max=0):
             worst = max(worst, abs(arr[n]) / bound)
             if abs(arr[n]) / bound > 1.0 + 1e-9:
                 failures.append((n, p, float(arr[n]), bound))
-    return BoundsReport(passed=not failures, worst_ratio=worst, failures=tuple(failures))
+    return not failures, worst, tuple(failures)
+
+
+def free_window(N, R=2.0):
+    """The free operator's window over sites -N..N: a = 1, b = 0."""
+    n = 2 * N + 1
+    return JacobiWindow(-N, N, (1.0,) * n, (0.0,) * n, float(R))

@@ -18,13 +18,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import free_window
 import reflectionless
 from reflectionless import cli, errors, jacobi
 from reflectionless.cli import main
 from reflectionless.herglotz import AdmissibilityReport, Setting, m_value, phi_inv
 from reflectionless.jacobi import JacobiWindow, _assemble_side, m_oracle, reconstruct
 from reflectionless.measure import SUPPORT_MARGIN_REL, Measure, solve_r
-from reflectionless.schrodinger import init_flow, integrate_flow, riccati_oracle
+from reflectionless.schrodinger import MIN_FLOW_ORDER, init_flow, integrate_flow, riccati_oracle
 
 # Most drawn jobs take about 10 ms.  The slowest jobs the CLI's limits admit are
 # flows at the edge of the flow budget: 3.6 s on 2 vCPUs, 4.3 s where moment
@@ -74,10 +75,12 @@ def _allowed(kind, R):
 @st.composite
 def valid_jobs(draw):
     """Measures inside the support region, some pieces within 1e-6 R of its
-    edge; weights range from tiny to inadmissibly large.  N and grid are
-    drawn log-uniformly over their whole accepted range, eta and x_max from
-    [1e-300, 1e300], and step either from [1e-300, 1e300] or as x_max over a
-    step count log-uniform up to the flow budget at this N.  Each job also
+    edge; weights range from tiny to inadmissibly large.  N is drawn
+    log-uniformly from [MIN_FLOW_ORDER, MAX_ORDER] three times in four, and
+    from [1, MAX_ORDER] otherwise; grid log-uniformly over its accepted
+    range, and eta and x_max from [1e-300, 1e300].  Three times in four step
+    is x_max over a step count log-uniform up to the flow budget at this N,
+    and otherwise it is drawn from [1e-300, 1e300].  Each job also
     names a preset, which the example command runs instead of the measure.
     The setting is the command's own for jacobi and schrodinger."""
     command = draw(COMMAND)
@@ -92,11 +95,12 @@ def valid_jobs(draw):
     mass = draw(st.floats(1e-9, 2.0))
     c1, c2 = draw(st.floats(-0.45, 0.45)), draw(st.floats(-0.45, 0.45))
     job = {"setting": kind, "R": R, "atoms": [], "pieces": []}
-    job["N"] = N = round(cli.MAX_ORDER ** draw(st.floats(0.0, 1.0)))
+    least = draw(st.sampled_from([MIN_FLOW_ORDER] * 3 + [1]))
+    job["N"] = N = round(least * (cli.MAX_ORDER / least) ** draw(st.floats(0.0, 1.0)))
     job["grid"] = round(cli.MAX_GRID ** draw(st.floats(0.0, 1.0)))
     job["eta"] = 10.0 ** draw(st.floats(-300.0, 300.0))
     job["x_max"] = 10.0 ** draw(st.floats(-300.0, 300.0))
-    if draw(st.booleans()):
+    if draw(st.sampled_from([False] * 3 + [True])):
         job["step"] = 10.0 ** draw(st.floats(-300.0, 300.0))
     else:
         max_steps = cli.MAX_FLOW_WORK / ((N + 1) ** 2 + cli.FLOW_STEP_COST)
@@ -322,7 +326,7 @@ def test_every_error_type_is_exported():
 
 
 _DELTA0 = Measure.point(0.0, 1.0)
-_FREE = JacobiWindow.free(3)
+_FREE = free_window(3)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import cmath
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +20,7 @@ from helpers import (
     scan_admissible_discrete,
 )
 from reflectionless import herglotz
+from reflectionless.jacobi import reconstruct
 from reflectionless.errors import BranchAmbiguity, NonConvergent, OnSupport
 from reflectionless.herglotz import (
     Setting,
@@ -27,10 +30,8 @@ from reflectionless.herglotz import (
     default_residual_grid,
     f_continuous,
     f_discrete,
-    h_fn,
     herglotz_exp,
     m_value,
-    phi,
     phi_inv,
     reflectionless_residual,
     stieltjes_density,
@@ -49,6 +50,23 @@ class TestSetting:
             setting = Setting.jacobi(R)
             assert 0.0 < setting.r <= 1.0
             assert abs(setting.r + 1.0 / setting.r - R) <= 1e-14 * max(1.0, R)
+
+
+class TestMeasureLifetime:
+    def test_measure_is_freed_after_use(self):
+        # nothing the evaluation leaves behind keeps the measure alive
+        sigma = Measure.with_pieces(
+            [(1.05, 0.001), (-1.02, 0.002)], [(0.92, 0.98, (0.005, 0.0, 0.001))]
+        )
+        setting = Setting.jacobi(2.01)
+        m_value(sigma, setting, 0.3 + 1j, "plus")
+        m_value(sigma, setting, 0.3 + 1j, "minus")
+        assert admissible_discrete(sigma, setting).passed
+        reconstruct(sigma, setting, 10)
+        ref = weakref.ref(sigma)
+        del sigma
+        gc.collect()
+        assert ref() is None
 
 
 class TestF:
@@ -92,35 +110,23 @@ class TestF:
 
 
 class TestPhi:
-    def test_jacobi_values(self):
-        assert phi(JAC4, 1j) == pytest.approx(0.0, abs=1e-16)
-        for theta in np.linspace(0.1, np.pi - 0.1, 9):
-            val = phi(JAC4, cmath.exp(1j * theta))
-            assert val.imag == pytest.approx(0.0, abs=1e-15)
-            assert val.real == pytest.approx(-2 * math.cos(theta), rel=1e-13)
-            assert -2 < val.real < 2
-
-    def test_schrodinger_value(self):
-        assert phi(SCH2, 1j) == pytest.approx(1.0)
-
     def test_inverse_on_branches(self):
         rng = np.random.RandomState(23)
         for _ in range(200):
             # jacobi upper branch: upper half disk
             rad, th = rng.uniform(0.05, 0.95), rng.uniform(0.05, np.pi - 0.05)
             lam = rad * cmath.exp(1j * th)
-            z = phi(JAC4, lam)
-            assert phi_inv(JAC4, z, "upper") == pytest.approx(lam, rel=1e-12)
+            assert phi_inv(JAC4, -lam - 1 / lam, "upper") == pytest.approx(lam, rel=1e-12)
             # jacobi lower branch: exterior reflection
             lam_low = 1.0 / lam
-            assert phi_inv(JAC4, phi(JAC4, lam_low), "lower") == pytest.approx(
+            assert phi_inv(JAC4, -lam_low - 1 / lam_low, "lower") == pytest.approx(
                 lam_low, rel=1e-12
             )
             # schrodinger: second and fourth quadrants
             q2 = complex(-rng.uniform(0.1, 3), rng.uniform(0.1, 3))
-            assert phi_inv(SCH2, phi(SCH2, q2), "upper") == pytest.approx(q2, rel=1e-12)
+            assert phi_inv(SCH2, -q2 * q2, "upper") == pytest.approx(q2, rel=1e-12)
             q4 = -q2
-            assert phi_inv(SCH2, phi(SCH2, q4), "lower") == pytest.approx(q4, rel=1e-12)
+            assert phi_inv(SCH2, -q4 * q4, "lower") == pytest.approx(q4, rel=1e-12)
 
     def test_real_z_ambiguous(self):
         with pytest.raises(BranchAmbiguity):
@@ -458,18 +464,42 @@ class TestPieceRule:
                 _assert_agrees(got, [_pole_reference(p, complex(lam))], tol=1e-10)
 
 
+def _phi(setting, lam):
+    """The conformal map onto C+ u S u C-: -lam - 1/lam or -lam^2."""
+    return -lam - 1 / lam if setting.kind == "jacobi" else -lam * lam
+
+
+def _h_reference(sigma, setting, lam):
+    """m_plus + m_minus at phi(lam) by the partial-fraction formula:
+    (1 - s_{-2})(lam - 1/lam) + C(lam) - C(1/lam) (jacobi) or
+    2 lam + C(lam) - C(-lam) (schrodinger), C the Cauchy transform."""
+    if setting.kind == "jacobi":
+        s2 = moments(sigma, [-2])[0]
+        return (1.0 - s2) * (lam - 1.0 / lam) + cauchy(sigma, lam) - cauchy(sigma, 1.0 / lam)
+    return 2.0 * lam + cauchy(sigma, lam) - cauchy(sigma, -lam)
+
+
+def _m_sum(sigma, setting, lam):
+    z = _phi(setting, lam)
+    return m_value(sigma, setting, z, "plus") + m_value(sigma, setting, z, "minus")
+
+
 class TestH:
+    """The summed function m_plus + m_minus pulled back through phi."""
+
     def test_free_jacobi(self):
         for lam in (0.3 + 0.4j, -0.2 + 0.1j, 0.9j):
-            assert h_fn(ZERO, JAC4, lam) == pytest.approx(lam - 1 / lam, rel=1e-14)
+            assert _m_sum(ZERO, JAC4, lam) == pytest.approx(lam - 1 / lam, rel=1e-14)
 
     def test_delta1_closed_form(self):
         for lam in (0.3 + 0.4j, 0.5j, -0.6 + 0.2j):
             expect = (lam - 1 / lam) / ((1 - lam) * (1 - 1 / lam))
-            assert h_fn(DELTA1, JAC4, lam) == pytest.approx(expect, rel=1e-13)
+            assert _m_sum(DELTA1, JAC4, lam) == pytest.approx(expect, rel=1e-13)
 
     def test_free_schrodinger(self):
-        assert h_fn(ZERO, SCH2, 0.7j) == pytest.approx(1.4j)
+        # lam in the second quadrant, where -lam^2 is in C+
+        for lam in (-0.3 + 0.7j, -1.2 + 0.1j):
+            assert _m_sum(ZERO, SCH2, lam) == pytest.approx(2 * lam, rel=1e-14)
 
     def test_matches_m_sum(self):
         rng = np.random.RandomState(29)
@@ -477,19 +507,13 @@ class TestH:
         for _ in range(25):
             rad, th = rng.uniform(0.1, 0.9), rng.uniform(0.1, np.pi - 0.1)
             lam = rad * cmath.exp(1j * th)
-            z = phi(setting_j, lam)
-            total = m_value(sigma_j, setting_j, z, "plus") + m_value(
-                sigma_j, setting_j, z, "minus"
-            )
-            assert h_fn(sigma_j, setting_j, lam) == pytest.approx(total, rel=1e-10)
+            total = _m_sum(sigma_j, setting_j, lam)
+            assert _h_reference(sigma_j, setting_j, lam) == pytest.approx(total, rel=1e-10)
         sigma_s, setting_s = random_schrodinger_measure(rng)
         for _ in range(25):
             lam = complex(-rng.uniform(0.1, 2), rng.uniform(0.1, 2))
-            z = phi(setting_s, lam)
-            total = m_value(sigma_s, setting_s, z, "plus") + m_value(
-                sigma_s, setting_s, z, "minus"
-            )
-            assert h_fn(sigma_s, setting_s, lam) == pytest.approx(total, rel=1e-10)
+            total = _m_sum(sigma_s, setting_s, lam)
+            assert _h_reference(sigma_s, setting_s, lam) == pytest.approx(total, rel=1e-10)
 
 
 class TestHerglotzExp:

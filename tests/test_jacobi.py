@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from helpers import (
+    free_window,
     loop_assemble_side,
     loop_prop311_check,
     padded_m_oracle,
@@ -196,13 +197,13 @@ class TestMomentsToRecurrence:
 
 class TestMOracle:
     def test_free_values(self):
-        w = JacobiWindow.free(5)
+        w = free_window(5)
         assert m_oracle(w, 2j, "plus") == pytest.approx(1j * (math.sqrt(2) - 1), rel=1e-12)
         assert m_oracle(w, 2j, "minus") == pytest.approx(1j * (math.sqrt(2) + 1), rel=1e-12)
 
     def test_free_minus_expansion(self):
         # a0^2 m_- = z - b0 - sum mu_k z^{-k-1} for the free window
-        w = JacobiWindow.free(5)
+        w = free_window(5)
         z = 40j
         val = m_oracle(w, z, "minus")
         assert val == pytest.approx(z - 1.0 / z, rel=1e-3)
@@ -211,7 +212,7 @@ class TestMOracle:
         # the oracle starts at the window's edge; 200 free sites past it, as
         # the reference walks, must not change a bit on the CLI's grid
         z_grid = np.asarray(ORACLE_GRID + (1j,))
-        windows = [JacobiWindow.free(1), JacobiWindow.free(5)]
+        windows = [free_window(1), free_window(5)]
         # strong couplings carry a rounding change of the seed through to site 0
         windows.append(JacobiWindow(-3, 3, (3.0,) * 7, (0.5,) * 7, 7.0))
         rng = np.random.RandomState(34)
@@ -320,7 +321,7 @@ class TestProp311:
 
     def test_free_window_not_applicable(self):
         with pytest.raises(FreeOperator):
-            prop311_check(JacobiWindow.free(6), 0.5)
+            prop311_check(free_window(6), 0.5)
 
     def test_hand_edited_window_fails(self):
         n = 4

@@ -17,14 +17,12 @@ from reflectionless.errors import (
 )
 from reflectionless.herglotz import Setting
 from reflectionless.measure import (
-    EMPTY_SUPPORT,
     SUPPORT_MARGIN_REL,
     Measure,
     cauchy,
     moment,
     moments,
     solve_r,
-    support_bounds,
     validate,
 )
 
@@ -130,6 +128,20 @@ class TestMoment:
         with pytest.raises(NegativeMomentAtZero):
             moment(mu, -1)
 
+    @pytest.mark.parametrize("a, b", [(-0.2, 0.3), (-0.4, 0.0), (0.0, 0.5)])
+    def test_piece_touching_zero_has_no_negative_moments(self, a, b):
+        mu = Measure.with_pieces([(0.7, 0.5)], [(a, b, (1.0,))])
+        assert moments(mu, [0])[0] == pytest.approx(0.5 + (b - a), rel=1e-14)
+        with pytest.raises(NegativeMomentAtZero):
+            moments(mu, [1, -1])
+
+    def test_negative_moments_next_to_zero(self):
+        # a piece 1e-9 from the origin, and the zero measure, have them
+        for a, b in ((1e-9, 0.5), (-0.5, -1e-9)):
+            mu = Measure.with_pieces([], [(a, b, (1.0,))])
+            assert moment(mu, -1) == pytest.approx(math.log(abs(b / a)), rel=1e-12)
+        assert moments(Measure.zero(), [-2, -1, 0]).tolist() == [0.0, 0.0, 0.0]
+
     def test_piece_polynomial_exactness(self):
         # oracle: numpy's own Chebyshev integration
         a, b, coeffs = 0.3, 0.6, (0.7, 0.2, 0.4)
@@ -157,14 +169,14 @@ class TestMoment:
             ts = rng.uniform(0.3, 2.5, size=rng.randint(1, 5))
             ws = rng.uniform(0.1, 2.0, size=len(ts))
             mu = Measure.from_atoms(zip(ts, ws))
-            info = support_bounds(mu)
+            far, near = float(np.max(np.abs(ts))), float(np.min(np.abs(ts)))
             mass = moment(mu, 0)
             assert mass == pytest.approx(float(np.sum(ws)), rel=1e-14)
             for n in range(0, 6):
-                limit = mass * max(abs(info.min), abs(info.max)) ** n
+                limit = mass * far ** n
                 assert abs(moment(mu, n)) <= limit * (1 + 1e-12)
             for n in range(-5, 0):
-                limit = mass * info.distance_to_zero ** n
+                limit = mass * near ** n
                 assert abs(moment(mu, n)) <= limit * (1 + 1e-12)
             # the vectorized pass over atoms against a per-n loop
             ns = np.arange(-5, 6)
@@ -261,20 +273,15 @@ class TestAtomArrays:
         assert hash(mu) == hash(Measure.from_atoms([(0.7, 0.4), (-1.3, 0.6)]))
 
 
-class TestSupportBounds:
-    def test_single_atom(self):
-        info = support_bounds(Measure.point(1.0, 0.5))
-        assert (info.min, info.max, info.distance_to_zero) == (1.0, 1.0, 1.0)
-
-    def test_two_atoms(self):
-        info = support_bounds(Measure.from_atoms([(-0.5, 1.0), (3.0, 1.0)]))
-        assert (info.min, info.max, info.distance_to_zero) == (-0.5, 3.0, 0.5)
-
-    def test_piece(self):
-        info = support_bounds(measure_with_piece(0.3, 0.6))
-        assert (info.min, info.max, info.distance_to_zero) == (0.3, 0.6, 0.3)
-
-    def test_zero_measure_marker(self):
-        info = support_bounds(Measure.zero())
-        assert info is EMPTY_SUPPORT
-        assert info.empty
+class TestInverseMoments:
+    def test_bit_equal_to_moment(self):
+        for mu in (
+            Measure.from_atoms([(0.7, 0.4), (-1.3, 0.6)]),
+            Measure.with_pieces([(0.7, 0.4)], [(1.1, 1.9, (1.0, 0.0, 0.3))]),
+            measure_with_piece(-0.9, -0.2),
+            Measure.zero(),
+        ):
+            s1, s2 = mu.inverse_moments
+            assert (s1, s2) == (moment(mu, -1), moment(mu, -2))
+            assert np.array([s1, s2]).tobytes() == np.array([moment(mu, -1), moment(mu, -2)]).tobytes()
+            assert mu.inverse_moments is mu.inverse_moments
