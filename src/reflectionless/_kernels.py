@@ -66,13 +66,13 @@ def flow_integrate(s0, h, n_steps, bounds, err_tol):
         y_half = _rk4(_rk4(y, 0.5 * h), 0.5 * h)
         err = float(np.max(np.abs(y_half - y_full) / bounds)) / 15.0
         worst_err = max(worst_err, err)
-        if err > err_tol:
+        if not err <= err_tol:  # a NaN estimate is refused too
             status = FLOW_STEP_TOO_LARGE
             bad_step = k
             break
         y = y_half
         states.append(y.copy())
-        if np.any(np.abs(y) > bounds):
+        if not np.all(np.abs(y) <= bounds):
             status = FLOW_BOUND_VIOLATED
             bad_step = k + 1
             break

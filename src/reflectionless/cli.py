@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import presets
+from . import measure, presets
 from .errors import (
     AdmissibilityRequired,
     BadParameter,
@@ -139,7 +139,7 @@ def _parse_job(obj):
         name = _require(obj, "name", "", str)
         fields = {key: _finite(obj[key], f"/{key}") for key in ("epsilon", "mass") if key in obj}
         try:
-            measure, setting = presets.get(name, **fields)
+            mu, setting = presets.get(name, **fields)
         except BadParameter as exc:
             # each preset reads one field; only an unknown name is the name's fault
             pointer = {"soliton": "/epsilon", "delta0": "/mass"}.get(name, "/name")
@@ -157,7 +157,7 @@ def _parse_job(obj):
             a, b = _require(piece, "a", p), _require(piece, "b", p)
             cheb = _require(piece, "cheb", p, list)
             pieces.append((a, b, tuple(_finite(c, f"{p}/cheb/{j}") for j, c in enumerate(cheb))))
-        measure = Measure.with_pieces(atoms, pieces)
+        mu = Measure.with_pieces(atoms, pieces)
         setting = Setting.jacobi(R) if setting_kind == "jacobi" else Setting.schrodinger(R)
     params = default_params(setting.R)
 
@@ -185,7 +185,7 @@ def _parse_job(obj):
             work = f"ceil(x_max / step) * ((N + 1)^2 + {FLOW_STEP_COST})"
             raise SchemaError("/step", f"{work} must be at most {MAX_FLOW_WORK:g}")
 
-    return Job(command=command, measure=measure, setting=setting, params=params)
+    return Job(command=command, measure=mu, setting=setting, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +204,15 @@ def emit_json(report, path):
     _write(path, text + "\n")
 
 
-def emit_csv(header, rows, path):
+def emit_csv(header, table, path):
+    """A float table under its header, one pass; a row holding a non-finite
+    value is refused by its first cell."""
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        first = _fmt(table[np.argmin(finite), 0])
+        raise NonFiniteOutput(f"non-finite value in {Path(path).name}, row {first}")
     lines = [",".join(header)]
-    for row in rows:
-        if not all(math.isfinite(v) for v in row if isinstance(v, (int, float))):
-            raise NonFiniteOutput(f"non-finite value in {Path(path).name}, row {row[0]!r}")
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float)) else str(v) for v in row))
+    lines.extend(",".join(map(_fmt, row)) for row in table.tolist())
     _write(path, "\n".join(lines) + "\n")
 
 
@@ -247,8 +250,8 @@ def run_check(job, out):
 def run_jacobi(job, out):
     N, setting = job.params["N"], job.setting
     window = reconstruct(job.measure, setting, N)
-    rows = zip(range(window.n_min, window.n_max + 1), window.a, window.b)
-    emit_csv(("n", "a_n", "b_n"), rows, out / "jacobi_window.csv")
+    table = np.column_stack([np.arange(window.n_min, window.n_max + 1), window.a, window.b])
+    emit_csv(("n", "a_n", "b_n"), table, out / "jacobi_window.csv")
     z_grid = np.asarray(ORACLE_GRID)
     residuals = [
         np.abs(m_oracle(window, z_grid, side)
@@ -272,11 +275,8 @@ def run_schrodinger(job, out):
     trace = integrate_flow(job.measure, N, R, job.params["x_max"], step=job.params["step"])
     n_sig = min(N, 8) + 1
     header = ["x", "V"] + [f"sigma_{k}" for k in range(n_sig)]
-    rows = [
-        tuple([trace.xs[i], trace.V[i]] + list(trace.sigmas[i, :n_sig]))
-        for i in range(len(trace.xs))
-    ]
-    emit_csv(header, rows, out / "potential_trace.csv")
+    table = np.column_stack([trace.xs, trace.V, trace.sigmas[:, :n_sig]])
+    emit_csv(header, table, out / "potential_trace.csv")
 
     ws = np.array([0.3 / R, 0.3j / R, -0.3 / R])
     mismatch, _ = riccati_mismatch(trace, ws)
@@ -333,7 +333,7 @@ def run_example(job, out):
 
 def run(job, out_dir="."):
     """Validate the job's measure, then dispatch; returns the exit status."""
-    job.setting.validated(job.measure)
+    measure.validate(job.measure, job.setting)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -364,11 +364,12 @@ class _Parser(argparse.ArgumentParser):
 def build_parser():
     parser = _Parser(
         prog="reflectionless",
+        allow_abbrev=False,
         description="Measure-driven construction and verification of reflectionless operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--input", help="job/measure JSON file")
         p.add_argument("--out", default=".", help="output directory")
         # number flags stay text here: parse_input's checks read them like job-file fields

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, BadR, BranchAmbiguity, NonConvergent
-from .measure import cauchy, quadrature_atoms, solve_r, validate
+from .measure import cauchy, quadrature_atoms, solve_r
 
 ADMISSIBILITY_TOL = 1e-12
 SAMPLES_PER_RAY = 64
@@ -48,9 +48,6 @@ class Setting:
         if not 0.0 < R < math.inf:
             raise BadR(f"schrodinger setting needs 0 < R < inf, got {R}")
         return Setting("schrodinger", float(R), None)
-
-    def validated(self, sigma):
-        return validate(sigma, self.kind, self.R)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, measure
 from .errors import (
     AdmissibilityRequired,
     BadParameter,
@@ -242,7 +242,7 @@ def reconstruct(sigma, setting, N):
         raise BadParameter("window half-width N must be at least 1")
     if setting.kind != "jacobi":
         raise BadR(f"reconstruct needs the jacobi setting, got {setting.kind!r}")
-    setting.validated(sigma)
+    measure.validate(sigma, setting)
     report = admissible_discrete(sigma, setting)
     if not report.passed:
         raise AdmissibilityRequired(

@@ -26,7 +26,7 @@ from .errors import (
     SupportViolation,
 )
 
-SUPPORT_MARGIN_REL = 1e-9  # strict-inside margin, scaled by R
+SUPPORT_MARGIN_REL = 1e-9  # strict-inside margin, relative to each edge of the region
 
 
 @dataclass(frozen=True)
@@ -88,49 +88,45 @@ def solve_r(R):
     return 1.0 / (R / 2.0 + math.sqrt(R - 2.0) * math.sqrt(R + 2.0) / 2.0)
 
 
-def _check_interval_inside(lo, hi, intervals, offender):
-    for a, b in intervals:
-        if a < lo and hi < b:
-            return
-    raise SupportViolation(
-        f"support element {offender} not strictly inside the allowed region", offender
-    )
+def validate(mu, setting):
+    """Check support, weights and densities against a Setting; returns mu.
 
-
-def validate(mu, setting, R):
-    """Check support, weights and densities for the given setting; returns mu.
-
-    setting is 'jacobi' (support strictly inside (-1/r,-r) u (r,1/r) where
-    r + 1/r = R) or 'schrodinger' (support strictly inside (-R, R)).  The
-    margin SUPPORT_MARGIN_REL * R is also the least width of a piece.
+    Each edge of the setting's region moves inward by SUPPORT_MARGIN_REL = d
+    of itself.  jacobi: support in r (1 + d) < |t| < (1 - d) / r, where
+    r + 1/r = R, each piece on one side of 0 and at least d min(|a|, |b|)
+    wide.  schrodinger: support in |t| < R (1 - d), each piece at least d R
+    wide.
     """
-    if setting == "jacobi":
-        r = solve_r(R)
-        m = SUPPORT_MARGIN_REL * R
-        allowed = ((-1.0 / r + m, -r - m), (r + m, 1.0 / r - m))
-    elif setting == "schrodinger":
-        if not 0.0 < R < math.inf:
-            raise BadR(f"schrodinger setting needs 0 < R < inf, got {R}")
-        m = SUPPORT_MARGIN_REL * R
-        allowed = ((-R + m, R - m),)
+    d = SUPPORT_MARGIN_REL
+    jacobi = setting.kind == "jacobi"
+    # every element stays inside (-edge, edge) and, in the jacobi ring, off [-gap, gap]
+    if jacobi:
+        gap, edge = setting.r * (1.0 + d), (1.0 - d) / setting.r
     else:
-        raise BadR(f"unknown setting {setting!r}")
+        gap, edge = -math.inf, setting.R * (1.0 - d)
+
+    def check_inside(a, b, offender):
+        if not (-edge < a and b < edge and (a > gap or b < -gap)):
+            raise SupportViolation(
+                f"support element {offender} not strictly inside the allowed region", offender
+            )
 
     occupied = []
     ts, ws = mu.atom_arrays
     for t, w in zip(ts, ws):
         if not w > 0.0:
             raise NegativeWeight(f"atom at t={t} has weight {w} <= 0")
-        _check_interval_inside(t, t, allowed, t)
+        check_inside(t, t, t)
         occupied.append((t, t))
     for p in mu.pieces:
-        if not p.b - p.a >= m:  # a piece a few ulps wide makes the quadrature rule singular
+        least = d * (min(abs(p.a), abs(p.b)) if jacobi else setting.R)
+        if not p.b - p.a >= least:  # a piece a few ulps wide makes the quadrature rule singular
             raise SupportViolation(
-                f"piece [{p.a}, {p.b}] is narrower than the margin {m:.3g}", (p.a, p.b)
+                f"piece [{p.a}, {p.b}] is narrower than the margin {least:.3g}", (p.a, p.b)
             )
         if not p.cheb:
             raise NegativeWeight(f"piece [{p.a}, {p.b}] has no density coefficients")
-        _check_interval_inside(p.a, p.b, allowed, (p.a, p.b))
+        check_inside(p.a, p.b, (p.a, p.b))
         xs = np.cos(np.pi * np.arange(4 * len(p.cheb) + 33) / (4 * len(p.cheb) + 32))
         vals = _cheb.chebval(xs, p.cheb)
         if np.min(vals) < -1e-12 * max(1.0, np.max(np.abs(vals))):

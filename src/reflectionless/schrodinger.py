@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, measure
 from .errors import (
     AdmissibilityRequired,
     BadParameter,
@@ -60,7 +60,7 @@ def init_flow(sigma, N, R):
     if N < MIN_FLOW_ORDER:
         raise BadParameter(f"truncation order N must be at least {MIN_FLOW_ORDER}")
     setting = Setting.schrodinger(R)
-    setting.validated(sigma)
+    measure.validate(sigma, setting)
     report = admissible_continuous(sigma, setting)
     if not report.passed:
         raise AdmissibilityRequired(

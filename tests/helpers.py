@@ -2,6 +2,7 @@
 reference routes that cross-check the production ones."""
 
 import math
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ from reflectionless import Measure, Setting, herglotz
 from reflectionless.errors import FreeOperator, HankelBreakdown
 from reflectionless.herglotz import AdmissibilityReport, admissible_continuous, admissible_discrete
 from reflectionless.jacobi import JacobiWindow, RatioReport
-from reflectionless.measure import quadrature_atoms, solve_r
+from reflectionless.measure import quadrature_atoms, solve_r, validate
 
 
 def random_jacobi_measure(rng, r_lo=2.002, r_hi=2.05, edge_margin=0.12):
@@ -31,7 +32,7 @@ def random_jacobi_measure(rng, r_lo=2.002, r_hi=2.05, edge_margin=0.12):
     ws = rng.dirichlet(np.ones(n_atoms)) * w_total
     sigma = Measure.from_atoms(zip(ts, ws))
     setting = Setting.jacobi(R)
-    setting.validated(sigma)
+    validate(sigma, setting)
     assert admissible_discrete(sigma, setting).passed
     return sigma, setting
 
@@ -47,7 +48,7 @@ def random_schrodinger_measure(rng, R_lo=1.0, R_hi=3.0, edge_margin=0.1):
     ws = ws * min(1.0, 0.9 / float(np.sum(ws / caps)))
     sigma = Measure.from_atoms(zip(ts, ws))
     setting = Setting.schrodinger(R)
-    setting.validated(sigma)
+    validate(sigma, setting)
     assert admissible_continuous(sigma, setting).passed
     return sigma, setting
 
@@ -115,8 +116,14 @@ def scan_admissible_discrete(sigma, setting):
     )
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """The n-node Gauss-Legendre rule on [-1, 1], formed once per n."""
+    return np.polynomial.legendre.leggauss(n)
+
+
 def _gl_apply(f, a, b, n):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _gauss_legendre(n)
     h = 0.5 * (b - a)
     return h * np.sum(w * f(a + h * (x + 1.0)))
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reflectionless
@@ -11,11 +12,13 @@ from reflectionless.cli import (
     MAX_FLOW_WORK,
     MAX_GRID,
     MAX_ORDER,
+    emit_csv,
     main,
     parse_input,
     run,
 )
-from reflectionless.errors import SchemaError, UnknownCommand
+from reflectionless.errors import NonFiniteOutput, SchemaError, UnknownCommand
+from reflectionless.measure import solve_r
 
 
 class TestParseInput:
@@ -203,6 +206,14 @@ class TestRun:
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
+    def test_csv_cells_and_non_finite_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        emit_csv(("n", "x"), np.array([[-1.0, 0.1], [2.0, 1e-300]]), path)
+        assert path.read_text() == "n,x\n-1,0.10000000000000001\n2,1e-300\n"
+        table = np.array([[0.0, 1.0], [0.1, np.nan]])
+        with pytest.raises(NonFiniteOutput, match=r"t\.csv, row 0\.10000000000000001$"):
+            emit_csv(("x", "V"), table, path)
+
 
 # Two jobs at R well above 2 whose windows the CLI once wrote wrong with exit
 # 0; the true rows come from the mpmath reference (helpers.reference_window).
@@ -268,6 +279,21 @@ class TestMain:
         measure = tmp_path / "m.json"
         measure.write_text(f'{{"setting":"jacobi","R":{R}}}')
         assert main(["check", "--input", str(measure), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("k", [2.0, -10.0])
+    def test_cli_jacobi_atom_near_the_inner_edge(self, tmp_path, k):
+        # an atom at 2r or -10r with R = 1e5, inside the margin while it was 1e-9 R
+        t = k * solve_r(1e5)
+        measure = tmp_path / "m.json"
+        measure.write_text(json.dumps({"setting": "jacobi", "R": 1e5, "atoms": [{"t": t, "w": 1e-3 * t * t}]}))
+        assert main(["jacobi", "--input", str(measure), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("eps", ["1e-9", "1e-12"])
+    def test_cli_soliton_at_tiny_epsilon_is_validated(self, tmp_path, capsys, eps):
+        # the atom at t = 1 lies well inside the ring at R ~ 1/eps; only the
+        # admissibility tolerance refuses it, with exit 2
+        assert main(["example", "--name", "soliton", "--epsilon", eps, "--out", str(tmp_path)]) == 2
+        assert "SupportViolation" not in capsys.readouterr().err
 
     def test_cli_flag_overrides(self, tmp_path):
         measure = tmp_path / "m.json"
@@ -411,6 +437,13 @@ class TestMainRefusals:
         assert json.loads(lines[0])["error"] == error
         assert not (tmp_path / "out").exists()
 
+    def test_nan_flow_refused(self, tmp_path, capsys):
+        # the flow's state is NaN after its first step, which neither of the
+        # kernel's step checks may let through
+        argv = ["example", "--name", "delta0", "--order", "749", "--xmax", "2.96e158", "--step", "6.2e156"]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert _one_error_line(capsys)["error"] == "StepTooLarge"
+
     @pytest.mark.parametrize(
         "text, eta",
         [
@@ -452,8 +485,10 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "argv",
-        [["frobnicate"], ["check", "--frob", "1"], ["jacobi", "--order"], []],
-        ids=["unknown-command", "unknown-flag", "missing-value", "no-command"],
+        [["frobnicate"], ["check", "--frob", "1"], ["jacobi", "--order"], [],
+         ["example", "--nam", "free"], ["example", "--name", "free", "--ord", "5"]],
+        ids=["unknown-command", "unknown-flag", "missing-value", "no-command",
+             "abbreviated-flag", "abbreviated-order"],
     )
     def test_usage_error(self, capsys, argv):
         assert main(argv) == 1

@@ -64,12 +64,14 @@ COMMAND = st.shared(COMMANDS, key="command")
 
 
 def _allowed(kind, R):
-    """The open intervals the support must stay strictly inside."""
-    m = SUPPORT_MARGIN_REL * R
+    """The open intervals the support must stay strictly inside: each edge
+    moved inward by SUPPORT_MARGIN_REL of itself."""
+    d = SUPPORT_MARGIN_REL
     if kind == "jacobi":
         r = solve_r(R)
-        return [(r + m, 1.0 / r - m), (-1.0 / r + m, -r - m)]
-    return [(-R + m, R - m)]
+        lo, hi = r * (1.0 + d), (1.0 - d) / r
+        return [(lo, hi), (-hi, -lo)]
+    return [(-R * (1.0 - d), R * (1.0 - d))]
 
 
 @st.composite

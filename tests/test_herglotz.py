@@ -36,7 +36,7 @@ from reflectionless.herglotz import (
     reflectionless_residual,
     stieltjes_density,
 )
-from reflectionless.measure import Measure, cauchy, moments, quadrature_atoms, solve_r
+from reflectionless.measure import Measure, cauchy, moments, quadrature_atoms, solve_r, validate
 
 JAC4 = Setting.jacobi(4.0)
 SCH2 = Setting.schrodinger(2.0)
@@ -220,7 +220,7 @@ def _two_ring_measures(draw):
                 c1, c2 = draw(st.floats(-0.45, 0.45)), draw(st.floats(-0.45, 0.45))
                 pieces.append((a, b, (w, c1 * w, c2 * w)))
     setting = Setting.jacobi(R)
-    return setting.validated(Measure.with_pieces(atoms, pieces)), setting
+    return validate(Measure.with_pieces(atoms, pieces), setting), setting
 
 
 class TestAdmissibility:
@@ -378,7 +378,7 @@ class TestPieceRule:
     def test_scan_edge_value_is_the_boundary_value(self):
         setting = Setting.jacobi(EDGE_R)
         r = setting.r
-        sigma = setting.validated(Measure.with_pieces([], [(r + 2e-9 * EDGE_R, 1.2, EDGE_CHEB)]))
+        sigma = validate(Measure.with_pieces([], [(r + 2e-9 * EDGE_R, 1.2, EDGE_CHEB)]), setting)
         grid = herglotz._boundary_on_s_grid(herglotz._boundary_atoms(sigma, r), np.array([r]), 1.0)
         edge = boundary_value_discrete(sigma, -EDGE_R)
         assert abs(grid[0] - edge) <= 1e-12
@@ -424,7 +424,7 @@ class TestPieceRule:
         sigma = Measure.with_pieces(
             [], [(-R + gap * R, -1.0, EDGE_CHEB), (0.2, R - gap * R, (0.3, 0.1, 0.02))]
         )
-        Setting.schrodinger(R).validated(sigma)
+        validate(sigma, Setting.schrodinger(R))
         refs = [
             _pole_reference(p, near, lambda t, near=near: 1 / (t + near)).real
             for p, near in zip(sigma.pieces, (-R, R))

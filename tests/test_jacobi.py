@@ -35,7 +35,7 @@ from reflectionless.jacobi import (
     rho_minus_moments,
     rho_plus_moments,
 )
-from reflectionless.measure import Measure, moment, quadrature_atoms, solve_r
+from reflectionless.measure import Measure, moment, quadrature_atoms, solve_r, validate
 from reflectionless.presets import soliton
 
 ZERO = Measure.zero()
@@ -423,7 +423,7 @@ def admissible_atoms(R, atoms):
     ws = np.array([w for _, w in atoms])
     while True:
         sigma = Measure.from_atoms(zip(ts, ws))
-        if admissible_discrete(setting.validated(sigma), setting).passed:
+        if admissible_discrete(validate(sigma, setting), setting).passed:
             return sigma, setting
         ws = 0.5 * ws
 
@@ -470,6 +470,17 @@ class TestAgainstReference:
         sigma, setting = admissible_atoms(R, atoms)
         assert window_error(sigma, setting, N) <= 1e-12
 
+    @pytest.mark.parametrize("R", [1e3, 1e5, 1e9])
+    @pytest.mark.parametrize("ks", [(2.0,), (10.0,), (2.0, -10.0)])
+    def test_atoms_near_the_inner_edge(self, R, ks):
+        # atoms at 2r and 10r of weight 1e-3 t^2, which the support margin
+        # refused while it was 1e-9 R, wider than the inner edge r ~ 1/R
+        setting = Setting.jacobi(R)
+        sigma = Measure.from_atoms([(k * setting.r, 1e-3 * (k * setting.r) ** 2) for k in ks])
+        window = reconstruct(sigma, setting, 10)
+        scale = max(1.0, np.max(np.abs(window.a)), np.max(np.abs(window.b)))
+        assert window_error(sigma, setting, 10) <= 1e-12 * scale
+
     def test_pieces(self):
         # a piece across |t| = 1, so that some of its nodes are deflated and
         # some are not, an atom, and a piece inside the disk on the negative ring
@@ -479,7 +490,7 @@ class TestAgainstReference:
             [(0.9, 1.1, (0.01, 0.003, -0.002)), (-0.95, -0.86, (0.02, -0.005, 0.0))],
         )
         setting = Setting.jacobi(R)
-        assert admissible_discrete(setting.validated(sigma), setting).passed
+        assert admissible_discrete(validate(sigma, setting), setting).passed
         assert window_error(sigma, setting, 80) <= 1e-12
 
     def test_soliton_presets(self):

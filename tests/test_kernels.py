@@ -25,6 +25,14 @@ def test_flow_status_codes():
     assert status == _kernels.FLOW_STEP_TOO_LARGE
 
 
+def test_flow_refuses_nan_states():
+    # NaN compares false both ways, so each step test must be one that NaN fails
+    s0 = np.array([1.0, np.nan, 0.0, 0.0, 0.0])
+    states, status, bad, _ = _kernels.flow_integrate(s0, 0.1, 5, np.full(5, 1e12), 1e-6)
+    assert status == _kernels.FLOW_STEP_TOO_LARGE
+    assert bad == 0 and len(states) == 1
+
+
 def _bits(*arrays):
     return [np.asarray(x).tobytes() for x in arrays]
 

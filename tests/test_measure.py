@@ -36,45 +36,45 @@ def measure_with_piece(a=0.3, b=0.6, coeffs=(1.0, 0.0, 0.25)):
 class TestValidate:
     def test_zero_measure_always_valid(self):
         mu = Measure.zero()
-        assert validate(mu, "jacobi", 2.0) is mu
-        assert validate(mu, "schrodinger", 0.5) is mu
+        assert validate(mu, Setting.jacobi(2.0)) is mu
+        assert validate(mu, Setting.schrodinger(0.5)) is mu
 
     def test_atom_inside_ring(self):
         # r + 1/r = 4 has r = 2 - sqrt(3); then r < 1 < 1/r
         r = solve_r(4.0)
         assert r == pytest.approx(2.0 - math.sqrt(3.0), rel=1e-14)
         mu = Measure.point(1.0, 0.75)
-        assert validate(mu, "jacobi", 4.0) is mu
+        assert validate(mu, Setting.jacobi(4.0)) is mu
 
     def test_schrodinger_support_violation(self):
         with pytest.raises(SupportViolation):
-            validate(Measure.point(2.5, 1.0), "schrodinger", 2.0)
+            validate(Measure.point(2.5, 1.0), Setting.schrodinger(2.0))
 
     def test_jacobi_ring_violation(self):
         with pytest.raises(SupportViolation):
-            validate(Measure.point(1.0, 1.0), "jacobi", 2.0)  # empty ring at R = 2
+            validate(Measure.point(1.0, 1.0), Setting.jacobi(2.0))  # empty ring at R = 2
         with pytest.raises(SupportViolation):
-            validate(Measure.point(0.1, 1.0), "jacobi", 4.0)  # inside the inner gap
+            validate(Measure.point(0.1, 1.0), Setting.jacobi(4.0))  # inside the inner gap
 
     def test_endpoint_atom_rejected(self):
         r = solve_r(4.0)
         with pytest.raises(SupportViolation):
-            validate(Measure.point(r, 1.0), "jacobi", 4.0)
+            validate(Measure.point(r, 1.0), Setting.jacobi(4.0))
 
     def test_negative_weight(self):
         with pytest.raises(NegativeWeight):
-            validate(Measure.point(1.0, -0.5), "jacobi", 4.0)
+            validate(Measure.point(1.0, -0.5), Setting.jacobi(4.0))
 
     def test_negative_density(self):
         mu = Measure.with_pieces([], [(0.5, 0.9, (0.0, 1.0))])  # odd: negative at left
         with pytest.raises(NegativeWeight):
-            validate(mu, "jacobi", 4.0)
+            validate(mu, Setting.jacobi(4.0))
 
     def test_bad_r(self):
         with pytest.raises(BadR):
-            validate(Measure.zero(), "jacobi", 1.5)
+            validate(Measure.zero(), Setting.jacobi(1.5))
         with pytest.raises(BadR):
-            validate(Measure.zero(), "schrodinger", 0.0)
+            validate(Measure.zero(), Setting.schrodinger(0.0))
 
     @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
     def test_non_finite_r(self, R):
@@ -84,7 +84,7 @@ class TestValidate:
             with pytest.raises(BadR):
                 setting(R)
         with pytest.raises(BadR):
-            validate(Measure.zero(), "schrodinger", R)
+            validate(Measure.zero(), Setting.schrodinger(R))
 
     @pytest.mark.parametrize("R", [2.0, 2.0 + 4e-16, 2.01, 1e8, 1e9, 1e154, 1e300, 1.7e308])
     def test_solve_r_against_mpmath(self, R):
@@ -96,19 +96,125 @@ class TestValidate:
     def test_overlapping_pieces(self):
         mu = Measure.with_pieces([], [(0.4, 0.7, (1.0,)), (0.6, 0.9, (1.0,))])
         with pytest.raises(SupportViolation):
-            validate(mu, "jacobi", 4.0)
+            validate(mu, Setting.jacobi(4.0))
 
     def test_piece_narrower_than_margin_rejected(self):
-        m = SUPPORT_MARGIN_REL * 4.0
+        m = SUPPORT_MARGIN_REL * 1.0  # the jacobi least width, relative to the piece's near end
         with pytest.raises(SupportViolation):
-            validate(Measure.with_pieces([], [(1.0, 1.0 + 0.5 * m, (1.0,))]), "jacobi", 4.0)
+            validate(Measure.with_pieces([], [(1.0, 1.0 + 0.5 * m, (1.0,))]), Setting.jacobi(4.0))
         mu = Measure.with_pieces([], [(1.0, 1.0 + 2.0 * m, (1.0,))])
-        assert validate(mu, "jacobi", 4.0) is mu
+        assert validate(mu, Setting.jacobi(4.0)) is mu
 
     def test_empty_density_rejected(self):
         mu = Measure.with_pieces([], [(0.4, 0.7, ())])
         with pytest.raises(NegativeWeight):
-            validate(mu, "jacobi", 4.0)
+            validate(mu, Setting.jacobi(4.0))
+
+
+D = SUPPORT_MARGIN_REL
+
+
+class TestSupportRule:
+    """Each edge of the setting's region moves inward by SUPPORT_MARGIN_REL
+    of itself: r (1 + d) < |t| < (1 - d) / r in the jacobi ring, |t| < R (1 - d)
+    on the schrodinger line."""
+
+    @pytest.mark.parametrize("R", [2.5, 4.0, 1e3, 1e5, 1e9, 1e300])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_jacobi_edges(self, R, sign):
+        setting = Setting.jacobi(R)
+        r = setting.r
+        for t in (r * (1.0 + 2.0 * D), (1.0 - 2.0 * D) / r):
+            mu = Measure.point(sign * t, 1.0)
+            assert validate(mu, setting) is mu
+        for t in (r * (1.0 + 0.5 * D), (1.0 - 0.5 * D) / r, r, 1.0 / r):
+            with pytest.raises(SupportViolation):
+                validate(Measure.point(sign * t, 1.0), setting)
+        # pieces reaching each edge from inside, and past it
+        lo, hi = r * (1.0 + 2.0 * D), (1.0 - 2.0 * D) / r
+        for ends in ((lo, 2.0 * lo), (0.5 * hi, hi)):
+            mu = Measure.with_pieces([], [(*sorted(sign * x for x in ends), (1.0,))])
+            assert validate(mu, setting) is mu
+        lo, hi = r * (1.0 + 0.5 * D), (1.0 - 0.5 * D) / r
+        for ends in ((lo, 2.0 * lo), (0.5 * hi, hi)):
+            mu = Measure.with_pieces([], [(*sorted(sign * x for x in ends), (1.0,))])
+            with pytest.raises(SupportViolation, match="not strictly inside"):
+                validate(mu, setting)
+
+    @pytest.mark.parametrize("R", [1e-3, 0.5, 2.0, 1e9])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_schrodinger_edges(self, R, sign):
+        setting = Setting.schrodinger(R)
+        for t in (0.0, R * (1.0 - 2.0 * D)):
+            mu = Measure.point(sign * t, 1.0)
+            assert validate(mu, setting) is mu
+        with pytest.raises(SupportViolation):
+            validate(Measure.point(sign * R * (1.0 - 0.5 * D), 1.0), setting)
+        inside = (-0.5 * R, R * (1.0 - 2.0 * D)) if sign > 0 else (-R * (1.0 - 2.0 * D), 0.5 * R)
+        mu = Measure.with_pieces([], [(*inside, (1.0,))])
+        assert validate(mu, setting) is mu
+        past = (-0.5 * R, R * (1.0 - 0.5 * D)) if sign > 0 else (-R * (1.0 - 0.5 * D), 0.5 * R)
+        with pytest.raises(SupportViolation, match="not strictly inside"):
+            validate(Measure.with_pieces([], [(*past, (1.0,))]), setting)
+        # the least width is D R wherever the piece sits
+        for width, ok in ((2.0 * D * R, True), (0.5 * D * R, False)):
+            mu = Measure.with_pieces([], [(sign * 0.1 * R, sign * 0.1 * R + width, (1.0,))])
+            if ok:
+                assert validate(mu, setting) is mu
+            else:
+                with pytest.raises(SupportViolation, match="narrower"):
+                    validate(mu, setting)
+
+    @pytest.mark.parametrize("R", [4.0, 1e5, 1e9])
+    @pytest.mark.parametrize("near", ["inner", "outer"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_jacobi_least_width(self, R, near, sign):
+        setting = Setting.jacobi(R)
+        t = 2.0 * setting.r if near == "inner" else 0.5 / setting.r
+        for width, ok in ((2.0 * D * t, True), (0.5 * D * t, False)):
+            a, b = sorted((sign * t, sign * (t + width)))
+            mu = Measure.with_pieces([], [(a, b, (1.0,))])
+            if ok:
+                assert validate(mu, setting) is mu
+            else:
+                with pytest.raises(SupportViolation, match="narrower"):
+                    validate(mu, setting)
+
+    @pytest.mark.parametrize("R", [4.0, 1e5])
+    def test_jacobi_piece_across_the_gap_rejected(self, R):
+        setting = Setting.jacobi(R)
+        for a, b in ((-1.0, 1.0), (-2.0 * setting.r, 2.0 * setting.r), (0.0, 1.0), (-1.0, 0.0)):
+            with pytest.raises(SupportViolation, match="not strictly inside"):
+                validate(Measure.with_pieces([], [(a, b, (1.0,))]), setting)
+
+    @pytest.mark.parametrize("R", [1e3, 1e5, 1e9])
+    def test_atoms_near_the_inner_edge_accepted(self, R):
+        # refused while the margin was 1e-9 R, wider than the inner edge r ~ 1/R
+        setting = Setting.jacobi(R)
+        r = setting.r
+        mu = Measure.from_atoms([(2.0 * r, 1.0), (-10.0 * r, 1.0), (11.5 * r, 1.0)])
+        assert validate(mu, setting) is mu
+
+    @pytest.mark.parametrize(
+        "atoms, pieces, error, message",
+        [
+            ([(5.0, -1.0)], [], NegativeWeight, "atom at t=5.0"),
+            ([(1.0, 1.0), (0.1, 1.0)], [(0.4, 0.7, (1.0,)), (0.6, 0.9, (1.0,))],
+             SupportViolation, "support element 0.1 "),
+            ([], [(5.0, 5.0 + 1e-12, ())], SupportViolation, "piece [5.0, 5.000000000001] is narrower"),
+            ([], [(5.0, 6.0, ())], NegativeWeight, "piece [5.0, 6.0] has no density"),
+            ([], [(5.0, 6.0, (0.0, 1.0))], SupportViolation, "support element (5.0, 6.0) "),
+            ([], [(0.5, 0.9, (0.0, 1.0)), (0.6, 0.7, (1.0,))], NegativeWeight, "density negative"),
+            ([(0.65, 1.0)], [(0.6, 0.7, (1.0,))], SupportViolation, "support elements overlap"),
+        ],
+        ids=["weight-first", "atoms-before-overlap", "width-first", "coefficients-before-region",
+             "region-before-density", "density-before-overlap", "overlap"],
+    )
+    def test_first_fault_reported(self, atoms, pieces, error, message):
+        # the order of the checks is kept, so each measure's first fault is the one reported
+        with pytest.raises(error) as info:
+            validate(Measure.with_pieces(atoms, pieces), Setting.jacobi(4.0))
+        assert str(info.value).startswith(message)
 
 
 class TestMoment:
