@@ -310,7 +310,7 @@ def run_verify(job, out):
         payload["asymptotic_y_m_plus_iy"] = [val.real, val.imag]
         payload["asymptotic_error"] = abs(val - 1j)
     else:
-        y = 100.0 * setting.R ** 2
+        y = 100.0 * (setting.R * setting.R)
         z = complex(-y, 1e-8 * y)
         val = m_value(job.measure, setting, z, "plus")
         payload["asymptotic_m_plus_minus_y"] = [val.real, val.imag]

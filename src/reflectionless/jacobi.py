@@ -37,7 +37,7 @@ from .errors import (
     MomentMismatch,
 )
 from .herglotz import admissible_discrete, outer_root
-from .measure import moments, quadrature_atoms
+from .measure import moment, quadrature_atoms
 
 BREAKDOWN_TOL = 1e-12
 
@@ -129,7 +129,8 @@ def rho_minus_moments(sigma, K):
     - a_{-1}^2 sum mu_k z^{-k-1}, which is rho+ of the mirrored nodes
     (1/t, w/(t^2 q)) with q = 1 - s_{-2} + s_0.
     """
-    s1, s2, s0 = moments(sigma, [-1, -2, 0])
+    s1, s2 = sigma.inverse_moments
+    s0 = moment(sigma, 0)
     if not s2 < 1.0:
         raise InadmissibleSigma(f"needs s_{{-2}} < 1, got {s2}")
     a0 = (1.0 - s2) ** -0.5
@@ -203,32 +204,23 @@ def _add_nodes(alpha, beta, nodes):
 def moments_to_recurrence(m, N):
     """Three-term recurrence coefficients of the orthonormal polynomials.
 
-    Returns (alpha, beta, n_valid) with beta[0] the total mass and
-    sqrt(beta[k]) the off-diagonal entries.  n_valid counts the rows before
-    the first pivot of the deflated part at or below BREAKDOWN_TOL; the rows
-    from there on are NaN.
+    Returns (alpha, beta) with beta[0] the total mass and sqrt(beta[k]) the
+    off-diagonal entries.  Raises HankelBreakdown at the first pivot of the
+    deflated part at or below BREAKDOWN_TOL.
     """
     if len(m.nu) < 2 * N:
         raise HankelBreakdown(N, f"need {2 * N} moments for {N} rows, have {len(m.nu)}")
     alpha, beta = _wheeler(m.nu, N)
     bad = np.flatnonzero(~(beta[1:] > BREAKDOWN_TOL))
-    n_valid = int(bad[0]) + 1 if bad.size else N
-    alpha[n_valid:] = beta[n_valid:] = np.nan  # added nodes must not revive a failed row
+    if bad.size:
+        raise HankelBreakdown(int(bad[0]) + 2,
+                              "moment pivot failed within the rows the window needs")
     _add_nodes(alpha, beta, m.nodes)
-    return alpha, beta, n_valid
+    return alpha, beta
 
 
 # ---------------------------------------------------------------------------
 # window assembly
-
-
-def _assemble_side(alpha, beta, n_valid, n_rows):
-    """The (a, b) site lists of one side, straight from its recurrence rows:
-    a_k = sqrt(beta_k) and b_k = alpha_{k-1} for k = 1..n_rows.  A pivot
-    that failed within those rows signals deficient moments."""
-    if n_valid <= n_rows:
-        raise HankelBreakdown(n_valid + 1, "moment pivot failed within the rows the window needs")
-    return np.sqrt(beta[1:n_rows + 1]), alpha[:n_rows]
 
 
 def reconstruct(sigma, setting, N):
@@ -252,13 +244,11 @@ def reconstruct(sigma, setting, N):
     K = 2 * N + 2
     plus = rho_plus_moments(sigma, K)
     minus = rho_minus_moments(sigma, K)
-    alp, bep, nvp = moments_to_recurrence(plus, N + 1)
-    alm, bem, nvm = moments_to_recurrence(minus, N + 1)
-
-    a_plus, b_plus = _assemble_side(alp, bep, nvp, N)
-    a_minus, b_minus = _assemble_side(alm, bem, nvm, N)
-    a = np.concatenate([a_minus[:N - 1][::-1], [minus.a_minus1, minus.a0], a_plus])
-    b = np.concatenate([b_minus[::-1], [minus.b0], b_plus])
+    alp, bep = moments_to_recurrence(plus, N + 1)
+    alm, bem = moments_to_recurrence(minus, N + 1)
+    # side site k = 1..N: a_k = sqrt(beta_k) and b_k = alpha_{k-1}
+    a = np.concatenate([np.sqrt(bem[N - 1:0:-1]), [minus.a_minus1, minus.a0], np.sqrt(bep[1:])])
+    b = np.concatenate([alm[N - 1::-1], [minus.b0], alp[:N]])
 
     if np.min(a) < 1.0 - 1e-9:
         raise MomentMismatch(
@@ -329,8 +319,6 @@ def m_oracle(J, z, side):
 class RatioReport:
     passed: bool
     worst_margin: float
-    n_pairs: int
-    ratios: tuple
 
 
 def prop311_check(J, r, min_excess=1e-6):
@@ -349,10 +337,6 @@ def prop311_check(J, r, min_excess=1e-6):
     if not pairs.size:
         raise FreeOperator("no adjacent pair above min_excess")
     rho = excess[pairs + 1] / excess[pairs]
-    worst = min(np.min(rho - r * r), np.min(1.0 / (r * r) - rho))
-    return RatioReport(
-        passed=bool(worst > 0.0),
-        worst_margin=float(worst),
-        n_pairs=len(pairs),
-        ratios=tuple(zip((J.n_min + pairs).tolist(), rho.tolist())),
-    )
+    # 1/r/r, not 1/(r*r): where r^2 underflows the upper bound is inf
+    worst = min(np.min(rho - r * r), np.min(1.0 / r / r - rho))
+    return RatioReport(passed=bool(worst > 0.0), worst_margin=float(worst))

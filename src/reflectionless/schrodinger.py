@@ -3,8 +3,8 @@
 The shifted potentials carry a moment sequence sigma_n(x) obeying the closed
 hierarchy s0' = -2 s1, sn' = -2 s_{n+1} + sum_{j<n} s_j s_{n-1-j}, with the
 potential read off as V(x) = -2 sigma_0(x).  Truncating at order N closes the
-system with sigma_{N+1} = 0; the moment bound |sigma_n| <= R^{n+2} turns that
-closure into a certified error budget and doubles as a runtime sanity check.
+system with sigma_{N+1} = 0; the moment bound |sigma_n| <= R^{n+2} bounds that
+closure by an a priori envelope, not an error estimate, and is a runtime check.
 An independent Riccati integration of p' = -V + p^2 - (2/w) p cross-validates
 the flow through the generating function p(x, w) = sum sigma_n(x) w^{n+1}.
 """
@@ -75,7 +75,10 @@ def _truncation_envelope(N, R, x):
     footprint for |x| below the analyticity scale 1/R."""
     if x <= 0.0:
         return 0.0
-    return 2.0 * math.exp((N + 3) * math.log(R) + N * math.log(2.0 * x) - math.lgamma(N + 1))
+    try:
+        return 2.0 * math.exp((N + 3) * math.log(R) + N * math.log(2.0 * x) - math.lgamma(N + 1))
+    except OverflowError:
+        return math.inf
 
 
 def integrate_flow(sigma, N, R, x_max, step=None):

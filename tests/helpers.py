@@ -371,36 +371,16 @@ def loop_prop311_check(J, r, min_excess=1e-6):
     idx = [i for i in range(len(a)) if excess[i] > min_excess]
     if not idx:
         raise FreeOperator("window is free to within min_excess; ratio check not applicable")
-    lo, hi = r * r, 1.0 / (r * r)
-    ratios = []
-    worst = math.inf
+    lo, hi = r * r, 1.0 / r / r
+    worst, pairs = math.inf, 0
     for i in range(len(a) - 1):
         if excess[i] > min_excess and excess[i + 1] > min_excess:
             rho = excess[i + 1] / excess[i]
-            ratios.append((J.n_min + i, float(rho)))
             worst = min(worst, rho - lo, hi - rho)
-    if not ratios:
+            pairs += 1
+    if not pairs:
         raise FreeOperator("no adjacent pair above min_excess")
-    return RatioReport(
-        passed=bool(worst > 0.0),
-        worst_margin=float(worst),
-        n_pairs=len(ratios),
-        ratios=tuple(ratios),
-    )
-
-
-def loop_assemble_side(alpha, beta, n_valid, n_rows):
-    """jacobi._assemble_side one recurrence row at a time."""
-    a_rows = np.empty(n_rows)
-    b_rows = np.empty(n_rows)
-    for k in range(n_rows):
-        if k + 1 >= n_valid and n_valid < len(beta):
-            raise HankelBreakdown(
-                n_valid + 1, "moment pivot failed within the rows the window needs"
-            )
-        a_rows[k] = math.sqrt(beta[k + 1])
-        b_rows[k] = alpha[k]
-    return a_rows, b_rows
+    return RatioReport(passed=bool(worst > 0.0), worst_margin=float(worst))
 
 
 def loop_moment_bounds_ok(s, R, p_max=0):

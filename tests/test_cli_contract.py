@@ -23,7 +23,7 @@ import reflectionless
 from reflectionless import cli, errors, jacobi
 from reflectionless.cli import main
 from reflectionless.herglotz import AdmissibilityReport, Setting, m_value, phi_inv
-from reflectionless.jacobi import JacobiWindow, _assemble_side, m_oracle, reconstruct
+from reflectionless.jacobi import JacobiWindow, m_oracle, moments_to_recurrence, reconstruct
 from reflectionless.measure import SUPPORT_MARGIN_REL, Measure, solve_r
 from reflectionless.schrodinger import MIN_FLOW_ORDER, init_flow, integrate_flow, riccati_oracle
 
@@ -163,7 +163,9 @@ def _assert_contract(command, payload, flags=()):
         assert status in (0, 1, 2)
         if status == 1:
             assert len(lines) == 1
-            assert "error" in json.loads(lines[0])
+            error = getattr(errors, json.loads(lines[0])["error"], None)
+            assert isinstance(error, type), lines[0]
+            assert issubclass(error, errors.ReflectionlessError), lines[0]
         else:
             assert len(lines) <= 1
             _assert_finite_artifacts(out)
@@ -200,6 +202,9 @@ def test_valid_jobs_meet_the_contract(command, job):
 @example("jacobi", {"setting": "schrodinger", "R": 2.0, "atoms": [{"t": 1e-300, "w": 1e-300}]})
 @example("verify", {"setting": "schrodinger", "R": 1e300})
 @example("schrodinger", {"setting": "schrodinger", "R": 1e300})
+# past the float range: the truncation envelope and verify's R^2 are inf, not an OverflowError
+@example("schrodinger", {"setting": "schrodinger", "R": 1e130, "atoms": [{"t": 0.5, "w": 0.01}]})
+@example("verify", {"setting": "schrodinger", "R": 1e155, "atoms": [{"t": 0.5, "w": 0.01}]})
 @example("example", {"name": "soliton", "epsilon": [1]})
 @example("example", {"name": "delta0", "mass": {"a": 1}})
 def test_boundary_numbers_meet_the_contract(command, job):
@@ -245,6 +250,9 @@ def flag_argv(draw):
 )
 @example("jacobi", README_MEASURE, ["--order", "abc"])
 @example("jacobi", README_MEASURE, ["--order", "1.5"])
+# r^2 underflows to 0 at R = 1e170: the ratio check's bounds are (0, inf)
+@example("jacobi", {"setting": "jacobi", "R": 1e170, "atoms": [{"t": 1.5, "w": 0.01}]},
+         ["--order", "10"])
 @example("jacobi", README_MEASURE, ["--eta", "x"])
 @example("jacobi", README_MEASURE, ["--frob", "1"])
 @example("jacobi", README_MEASURE, ["--order"])
@@ -282,16 +290,17 @@ def test_non_finite_result_is_refused(tmp_path, capsys, monkeypatch, command, na
 
 
 def _low_coupling(*args):
-    a, b = _assemble_side(*args)
-    a[0] = 0.5
-    return a, b
+    # a_1 = sqrt(beta_1) = 0.5 on each side
+    alpha, beta = moments_to_recurrence(*args)
+    beta[1] = 0.25
+    return alpha, beta
 
 
 def _ratio_jump(*args):
     # excess ratio 100 between sites 1 and 2, beyond 1/r^2 = 4 at R = 2.5
-    a, b = _assemble_side(*args)
-    a[1] = math.sqrt(1.0 + 100.0 * (a[0] ** 2 - 1.0))
-    return a, b
+    alpha, beta = moments_to_recurrence(*args)
+    beta[2] = 1.0 + 100.0 * (beta[1] - 1.0)
+    return alpha, beta
 
 
 def _run_one_error(tmp_path, capsys, command, out):
@@ -308,7 +317,7 @@ def _run_one_error(tmp_path, capsys, command, out):
     [(_low_coupling, "a_n >= 1 - 1e-9"), (_ratio_jump, "adjacent ratio")],
 )
 def test_window_postconditions_raise_moment_mismatch(tmp_path, capsys, monkeypatch, patched, postcondition):
-    monkeypatch.setattr(jacobi, "_assemble_side", patched)
+    monkeypatch.setattr(jacobi, "moments_to_recurrence", patched)
     err = _run_one_error(tmp_path, capsys, "jacobi", tmp_path / "out")
     assert err["error"] == "MomentMismatch"
     assert postcondition in err["message"]
