@@ -61,7 +61,11 @@ class AdmissibilityRequired(ReflectionlessError):
 
 
 class FreeOperator(ReflectionlessError):
-    """Check is not applicable to (numerically) free coefficient windows."""
+    """Check is not applicable to (numerically) free coefficient windows.
+
+    Nothing in the library raises it; perfbench/ops.py still names it in an
+    except clause until the benchmark's next change.
+    """
 
 
 class TruncationBlowup(ReflectionlessError):

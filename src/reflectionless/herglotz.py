@@ -148,8 +148,8 @@ def boundary_value_discrete(sigma, E):
     quadratic factored as (t - p)(t - 1/p), roots on the sign(-E) side;
     p = 2 / (|E| + sqrt(E^2 - 4)) is the small root without cancellation."""
     E = float(E)
-    if abs(E) < 2.0:
-        raise ValueError("boundary function needs |E| >= 2")
+    if not abs(E) >= 2.0:
+        raise BadParameter("boundary function needs |E| >= 2")
     a = abs(E)
     s = 2.0 / (a + math.sqrt((a - 2.0) * (a + 2.0)))
     atoms = _boundary_atoms(sigma, s)
@@ -184,7 +184,7 @@ def admissible_discrete(sigma, setting):
         k = int(np.nanargmin(vals))
         if vals[k] < best_val:
             best_val, best_E = float(vals[k]), float(E_arr[k])
-        samples.extend((float(E), float(v)) for E, v in zip(E_arr[:-1], vals[:-1]))
+        samples.extend(zip(E_arr[:-1].tolist(), vals[:-1].tolist()))
     return AdmissibilityReport(
         passed=bool(best_val > ADMISSIBILITY_TOL),
         min_value=best_val,
@@ -223,7 +223,7 @@ def herglotz_exp(xi, C, z):
     continuous here because t - z stays on one side of the cut.
     """
     if not C > 0.0:
-        raise ValueError("herglotz_exp needs C > 0")
+        raise BadParameter("herglotz_exp needs C > 0")
     z = complex(z)
     total = 0.0 + 0.0j
 
@@ -234,7 +234,7 @@ def herglotz_exp(xi, C, z):
 
     for a, b, v in xi:
         if not -1e-12 <= v <= 1.0 + 1e-12:
-            raise ValueError(f"xi value {v} outside [0, 1]")
+            raise BadParameter(f"xi value {v} outside [0, 1]")
         if v != 0.0:
             total += v * (antiderivative(b) - antiderivative(a))
     return C * cmath.exp(total)

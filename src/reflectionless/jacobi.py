@@ -31,7 +31,6 @@ from .errors import (
     AdmissibilityRequired,
     BadParameter,
     BadR,
-    FreeOperator,
     HankelBreakdown,
     InadmissibleSigma,
     MomentMismatch,
@@ -40,6 +39,7 @@ from .herglotz import admissible_discrete, outer_root
 from .measure import moment, quadrature_atoms
 
 BREAKDOWN_TOL = 1e-12
+MIN_EXCESS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,9 @@ class JacobiWindow:
 
     def __post_init__(self):
         if not (self.n_min <= 0 <= self.n_max):
-            raise ValueError("window must contain site 0")
+            raise BadParameter("window must contain site 0")
         if len(self.a) != self.n_max - self.n_min + 1 or len(self.b) != len(self.a):
-            raise ValueError("coefficient arrays must match the window")
+            raise BadParameter("coefficient arrays must match the window")
 
     def a_at(self, n):
         return self.a[n - self.n_min] if self.n_min <= n <= self.n_max else 1.0
@@ -74,15 +74,10 @@ class AsymptoticMoments:
     rho_0 against the monic free-basis polynomials U_k(x/2), and nodes the
     (E, mass) pairs that rho adds to rho_0 off [-2, 2]: its eigenvalues, or
     quadrature nodes of the image of a density piece inside the unit disk.
-    The boundary coefficients a0, b0 and a_minus1 are set on the minus side
-    only.
     """
 
     nu: tuple
     nodes: tuple
-    a0: float = None
-    b0: float = None
-    a_minus1: float = None
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +116,7 @@ def rho_plus_moments(sigma, K):
 
 
 def rho_minus_moments(sigma, K):
-    """Deflated free-basis moments and nodes of rho- plus the boundary
+    """Deflated free-basis moments and nodes of rho-, and the site-0
     coefficients (a0, b0, a_{-1}).
 
     a0 = (1 - s_{-2})^{-1/2} and b0 = -s_{-1}/(1 - s_{-2}); the |lambda| ->
@@ -141,7 +136,7 @@ def rho_minus_moments(sigma, K):
     a_minus1 = a0 * math.sqrt(q)
     ts, ws = quadrature_atoms(sigma, (0.0,), K + 2)
     nu, nodes = _deflated_moments(1.0 / ts, ws / (ts * ts * q), K)
-    return AsymptoticMoments(nu=nu, nodes=nodes, a0=a0, b0=b0, a_minus1=a_minus1)
+    return AsymptoticMoments(nu=nu, nodes=nodes), (a0, b0, a_minus1)
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +147,11 @@ def _wheeler(nu_monic, N):
     """Modified Chebyshev algorithm on moments against the monic free-basis
     polynomials U_k(x/2) (alpha-hat = 0, beta-hat = 1) -> (alpha, beta).
     Row k of the mixed moments, sigma_k[l] for k <= l < 2N - k, is an array
-    from l = k written in place over row k - 2; rows from the first
-    exact-zero pivot on are NaN."""
+    from l = k written in place over row k - 2.  Raises HankelBreakdown at the
+    first row whose pivot beta_k is not above BREAKDOWN_TOL."""
     K = 2 * N
-    alpha = np.full(N, np.nan)
-    beta = np.full(N, np.nan)
+    alpha = np.empty(N)
+    beta = np.empty(N)
     prev = np.zeros(K + 2)  # sigma_{-1}, from l = -1
     sig = np.array(nu_monic[:K], dtype=float)  # sigma_0, from l = 0
     alpha[0] = sig[1] / sig[0]
@@ -171,10 +166,11 @@ def _wheeler(nu_monic, N):
         np.subtract(t, new, new)
         new += sig[:-2]
         n0, n1 = new[:2].tolist()
-        if n0 == 0.0 or p0 == 0.0:
-            break
+        pivot = n0 / p0 if p0 != 0.0 else math.nan
+        if not pivot > BREAKDOWN_TOL:
+            raise HankelBreakdown(k + 1, "moment pivot failed within the rows the window needs")
         alpha[k] = n1 / n0 - p1 / p0
-        beta[k] = n0 / p0
+        beta[k] = pivot
         prev, sig, p0, p1 = sig, new, n0, n1
     return alpha, beta
 
@@ -211,10 +207,6 @@ def moments_to_recurrence(m, N):
     if len(m.nu) < 2 * N:
         raise HankelBreakdown(N, f"need {2 * N} moments for {N} rows, have {len(m.nu)}")
     alpha, beta = _wheeler(m.nu, N)
-    bad = np.flatnonzero(~(beta[1:] > BREAKDOWN_TOL))
-    if bad.size:
-        raise HankelBreakdown(int(bad[0]) + 2,
-                              "moment pivot failed within the rows the window needs")
     _add_nodes(alpha, beta, m.nodes)
     return alpha, beta
 
@@ -243,27 +235,24 @@ def reconstruct(sigma, setting, N):
         )
     K = 2 * N + 2
     plus = rho_plus_moments(sigma, K)
-    minus = rho_minus_moments(sigma, K)
+    minus, (a0, b0, a_minus1) = rho_minus_moments(sigma, K)
     alp, bep = moments_to_recurrence(plus, N + 1)
     alm, bem = moments_to_recurrence(minus, N + 1)
     # side site k = 1..N: a_k = sqrt(beta_k) and b_k = alpha_{k-1}
-    a = np.concatenate([np.sqrt(bem[N - 1:0:-1]), [minus.a_minus1, minus.a0], np.sqrt(bep[1:])])
-    b = np.concatenate([alm[N - 1::-1], [minus.b0], alp[:N]])
+    a = np.concatenate([np.sqrt(bem[N - 1:0:-1]), [a_minus1, a0], np.sqrt(bep[1:])])
+    b = np.concatenate([alm[N - 1::-1], [b0], alp[:N]])
 
     if np.min(a) < 1.0 - 1e-9:
         raise MomentMismatch(
             f"window postcondition a_n >= 1 - 1e-9 violated (min a = {np.min(a)})"
         )
-    window = JacobiWindow(-N, N, tuple(a), tuple(b), setting.R)
-    try:
-        ratios = prop311_check(window, setting.r)
-        if not ratios.passed:
-            raise MomentMismatch(
-                f"window postcondition: adjacent ratio left (r^2, 1/r^2) by "
-                f"{-ratios.worst_margin:.3e}"
-            )
-    except FreeOperator:
-        pass
+    window = JacobiWindow(-N, N, tuple(a.tolist()), tuple(b.tolist()), setting.R)
+    ratios = prop311_check(window, setting.r)
+    if not ratios.passed:
+        raise MomentMismatch(
+            f"window postcondition: adjacent ratio left (r^2, 1/r^2) by "
+            f"{-ratios.worst_margin:.3e}"
+        )
     return window
 
 
@@ -293,7 +282,8 @@ def m_oracle(J, z, side):
     or m -> z - 1/m (minus side), and the free m values u and -1/u, with u
     the disk root of u^2 + z u + 1 = 0, are fixed points of these maps.  So
     free sites beyond the window change nothing, and the recursion starts at
-    the window's edge from u (or -1/u) settled in floating point.
+    the window's edge from u (or -1/u) settled in floating point.  Returns
+    an array of the shape of np.atleast_1d(z).
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(z_arr.imag <= 0):
@@ -307,8 +297,7 @@ def m_oracle(J, z, side):
     else:
         raise BadParameter(f"unknown side {side!r}")
     a, b = np.asarray(J.a[sites]), np.asarray(J.b[sites])
-    out = cf(a, b, z_arr, _settle(cf, z_arr, seed))
-    return out[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else out
+    return cf(a, b, z_arr, _settle(cf, z_arr, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -321,21 +310,19 @@ class RatioReport:
     worst_margin: float
 
 
-def prop311_check(J, r, min_excess=1e-6):
+def prop311_check(J, r):
     """Adjacent-site ratio bounds r^2 < (a_{n+1}^2 - 1)/(a_n^2 - 1) < 1/r^2.
 
-    Only pairs with both excesses a^2 - 1 above min_excess participate: below
+    Only pairs with both excesses a^2 - 1 above MIN_EXCESS participate: below
     that the excess is beyond the resolution of double-precision moment data.
-    Raises FreeOperator when no site qualifies.
+    A window with no such pair passes, with margin inf.
     """
     a = np.asarray(J.a)
     excess = a * a - 1.0
-    above = excess > min_excess
-    if not above.any():
-        raise FreeOperator("window is free to within min_excess; ratio check not applicable")
+    above = excess > MIN_EXCESS
     pairs = np.flatnonzero(above[:-1] & above[1:])
     if not pairs.size:
-        raise FreeOperator("no adjacent pair above min_excess")
+        return RatioReport(passed=True, worst_margin=math.inf)
     rho = excess[pairs + 1] / excess[pairs]
     # 1/r/r, not 1/(r*r): where r^2 underflows the upper bound is inf
     worst = min(np.min(rho - r * r), np.min(1.0 / r / r - rho))

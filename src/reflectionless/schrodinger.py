@@ -20,6 +20,7 @@ from . import _kernels, measure
 from .errors import (
     AdmissibilityRequired,
     BadParameter,
+    NonFiniteOutput,
     RiccatiBlowUp,
     StepTooLarge,
     TruncationBlowup,
@@ -184,8 +185,9 @@ def riccati_oracle(trace, w):
     direction(s) for this w, two steps per trace step, sampling the potential
     through the quintic Hermite interpolant of the trace's exact V, V' and
     V''.  Returns (idx, p): the ascending trace indices the integration
-    passes and p at those nodes.  Raises RiccatiBlowUp when |p| exceeds
-    10 R, the sign of leaving the analyticity domain.
+    passes and p at those nodes.  Raises NonFiniteOutput when a sample of V
+    is not finite, and RiccatiBlowUp when |p| exceeds 10 R, the sign of
+    leaving the analyticity domain.
     """
     w = complex(w)
     if not 0.0 < abs(w) < 1.0 / trace.R:
@@ -200,7 +202,10 @@ def riccati_oracle(trace, w):
     for direction in directions:
         nodes = direction * h * np.arange(2 * n + 1)
         mids = nodes[:-1] + direction * 0.5 * h
-        path = _kernels.riccati_path(p0, V(nodes), V(mids), direction * h, w)
+        v_nodes, v_mids = V(nodes), V(mids)
+        if not (np.all(np.isfinite(v_nodes)) and np.all(np.isfinite(v_mids))):
+            raise NonFiniteOutput(f"interpolated potential is not finite at step {trace.step:.6g}")
+        path = _kernels.riccati_path(p0, v_nodes, v_mids, direction * h, w)
         bad = ~np.isfinite(path) | (np.abs(path) > BLOWUP_FACTOR * trace.R)
         if np.any(bad):
             k = int(np.argmax(bad))
@@ -227,6 +232,6 @@ def riccati_mismatch(trace, ws):
 def binomial_sum_identity(N1, N2, p):
     """sum_k C(N1+k, k) C(N2-k, p-k) == C(N1+N2+1, p), k = 0..p, exactly."""
     if N1 < 1 or p < 0 or N2 < p:
-        raise ValueError("needs N1 >= 1 and N2 >= p >= 0")
+        raise BadParameter("needs N1 >= 1 and N2 >= p >= 0")
     lhs = sum(math.comb(N1 + k, k) * math.comb(N2 - k, p - k) for k in range(p + 1))
     return lhs == math.comb(N1 + N2 + 1, p)

@@ -465,6 +465,17 @@ class TestMainRefusals:
         assert json.loads(lines[0])["error"] == "NonFiniteOutput"
         assert not (tmp_path / "verify.json").exists()
 
+    @pytest.mark.parametrize("xmax, step", [("1e160", "1e157"), ("1e300", "1e297")])
+    def test_overflowing_potential_refused(self, tmp_path, capsys, xmax, step):
+        # the Hermite interpolant of V overflows at these steps and leaves NaN
+        # samples, even though p = 0 for the zero measure: refused, not read
+        # as a Riccati blow-up
+        measure = tmp_path / "m.json"
+        measure.write_text('{"setting":"schrodinger","R":2}')
+        argv = ["schrodinger", "--input", str(measure), "--xmax", xmax, "--step", step]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert _one_error_line(capsys)["error"] == "NonFiniteOutput"
+
     @pytest.mark.parametrize("command", ["check", "jacobi", "verify"])
     def test_readme_measure_passes(self, tmp_path, command):
         measure = tmp_path / "m.json"

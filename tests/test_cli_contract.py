@@ -5,6 +5,7 @@ On every input, ``main`` returns exit 0 or 2 with finite artifacts, or exit
 traceback or a warning.
 """
 
+import ast
 import io
 import json
 import math
@@ -22,10 +23,23 @@ from helpers import free_window
 import reflectionless
 from reflectionless import cli, errors, jacobi
 from reflectionless.cli import main
-from reflectionless.herglotz import AdmissibilityReport, Setting, m_value, phi_inv
+from reflectionless.herglotz import (
+    AdmissibilityReport,
+    Setting,
+    boundary_value_discrete,
+    herglotz_exp,
+    m_value,
+    phi_inv,
+)
 from reflectionless.jacobi import JacobiWindow, m_oracle, moments_to_recurrence, reconstruct
 from reflectionless.measure import SUPPORT_MARGIN_REL, Measure, solve_r
-from reflectionless.schrodinger import MIN_FLOW_ORDER, init_flow, integrate_flow, riccati_oracle
+from reflectionless.schrodinger import (
+    MIN_FLOW_ORDER,
+    binomial_sum_identity,
+    init_flow,
+    integrate_flow,
+    riccati_oracle,
+)
 
 # Most drawn jobs take about 10 ms.  The slowest jobs the CLI's limits admit are
 # flows at the edge of the flow budget: 3.6 s on 2 vCPUs, 4.3 s where moment
@@ -351,11 +365,33 @@ _FREE = free_window(3)
         lambda: riccati_oracle(integrate_flow(_DELTA0, 8, 2.0, 0.4), 0.6),
         lambda: phi_inv(Setting.jacobi(2.5), 1j, "middle"),
         lambda: m_value(Measure.zero(), Setting.jacobi(2.5), 1j, "up"),
+        lambda: boundary_value_discrete(Measure.point(0.9, 0.5), math.nan),
+        lambda: herglotz_exp([], 0.0, 1j),
+        lambda: herglotz_exp([(0.0, 1.0, 1.5)], 1.0, 1j),
+        lambda: JacobiWindow(1, 2, (1.0, 1.0), (0.0, 0.0), 2.0),
+        lambda: JacobiWindow(-1, 1, (1.0,), (0.0,), 2.0),
+        lambda: binomial_sum_identity(0, 2, 1),
     ],
     ids=["reconstruct-N", "init_flow-N", "integrate_flow-x_max", "m_oracle-z", "m_oracle-side",
-         "riccati_oracle-w", "phi_inv-region", "m_value-side"],
+         "riccati_oracle-w", "phi_inv-region", "m_value-side", "boundary_value-E-nan",
+         "herglotz_exp-C", "herglotz_exp-xi", "window-site-0", "window-lengths", "binomial-range"],
 )
 def test_bad_parameter_is_a_typed_value_error(call):
     with pytest.raises(errors.BadParameter) as err:
         call()
     assert isinstance(err.value, ValueError)
+
+
+def test_every_raise_names_a_library_error():
+    # each refusal the library makes is one of its typed errors, so a caller
+    # can tell it from a bug by class
+    untyped = []
+    for path in sorted(Path(reflectionless.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", "")
+            if not isinstance(getattr(errors, name, None), type):
+                untyped.append(f"{path.name}:{node.lineno}")
+    assert untyped == []

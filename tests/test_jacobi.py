@@ -21,12 +21,13 @@ from reflectionless.errors import (
     FreeOperator,
     HankelBreakdown,
     InadmissibleSigma,
-    ReflectionlessError,
 )
 from reflectionless.herglotz import Setting, admissible_discrete, m_value
 from reflectionless.jacobi import (
+    MIN_EXCESS,
     AsymptoticMoments,
     JacobiWindow,
+    RatioReport,
     m_oracle,
     moments_to_recurrence,
     prop311_check,
@@ -35,7 +36,7 @@ from reflectionless.jacobi import (
     rho_plus_moments,
 )
 from reflectionless.measure import Measure, moment, quadrature_atoms, solve_r, validate
-from reflectionless.presets import soliton
+from reflectionless.presets import free, soliton
 
 ZERO = Measure.zero()
 JAC2 = Setting.jacobi(2.0)
@@ -108,19 +109,28 @@ class TestRhoPlusMoments:
         assert m.nodes == ()
 
 
+def assert_site_zero_of_window(site0, sigma, setting):
+    """The (a0, b0, a_{-1}) triple is the window's a_0, b_0, a_{-1}, bit for bit."""
+    window = reconstruct(sigma, setting, 6)
+    want = (window.a_at(0), window.b_at(0), window.a_at(-1))
+    assert np.array(site0).tobytes() == np.array(want).tobytes()
+
+
 class TestRhoMinusMoments:
     def test_free(self):
-        m = rho_minus_moments(ZERO, 8)
-        assert m.a0 == 1.0 and m.b0 == 0.0 and m.a_minus1 == 1.0
+        m, (a0, b0, a_minus1) = rho_minus_moments(ZERO, 8)
+        assert a0 == 1.0 and b0 == 0.0 and a_minus1 == 1.0
         assert power_moments(m)[0] == pytest.approx(1.0, abs=1e-12)
+        assert_site_zero_of_window((a0, b0, a_minus1), ZERO, JAC2)
 
     def test_soliton_closed_forms(self):
-        sigma, _ = soliton(0.25)
-        m = rho_minus_moments(sigma, 8)
-        assert m.a0 == pytest.approx(2.0, abs=1e-12)       # eps^{-1/2}
-        assert m.b0 == pytest.approx(-3.0, abs=1e-12)      # -(1-eps)/eps
-        assert m.a_minus1 == pytest.approx(2.0, abs=1e-12)
+        sigma, setting = soliton(0.25)
+        m, (a0, b0, a_minus1) = rho_minus_moments(sigma, 8)
+        assert a0 == pytest.approx(2.0, abs=1e-12)       # eps^{-1/2}
+        assert b0 == pytest.approx(-3.0, abs=1e-12)      # -(1-eps)/eps
+        assert a_minus1 == pytest.approx(2.0, abs=1e-12)
         assert power_moments(m)[0] == pytest.approx(1.0, abs=1e-10)
+        assert_site_zero_of_window((a0, b0, a_minus1), sigma, setting)
 
     def test_rejects_sigma_minus2_at_one(self):
         with pytest.raises(InadmissibleSigma):
@@ -129,12 +139,14 @@ class TestRhoMinusMoments:
     def test_moment_identities(self):
         rng = np.random.RandomState(31)
         for _ in range(10):
-            sigma, _ = random_jacobi_measure(rng)
-            m = rho_minus_moments(sigma, 6)
+            sigma, setting = random_jacobi_measure(rng)
+            _, site0 = rho_minus_moments(sigma, 6)
+            a0, _, a_minus1 = site0
             s0 = moment(sigma, 0)
             s2 = moment(sigma, -2)
-            assert m.a0 ** 2 * (1 - s2) == pytest.approx(1.0, abs=1e-12)
-            assert (m.a_minus1 ** 2 - 1) / m.a0 ** 2 == pytest.approx(s0, abs=1e-12)
+            assert a0 ** 2 * (1 - s2) == pytest.approx(1.0, abs=1e-12)
+            assert (a_minus1 ** 2 - 1) / a0 ** 2 == pytest.approx(s0, abs=1e-12)
+            assert_site_zero_of_window(site0, sigma, setting)
 
     def test_minus_expansion_against_m_value(self):
         # m_-(iy) = i(1-s_{-2}) y + s_{-1} + i(1-s_{-2}+s_0)/y + O(y^-2),
@@ -211,6 +223,10 @@ class TestMOracle:
         w = free_window(5)
         assert m_oracle(w, 2j, "plus") == pytest.approx(1j * (math.sqrt(2) - 1), rel=1e-12)
         assert m_oracle(w, 2j, "minus") == pytest.approx(1j * (math.sqrt(2) + 1), rel=1e-12)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_scalar_z_gives_an_array(self, side):
+        assert m_oracle(free_window(5), 2j, side).shape == (1,)
 
     def test_free_minus_expansion(self):
         # a0^2 m_- = z - b0 - sum mu_k z^{-k-1} for the free window
@@ -345,15 +361,17 @@ class TestProp311:
         assert report.passed and report.worst_margin > 0.0
 
     def test_free_window_not_applicable(self):
-        with pytest.raises(FreeOperator):
-            prop311_check(free_window(6), 0.5)
+        # no adjacent pair above MIN_EXCESS: nothing to check, so it passes
+        sigma, setting = free()
+        for window in (free_window(6), reconstruct(sigma, setting, 6)):
+            assert prop311_check(window, 0.5) == RatioReport(passed=True, worst_margin=math.inf)
 
     def test_hand_edited_window_fails(self):
         n = 4
         a = [2.0] * (2 * n + 1)
-        a[n + 1] = 1.0 + 1e-9  # nearly free site amid strongly coupled ones
+        a[n + 1] = math.sqrt(1.0 + 2e-6)  # nearly free site amid strongly coupled ones
         window = JacobiWindow(-n, n, tuple(a), (0.0,) * (2 * n + 1), 5.0)
-        report = prop311_check(window, 0.5, min_excess=1e-12)
+        report = prop311_check(window, 0.5)
         assert not report.passed
 
 
@@ -364,18 +382,18 @@ class TestProp311:
 LOOP_CHECKS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
 
-def _outcome(f, *args):
+def loop_report(window, r):
+    """The loop reference, its FreeOperator read as a pass with margin inf."""
     try:
-        return f(*args)
-    except ReflectionlessError as exc:
-        return type(exc), str(exc), getattr(exc, "pivot", None)
+        return loop_prop311_check(window, r, MIN_EXCESS)
+    except FreeOperator:
+        return RatioReport(passed=True, worst_margin=math.inf)
 
 
 @st.composite
 def excess_windows(draw):
-    """(window, r, min_excess) with excesses a^2 - 1 on both sides of
-    min_excess: mixed, free, and a single pair above it."""
-    min_excess = draw(st.sampled_from([1e-6, 1e-12]))
+    """(window, r) with excesses a^2 - 1 on both sides of MIN_EXCESS:
+    mixed, free, and a single pair above it."""
     n = draw(st.integers(1, 6))
     scale = st.one_of(
         st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e3, 1e6]), st.floats(0.99, 1.01)
@@ -383,27 +401,26 @@ def excess_windows(draw):
     kind = draw(st.sampled_from(["mixed", "free", "single"]))
     excess = [0.0] * (2 * n + 1)
     if kind == "mixed":
-        excess = [draw(scale) * min_excess for _ in excess]
+        excess = [draw(scale) * MIN_EXCESS for _ in excess]
     elif kind == "single":
         i = draw(st.integers(0, 2 * n - 1))
-        excess[i] = draw(st.floats(1.0, 1e6)) * min_excess
-        excess[i + 1] = draw(st.floats(1.0, 1e6)) * min_excess
+        excess[i] = draw(st.floats(1.0, 1e6)) * MIN_EXCESS
+        excess[i + 1] = draw(st.floats(1.0, 1e6)) * MIN_EXCESS
     a = tuple(math.sqrt(1.0 + e) for e in excess)
     window = JacobiWindow(-n, n, a, (0.0,) * (2 * n + 1), 2.5)
-    return window, draw(st.floats(0.05, 0.999)), min_excess
+    return window, draw(st.floats(0.05, 0.999))
 
 
 class TestArrayPostChecks:
     @LOOP_CHECKS
     @given(excess_windows())
     # r^2 underflows to 0 at R = 1e170: the bounds are (0, inf)
-    @example((JacobiWindow(-1, 1, (1.5, 1.2, 2.0), (0.0,) * 3, 1e170), 1e-170, 1e-6))
+    @example((JacobiWindow(-1, 1, (1.5, 1.2, 2.0), (0.0,) * 3, 1e170), 1e-170))
     def test_prop311_matches_loop(self, case):
-        window, r, min_excess = case
-        got = _outcome(prop311_check, window, r, min_excess)
-        assert got == _outcome(loop_prop311_check, window, r, min_excess)
-        if not isinstance(got, tuple):
-            assert type(got.worst_margin) is float
+        window, r = case
+        got = prop311_check(window, r)
+        assert got == loop_report(window, r)
+        assert type(got.worst_margin) is float
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 Chebyshev sweep and continued fractions against their loop references."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import loop_cf_minus, loop_cf_plus, loop_wheeler
 from reflectionless import _kernels
-from reflectionless.jacobi import _wheeler
+from reflectionless.errors import HankelBreakdown
+from reflectionless.jacobi import BREAKDOWN_TOL, _wheeler
 
 BIT_CHECKS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
@@ -94,29 +96,42 @@ def sweep_inputs(draw):
     return nu, N
 
 
+def check_sweep_against_loop(nu, N):
+    """_wheeler against loop_wheeler: with no failed pivot, equal bit for bit;
+    else it raises HankelBreakdown at the reference's first row k >= 1 whose
+    beta is at or below BREAKDOWN_TOL or NaN (pivot k + 1), and a sweep of k
+    rows equals the reference's rows before it.  Returns k, or None."""
+    with np.errstate(all="ignore"):
+        alpha, beta = loop_wheeler(nu, N)
+        bad = np.flatnonzero(~(beta[1:] > BREAKDOWN_TOL))
+        if not bad.size:
+            assert _bits(*_wheeler(nu.copy(), N)) == _bits(alpha, beta)
+            return None
+        row = int(bad[0]) + 1
+        with pytest.raises(HankelBreakdown) as err:
+            _wheeler(nu.copy(), N)
+        assert err.value.pivot == row + 1
+        assert _bits(*_wheeler(nu.copy(), row)) == _bits(alpha[:row], beta[:row])
+    return row
+
+
 class TestWheeler:
     @BIT_CHECKS
     @given(sweep_inputs())
     def test_bit_equal_to_loop(self, case):
-        nu, N = case
-        with np.errstate(all="ignore"):
-            want = loop_wheeler(nu, N)
-            got = _wheeler(nu.copy(), N)
-        assert _bits(*got) == _bits(*want)  # NaN rows in the same places too
+        check_sweep_against_loop(*case)
 
     def test_exact_zero_pivot_at_every_row(self):
         N = 8
         for row in range(N):
             nu = zero_pivot_moments(([1, 2] * N)[:max(row - 1, 0)], 3 if row else 0, 2 * N)
-            with np.errstate(all="ignore"):
-                got = _wheeler(nu, N)
-                want = loop_wheeler(nu, N)
-            assert _bits(*got) == _bits(*want)
-            valid = max(row, 1)  # a zero mass still leaves beta_0 = 0
-            assert np.all(np.isfinite(got[1][:valid])) and np.all(np.isnan(got[1][valid:]))
+            # a zero mass leaves beta_0 = 0, so its first failed pivot is row 1
+            assert check_sweep_against_loop(nu, N) == max(row, 1)
 
     def test_input_not_modified(self):
-        nu = monic_free_moments(np.array([0.3, -1.1]), np.array([0.4, 0.6]), 12)
+        ts = np.linspace(-1.8, 1.8, 8)
+        nu = monic_free_moments(ts, np.full(8, 0.125), 12)
+        assert check_sweep_against_loop(nu, 6) is None
         before = nu.tobytes()
         _wheeler(nu, 6)
         assert nu.tobytes() == before

@@ -7,6 +7,7 @@ from helpers import loop_moment_bounds_ok, numpy_riccati_path, random_schrodinge
 from reflectionless.errors import (
     AdmissibilityRequired,
     BadParameter,
+    NonFiniteOutput,
     RiccatiBlowUp,
     StepTooLarge,
     TruncationBlowup,
@@ -278,6 +279,14 @@ class TestRiccati:
         )
         with pytest.raises(RiccatiBlowUp):
             riccati_oracle(fake, 0.45)
+
+    def test_non_finite_potential_refused(self):
+        # at step 1e157 the interpolant's H^2 V'' overflows to inf, and inf * 0
+        # leaves NaN samples of V even for the zero measure: a refusal, not a
+        # blow-up of p
+        trace = integrate_flow(Measure.zero(), 4, 2.0, 1e160, step=1e157)
+        with pytest.raises(NonFiniteOutput), np.errstate(over="ignore", invalid="ignore"):
+            riccati_oracle(trace, 0.1)
 
 
 class TestMomentBounds:
