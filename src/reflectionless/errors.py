@@ -41,7 +41,8 @@ class BranchAmbiguity(ReflectionlessError):
 
 
 class MomentMismatch(ReflectionlessError):
-    """Normalization check nu_0 = 1 failed for an extracted moment sequence."""
+    """A reconstructed window fails a postcondition of reconstruct: a_n >= 1 - 1e-9,
+    or an adjacent ratio of excesses a_n^2 - 1 outside (r^2, 1/r^2)."""
 
 
 class InadmissibleSigma(ReflectionlessError):

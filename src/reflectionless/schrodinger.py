@@ -137,7 +137,7 @@ def moment_generating(s, w):
     s = np.asarray(s, dtype=float)
     w = np.asarray(w, dtype=complex)
     powers = w[..., None] ** (np.arange(s.shape[-1]) + 1.0)
-    return np.sum(s * powers, axis=-1) if s.ndim == 1 else s @ powers.T
+    return np.sum(s * powers, axis=-1)
 
 
 def stable_riccati_directions(w):
@@ -157,60 +157,54 @@ def stable_riccati_directions(w):
     return (-1, +1)
 
 
-def _hermite_sampler(xs, sigmas):
-    """V on the uniform grid xs through the quintic Hermite interpolant of the
-    exact nodal values V = -2 s0, V' = 4 s1 and V'' = 4 (s0^2 - 2 s2)."""
-    H = xs[1] - xs[0]
+def _quarter_potential(sigmas, H):
+    """V = -2 s0 at the nodes of a grid of step H and, at t = 1/4, 1/2, 3/4 of
+    each cell, the quintic Hermite interpolant of the nodal V, V' = 4 s1 and
+    V'' = 4 (s0^2 - 2 s2): 4 (len - 1) + 1 values, all finite or NonFiniteOutput."""
     s0, s1, s2 = sigmas[:, 0], sigmas[:, 1], sigmas[:, 2]
-    # in the cell variable t = (x - x_i)/H: V, H V' and H^2 V''/2
-    V, dV, d2V = -2.0 * s0, 4.0 * H * s1, 2.0 * H * H * (s0 * s0 - 2.0 * s2)
-
-    def sample(x):
-        u = (np.asarray(x, dtype=float) - xs[0]) / H
-        i = np.clip(np.floor(u).astype(int), 0, len(xs) - 2)
-        t = u - i
-        s = 1.0 - t
-        left = V[i] * (1.0 + 3.0 * t + 6.0 * t * t) + t * (dV[i] * (1.0 + 3.0 * t) + d2V[i] * t)
-        j = i + 1
-        right = V[j] * (1.0 + 3.0 * s + 6.0 * s * s) - s * (dV[j] * (1.0 + 3.0 * s) - d2V[j] * s)
-        return s ** 3 * left + t ** 3 * right
-
-    return sample
+    table = np.empty(4 * len(sigmas) - 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # in the cell variable t = (x - x_i)/H: V, H V' and H^2 V''/2
+        V, dV, d2V = -2.0 * s0, 4.0 * H * s1, 2.0 * H * H * (s0 * s0 - 2.0 * s2)
+        table[::4] = V
+        for k in (1, 2, 3):
+            t, s = k / 4.0, 1.0 - k / 4.0
+            left = V[:-1] * (1.0 + 3.0 * t + 6.0 * t * t) + t * (dV[:-1] * (1.0 + 3.0 * t) + d2V[:-1] * t)
+            right = V[1:] * (1.0 + 3.0 * s + 6.0 * s * s) - s * (dV[1:] * (1.0 + 3.0 * s) - d2V[1:] * s)
+            table[k::4] = s ** 3 * left + t ** 3 * right
+    if not np.all(np.isfinite(table)):
+        raise NonFiniteOutput(f"interpolated potential is not finite at step {H:.6g}")
+    return table
 
 
 def riccati_oracle(trace, w):
     """Independent Riccati integration of p(x, w) from the series value p(0, w).
 
     Starts at the trace's middle node, x = 0, and integrates along the stable
-    direction(s) for this w, two steps per trace step, sampling the potential
-    through the quintic Hermite interpolant of the trace's exact V, V' and
-    V''.  Returns (idx, p): the ascending trace indices the integration
-    passes and p at those nodes.  Raises NonFiniteOutput when a sample of V
-    is not finite, and RiccatiBlowUp when |p| exceeds 10 R, the sign of
-    leaving the analyticity domain.
+    direction(s) for this w, two steps per trace step, reading V from the
+    trace's quarter-step table.  Returns (idx, p): the ascending trace indices
+    the integration passes and p at those nodes.  Raises NonFiniteOutput when
+    the table is not finite, and RiccatiBlowUp when |p| exceeds 10 R, the
+    sign of leaving the analyticity domain.
     """
     w = complex(w)
     if not 0.0 < abs(w) < 1.0 / trace.R:
         raise BadParameter("w must be nonzero and inside the convergence disk |w| < 1/R")
-    V = _hermite_sampler(trace.xs, trace.sigmas)
+    V = _quarter_potential(trace.sigmas, trace.step)
     n = len(trace.xs) // 2
     h = trace.step / 2
     p0 = moment_generating(trace.sigmas[n], w)
     directions = stable_riccati_directions(w)
 
     p = np.empty(2 * n + 1, dtype=complex)
-    for direction in directions:
-        nodes = direction * h * np.arange(2 * n + 1)
-        mids = nodes[:-1] + direction * 0.5 * h
-        v_nodes, v_mids = V(nodes), V(mids)
-        if not (np.all(np.isfinite(v_nodes)) and np.all(np.isfinite(v_mids))):
-            raise NonFiniteOutput(f"interpolated potential is not finite at step {trace.step:.6g}")
-        path = _kernels.riccati_path(p0, v_nodes, v_mids, direction * h, w)
+    for d in directions:
+        # outward from x = 0: the walk's nodes are half steps, its midpoints quarter steps
+        path = _kernels.riccati_path(p0, V[4 * n :: 2 * d], V[4 * n + d :: 2 * d], d * h, w)
         bad = ~np.isfinite(path) | (np.abs(path) > BLOWUP_FACTOR * trace.R)
         if np.any(bad):
             k = int(np.argmax(bad))
-            raise RiccatiBlowUp(f"|p| exceeded {BLOWUP_FACTOR} R at x = {nodes[k]:.6g}")
-        p[n::direction] = path[::2]
+            raise RiccatiBlowUp(f"|p| exceeded {BLOWUP_FACTOR} R at x = {d * k * h:.6g}")
+        p[n::d] = path[::2]
     idx = np.arange(0 if -1 in directions else n, 2 * n + 1 if +1 in directions else n + 1)
     return idx, p[idx]
 

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from helpers import (
     free_window,
     loop_prop311_check,
+    one_atom_window,
     padded_m_oracle,
     power_moments,
     random_jacobi_measure,
@@ -18,7 +19,6 @@ from helpers import (
 from reflectionless.cli import ORACLE_GRID
 from reflectionless.errors import (
     AdmissibilityRequired,
-    FreeOperator,
     HankelBreakdown,
     InadmissibleSigma,
 )
@@ -382,14 +382,6 @@ class TestProp311:
 LOOP_CHECKS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
 
-def loop_report(window, r):
-    """The loop reference, its FreeOperator read as a pass with margin inf."""
-    try:
-        return loop_prop311_check(window, r, MIN_EXCESS)
-    except FreeOperator:
-        return RatioReport(passed=True, worst_margin=math.inf)
-
-
 @st.composite
 def excess_windows(draw):
     """(window, r) with excesses a^2 - 1 on both sides of MIN_EXCESS:
@@ -419,7 +411,7 @@ class TestArrayPostChecks:
     def test_prop311_matches_loop(self, case):
         window, r = case
         got = prop311_check(window, r)
-        assert got == loop_report(window, r)
+        assert got == loop_prop311_check(window, r, MIN_EXCESS)
         assert type(got.worst_margin) is float
 
 
@@ -510,13 +502,43 @@ class TestAgainstReference:
 
     def test_soliton_presets(self):
         # every epsilon, at the spectral edge: a0 = eps^{-1/2}, both window
-        # postconditions hold, and the whole window matches the reference
+        # postconditions hold, and the whole window matches the closed form
         for k in range(1, 50):
             eps = k / 50.0
             sigma, setting = soliton(eps)
             window = reconstruct(sigma, setting, 40)
             assert window.a_at(0) == pytest.approx(eps ** -0.5, abs=1e-12)
-            assert window_error(sigma, setting, 40) <= 1e-12
+            a, b = one_atom_window(*sigma.atoms[0], 40)
+            assert np.max(np.abs(np.asarray(window.a) - a)) <= 1e-12
+            assert np.max(np.abs(np.asarray(window.b) - b)) <= 1e-12
+
+    def test_one_atoms_against_closed_form(self):
+        # derandomized one-atom draws: R over (2, 12], t on both rays, near
+        # either edge of the ring, near the unit circle or anywhere between,
+        # w/t^2 in [1e-4, 1) and N up to 160.  reconstruct refuses a draw
+        # exactly when its eigenvalue lies past the edge, |E| >= R, and every
+        # window it returns matches the closed form to 1e-13 of its scale
+        rng = np.random.RandomState(10)
+        admitted = 0
+        while admitted < 240:
+            R = float(rng.uniform(2.001, 12.0))
+            near = rng.uniform(1e-6, 2e-6)
+            f = [rng.uniform(0.0, 1.0), near, 1.0 - near, 0.5 + rng.uniform(-1e-6, 1e-6)][rng.randint(4)]
+            t = float(rng.choice([-1.0, 1.0]) * solve_r(R) ** (1.0 - 2.0 * f))
+            w = float(10.0 ** rng.uniform(-4.0, 0.0)) * t * t
+            N = int(rng.choice([10, 40, 80, 160]))
+            E = -(1.0 + t * t + w / (1.0 - w / (t * t))) / t
+            try:
+                window = reconstruct(Measure.point(t, w), Setting.jacobi(R), N)
+            except AdmissibilityRequired:
+                assert abs(E) >= R
+                continue
+            assert abs(E) < R
+            admitted += 1
+            a, b = one_atom_window(t, w, N)
+            scale = np.max(window.a)
+            assert np.max(np.abs(np.asarray(window.a) - a)) <= 1e-13 * scale
+            assert np.max(np.abs(np.asarray(window.b) - b)) <= 1e-13 * scale
 
     def test_soliton_oracle_near_the_unit_circle(self):
         # near the unit circle the oracle sees deep rows: at N = 80 every

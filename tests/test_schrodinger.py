@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from reflectionless.errors import (
 from reflectionless import _kernels, schrodinger
 from reflectionless.measure import Measure
 from reflectionless.schrodinger import (
-    _hermite_sampler,
+    _quarter_potential,
     binomial_sum_identity,
     init_flow,
     integrate_flow,
@@ -173,17 +174,17 @@ def sampler_cases():
 
 
 class TestHermiteSampler:
-    """V between trace nodes, from the exact nodal V, V' and V''."""
+    """The quarter-step table of V, from the exact nodal V, V' and V''."""
 
     @pytest.mark.parametrize("sigma, R", list(sampler_cases()))
     def test_nodes_and_half_steps(self, sigma, R):
         h = 1.0 / (20.0 * R)
         trace = integrate_flow(sigma, 40, R, 0.8 / R, step=h)
         fine = integrate_flow(sigma, 40, R, 0.8 / R, step=h / 2)
-        V = _hermite_sampler(trace.xs, trace.sigmas)
-        scale = np.max(np.abs(trace.V))
-        assert np.max(np.abs(V(trace.xs) - trace.V)) <= 1e-13 * scale
-        assert np.max(np.abs(V(fine.xs[1::2]) - fine.V[1::2])) <= 1e-6
+        table = _quarter_potential(trace.sigmas, trace.step)
+        assert table.size == 4 * (len(trace.xs) - 1) + 1
+        assert table[::4].tobytes() == trace.V.tobytes()
+        assert np.max(np.abs(table[2::4] - fine.V[1::2])) <= 1e-6
 
     def test_exact_on_quintics(self):
         # V = x^5 - x^2 through s0 = -V/2, s1 = V'/4, s2 = (s0^2 - V''/4)/2
@@ -191,9 +192,9 @@ class TestHermiteSampler:
         s0 = -(xs ** 5 - xs ** 2) / 2
         s1 = (5 * xs ** 4 - 2 * xs) / 4
         s2 = (s0 ** 2 - (20 * xs ** 3 - 2) / 4) / 2
-        x = np.linspace(-0.5, 0.5, 97)
-        V = _hermite_sampler(xs, np.stack([s0, s1, s2], axis=1))
-        assert np.max(np.abs(V(x) - (x ** 5 - x ** 2))) <= 1e-14
+        x = np.linspace(-0.5, 0.5, 41)
+        table = _quarter_potential(np.stack([s0, s1, s2], axis=1), xs[1] - xs[0])
+        assert np.max(np.abs(table - (x ** 5 - x ** 2))) <= 1e-14
 
 
 class TestRiccati:
@@ -282,11 +283,28 @@ class TestRiccati:
 
     def test_non_finite_potential_refused(self):
         # at step 1e157 the interpolant's H^2 V'' overflows to inf, and inf * 0
-        # leaves NaN samples of V even for the zero measure: a refusal, not a
-        # blow-up of p
+        # leaves NaN values of V even for the zero measure: a refusal, not a
+        # blow-up of p, and no numpy warning on the way
         trace = integrate_flow(Measure.zero(), 4, 2.0, 1e160, step=1e157)
-        with pytest.raises(NonFiniteOutput), np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteOutput), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             riccati_oracle(trace, 0.1)
+
+    def test_seed_is_the_flow_value_at_zero(self):
+        # p(0, w) that starts the walk is the generating function exactly as
+        # riccati_mismatch forms it on the flow's rows: no mismatch at x = 0
+        rng = np.random.RandomState(26)
+        for _ in range(24):
+            R = float(rng.choice([1.0, 2.0, 4.0]))
+            t = float(rng.uniform(-0.9, 0.9)) * R
+            sigma = Measure.from_atoms([(t, float(rng.uniform(0.05, 0.95)) * (R * R - t * t))])
+            trace = integrate_flow(sigma, int(rng.choice([8, 16, 40])), R, 0.4 / R, step=0.05 / R)
+            n = len(trace.xs) // 2
+            for w in (0.3 / R, 0.3j / R, -0.3 / R):
+                idx, p = riccati_oracle(trace, w)
+                at_zero = idx == n
+                flow_p = moment_generating(trace.sigmas[idx], w)
+                assert p[at_zero].tobytes() == flow_p[at_zero].tobytes()
 
 
 class TestMomentBounds:
