@@ -30,7 +30,6 @@ from .errors import (
     StepTooLarge,
     SupportViolation,
     TruncationBlowup,
-    UnknownCommand,
 )
 from .herglotz import (
     AdmissibilityReport,

@@ -27,12 +27,10 @@ from .errors import (
     NonFiniteOutput,
     ReflectionlessError,
     SchemaError,
-    UnknownCommand,
 )
 from .herglotz import (
     Setting,
-    admissible_continuous,
-    admissible_discrete,
+    admissibility,
     default_residual_grid,
     m_value,
     reflectionless_residual,
@@ -124,17 +122,9 @@ def _json_object(json_text):
     return obj
 
 
-def parse_input(json_text):
-    """Validated Job from a JSON job description (measure + parameters)."""
-    return _parse_job(_json_object(json_text))
-
-
-def _parse_job(obj):
-    """Validated Job from a decoded job object: the one check of every field."""
-    command = obj.get("command", "check")
-    if not isinstance(command, str) or command not in COMMANDS:
-        raise UnknownCommand(f"/command: unknown command {command!r}")
-
+def _parse_job(command, obj):
+    """Validated Job for a subcommand from a decoded job object: the one check
+    of every field."""
     if command == "example":
         name = _require(obj, "name", "", str)
         fields = {key: _finite(obj[key], f"/{key}") for key in ("epsilon", "mass") if key in obj}
@@ -229,10 +219,7 @@ def _write(path, text):
 
 def run_check(job, out):
     setting = job.setting
-    if setting.kind == "jacobi":
-        rep = admissible_discrete(job.measure, setting)
-    else:
-        rep = admissible_continuous(job.measure, setting)
+    rep = admissibility(job.measure, setting)
     emit_json(
         {
             "R": setting.R,
@@ -322,11 +309,8 @@ def run_verify(job, out):
 
 def run_example(job, out):
     status = run_check(job, out)
-    if job.setting.kind == "jacobi":
-        if status == 0:
-            run_jacobi(job, out)
-    else:
-        run_schrodinger(job, out)
+    if status == 0:
+        (run_jacobi if job.setting.kind == "jacobi" else run_schrodinger)(job, out)
     run_verify(job, out)
     return status
 
@@ -372,7 +356,7 @@ def build_parser():
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--input", help="job/measure JSON file")
         p.add_argument("--out", default=".", help="output directory")
-        # number flags stay text here: parse_input's checks read them like job-file fields
+        # number flags stay text here: _parse_job's checks read them like job-file fields
         p.add_argument("--order", dest="N", help="truncation order N")
         p.add_argument("--eta", help="boundary offset for residuals")
         p.add_argument("--grid", help="number of residual grid points")
@@ -399,12 +383,11 @@ def _job_from_args(args):
             obj = _json_object(Path(args.input).read_bytes())
         except OSError as exc:
             raise IoError(f"cannot read {args.input}: {exc}") from None
-    obj["command"] = args.command
     for key in ("name", "epsilon", "mass", *_PARAM_KEYS):
         text = getattr(args, key, None)
         if text is not None:
             obj[key] = text if key == "name" else _number(text, f"/{key}")
-    return _parse_job(obj)
+    return _parse_job(args.command, obj)
 
 
 def main(argv=None):

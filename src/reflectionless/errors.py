@@ -107,10 +107,6 @@ class SchemaError(ReflectionlessError):
         self.pointer = pointer
 
 
-class UnknownCommand(ReflectionlessError):
-    """Job requested a command this tool does not provide."""
-
-
 class IoError(ReflectionlessError):
     """Could not read the job file, make the output directory or write an
     output artifact."""

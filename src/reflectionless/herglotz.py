@@ -3,8 +3,9 @@
 Everything here evaluates functions of the upper half plane attached to a
 validated measure: the function F in both settings, the conformal coordinate
 changes, the two half-line m functions obtained from F by branch dispatch,
-the admissibility boundary inequalities, the exponential representation, and
-boundary-value diagnostics (density recovery, reflectionless residual).
+the admissibility boundary inequalities and the one gate both
+reconstructions pass, the exponential representation, and boundary-value
+diagnostics (density recovery, reflectionless residual).
 
 Branch policy: square roots and logarithms are always pinned by the Herglotz
 requirement (the result must map C+ to C+), never by principal-value
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, BadR, BranchAmbiguity, NonConvergent
-from .measure import cauchy, quadrature_atoms, solve_r
+from .errors import AdmissibilityRequired, BadParameter, BadR, BranchAmbiguity, NonConvergent
+from .measure import cauchy, quadrature_atoms, solve_r, validate
 
 ADMISSIBILITY_TOL = 1e-12
 SAMPLES_PER_RAY = 64
@@ -208,6 +209,26 @@ def admissible_continuous(sigma, setting):
         argmin=float(-R * R),
         samples=((float(-R * R), float(total)),),
     )
+
+
+def admissibility(sigma, setting):
+    """The setting's admissibility report: admissible_discrete for jacobi,
+    admissible_continuous for schrodinger."""
+    if setting.kind == "jacobi":
+        return admissible_discrete(sigma, setting)
+    return admissible_continuous(sigma, setting)
+
+
+def require_admissible(sigma, setting):
+    """The gate of both reconstructions: validate sigma for the setting, then
+    raise AdmissibilityRequired unless it passes its admissibility inequality."""
+    validate(sigma, setting)
+    report = admissibility(sigma, setting)
+    if not report.passed:
+        raise AdmissibilityRequired(
+            f"measure fails the {setting.kind} admissibility inequality "
+            f"(min {report.min_value:.6g} at E = {report.argmin:.6g})"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -26,16 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, measure
+from . import _kernels
 from .errors import (
-    AdmissibilityRequired,
     BadParameter,
     BadR,
     HankelBreakdown,
     InadmissibleSigma,
     MomentMismatch,
 )
-from .herglotz import admissible_discrete, outer_root
+from .herglotz import outer_root, require_admissible
 from .measure import moment, quadrature_atoms
 
 BREAKDOWN_TOL = 1e-12
@@ -226,13 +225,7 @@ def reconstruct(sigma, setting, N):
         raise BadParameter("window half-width N must be at least 1")
     if setting.kind != "jacobi":
         raise BadR(f"reconstruct needs the jacobi setting, got {setting.kind!r}")
-    measure.validate(sigma, setting)
-    report = admissible_discrete(sigma, setting)
-    if not report.passed:
-        raise AdmissibilityRequired(
-            f"measure fails the boundary inequality (min {report.min_value:.3e} "
-            f"at E = {report.argmin:.6g})"
-        )
+    require_admissible(sigma, setting)
     K = 2 * N + 2
     plus = rho_plus_moments(sigma, K)
     minus, (a0, b0, a_minus1) = rho_minus_moments(sigma, K)

@@ -16,16 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, measure
+from . import _kernels
 from .errors import (
-    AdmissibilityRequired,
     BadParameter,
     NonFiniteOutput,
     RiccatiBlowUp,
     StepTooLarge,
     TruncationBlowup,
 )
-from .herglotz import Setting, admissible_continuous
+from .herglotz import Setting, require_admissible
 from .measure import moments
 
 MIN_FLOW_ORDER = 4
@@ -44,10 +43,7 @@ class PotentialTrace:
     est_truncation_error: float
     R: float
     sigmas: np.ndarray = field(repr=False)
-
-    @property
-    def step(self):
-        return float(self.xs[1] - self.xs[0])
+    step: float  # h = x_max / n_steps, the step the flow integrated with
 
 
 def moment_bounds(N, R):
@@ -60,13 +56,7 @@ def init_flow(sigma, N, R):
     flow's state at x = 0, as a float64 array."""
     if N < MIN_FLOW_ORDER:
         raise BadParameter(f"truncation order N must be at least {MIN_FLOW_ORDER}")
-    setting = Setting.schrodinger(R)
-    measure.validate(sigma, setting)
-    report = admissible_continuous(sigma, setting)
-    if not report.passed:
-        raise AdmissibilityRequired(
-            f"measure fails the endpoint inequality (value {report.min_value:.6g})"
-        )
+    require_admissible(sigma, Setting.schrodinger(R))
     return moments(sigma, range(N + 1))
 
 
@@ -129,6 +119,7 @@ def integrate_flow(sigma, N, R, x_max, step=None):
         est_truncation_error=_truncation_envelope(N, R, x_max),
         R=R,
         sigmas=sig,
+        step=h,
     )
 
 

@@ -12,18 +12,26 @@ from reflectionless.cli import (
     MAX_FLOW_WORK,
     MAX_GRID,
     MAX_ORDER,
+    _json_object,
+    _parse_job,
     emit_csv,
     main,
-    parse_input,
     run,
 )
-from reflectionless.errors import NonFiniteOutput, SchemaError, UnknownCommand
+from reflectionless.errors import NonFiniteOutput, SchemaError
 from reflectionless.measure import solve_r
+
+
+def job_from_text(json_text):
+    """The Job of a JSON job text whose "command" field names the subcommand,
+    through the CLI's one parse route."""
+    obj = _json_object(json_text)
+    return _parse_job(obj.pop("command"), obj)
 
 
 class TestParseInput:
     def test_check_job_echo(self):
-        job = parse_input('{"command":"check","setting":"jacobi","R":2,"atoms":[{"t":1,"w":1}]}')
+        job = job_from_text('{"command":"check","setting":"jacobi","R":2,"atoms":[{"t":1,"w":1}]}')
         assert job.command == "check"
         assert job.setting.kind == "jacobi"
         assert job.setting.R == 2.0
@@ -36,12 +44,12 @@ class TestParseInput:
 
     def test_missing_R(self):
         with pytest.raises(SchemaError) as err:
-            parse_input('{"command":"check","setting":"jacobi"}')
+            job_from_text('{"command":"check","setting":"jacobi"}')
         assert err.value.pointer == "/R"
 
     def test_bad_atom_field(self):
         with pytest.raises(SchemaError) as err:
-            parse_input('{"command":"check","setting":"jacobi","R":4,"atoms":[{"t":1}]}')
+            job_from_text('{"command":"check","setting":"jacobi","R":4,"atoms":[{"t":1}]}')
         assert err.value.pointer == "/atoms/0/w"
 
     @pytest.mark.parametrize(
@@ -68,17 +76,17 @@ class TestParseInput:
     )
     def test_out_of_range_numbers(self, fields, pointer):
         with pytest.raises(SchemaError) as err:
-            parse_input('{"command":"verify","setting":"jacobi",' + fields + "}")
+            job_from_text('{"command":"verify","setting":"jacobi",' + fields + "}")
         assert err.value.pointer == pointer
 
     def test_size_limits_are_inclusive(self):
-        job = parse_input('{"command":"verify","setting":"jacobi","R":4,"N":10000.0,"grid":512}')
+        job = job_from_text('{"command":"verify","setting":"jacobi","R":4,"N":10000.0,"grid":512}')
         assert job.params["N"] == MAX_ORDER and type(job.params["N"]) is int
         assert job.params["grid"] == MAX_GRID
-        job = parse_input('{"command":"schrodinger","setting":"schrodinger","R":4,"N":4}')
+        job = job_from_text('{"command":"schrodinger","setting":"schrodinger","R":4,"N":4}')
         assert job.params["N"] == 4
         # jobs that never run the flow keep the general limits
-        job = parse_input('{"command":"jacobi","setting":"jacobi","R":4,"N":1}')
+        job = job_from_text('{"command":"jacobi","setting":"jacobi","R":4,"N":1}')
         assert job.params["N"] == 1
 
     @pytest.mark.parametrize("N, steps", [(4, 9990), (73, 8203)])
@@ -88,8 +96,8 @@ class TestParseInput:
         def job(k):
             fields = f'"N":{N},"x_max":{k * 2.0 ** -13!r},"step":{2.0 ** -13!r}'
             if command == "example":
-                return parse_input(f'{{"command":"example","name":"delta0",{fields}}}')
-            return parse_input(f'{{"command":"schrodinger","setting":"schrodinger","R":4,{fields}}}')
+                return job_from_text(f'{{"command":"example","name":"delta0",{fields}}}')
+            return job_from_text(f'{{"command":"schrodinger","setting":"schrodinger","R":4,{fields}}}')
 
         assert steps * ((N + 1) ** 2 + FLOW_STEP_COST) <= MAX_FLOW_WORK
         params = job(steps).params
@@ -107,16 +115,12 @@ class TestParseInput:
     )
     def test_flow_limits(self, command, setting, fields):
         with pytest.raises(SchemaError) as err:
-            parse_input(f'{{"command":"{command}","setting":"{setting}","R":4,{fields}}}')
+            job_from_text(f'{{"command":"{command}","setting":"{setting}","R":4,{fields}}}')
         # a command on the other setting's measure is refused before its limits
         assert err.value.pointer == ("/N" if setting == command else "/setting")
 
-    def test_unknown_command(self):
-        with pytest.raises(UnknownCommand):
-            parse_input('{"command":"frobnicate","setting":"jacobi","R":2}')
-
     def test_example_preset(self):
-        job = parse_input('{"command":"example","name":"soliton","epsilon":0.25}')
+        job = job_from_text('{"command":"example","name":"soliton","epsilon":0.25}')
         assert job.command == "example"
         assert job.measure.atoms == ((1.0, 0.75),)
         assert job.setting.kind == "jacobi"
@@ -125,20 +129,20 @@ class TestParseInput:
 
 class TestRun:
     def test_check_free_passes(self, tmp_path):
-        job = parse_input('{"command":"check","setting":"jacobi","R":2}')
+        job = job_from_text('{"command":"check","setting":"jacobi","R":2}')
         assert run(job, tmp_path) == 0
         rep = json.loads((tmp_path / "admissibility.json").read_text())
         assert rep["passed"] is True
         assert rep["min_value"] == pytest.approx(1.0)
 
     def test_check_delta1_fails_with_exit_2(self, tmp_path):
-        job = parse_input('{"command":"check","setting":"jacobi","R":4,"atoms":[{"t":1,"w":1}]}')
+        job = job_from_text('{"command":"check","setting":"jacobi","R":4,"atoms":[{"t":1,"w":1}]}')
         assert run(job, tmp_path) == 2
         rep = json.loads((tmp_path / "admissibility.json").read_text())
         assert rep["passed"] is False
 
     def test_jacobi_free_window(self, tmp_path):
-        job = parse_input('{"command":"jacobi","setting":"jacobi","R":2,"N":6}')
+        job = job_from_text('{"command":"jacobi","setting":"jacobi","R":2,"N":6}')
         assert run(job, tmp_path) == 0
         lines = (tmp_path / "jacobi_window.csv").read_text().splitlines()
         assert lines[0] == "n,a_n,b_n"
@@ -150,7 +154,7 @@ class TestRun:
         assert residual["max_abs_residual"] < 1e-9
 
     def test_schrodinger_delta0(self, tmp_path):
-        job = parse_input(
+        job = job_from_text(
             '{"command":"schrodinger","setting":"schrodinger","R":2,'
             '"atoms":[{"t":0,"w":1}],"N":24,"x_max":0.4}'
         )
@@ -164,20 +168,20 @@ class TestRun:
         assert resid["max_abs_mismatch"] < 1e-6
 
     def test_verify_free(self, tmp_path):
-        job = parse_input('{"command":"verify","setting":"jacobi","R":2,"grid":64}')
+        job = job_from_text('{"command":"verify","setting":"jacobi","R":2,"grid":64}')
         assert run(job, tmp_path) == 0
         rep = json.loads((tmp_path / "verify.json").read_text())
         assert rep["residual"] <= 10 * rep["eta"]
         assert rep["asymptotic_error"] < 1e-4
 
     def test_example_full_pipeline(self, tmp_path):
-        job = parse_input('{"command":"example","name":"soliton","epsilon":0.25}')
+        job = job_from_text('{"command":"example","name":"soliton","epsilon":0.25}')
         assert run(job, tmp_path) == 0
         for name in ("admissibility.json", "jacobi_window.csv", "verify.json"):
             assert (tmp_path / name).exists()
 
     def test_deterministic_output(self, tmp_path):
-        job = parse_input('{"command":"check","setting":"jacobi","R":4,"atoms":[{"t":1,"w":0.5}]}')
+        job = job_from_text('{"command":"check","setting":"jacobi","R":4,"atoms":[{"t":1,"w":0.5}]}')
         d1, d2 = tmp_path / "a", tmp_path / "b"
         run(job, d1)
         run(job, d2)
@@ -189,18 +193,18 @@ class TestRun:
             '"atoms":[{"t":0.3,"w":0.8}],"N":16,"x_max":0.3}'
         )
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        run(parse_input(text), d1)
-        run(parse_input(text), d2)
+        run(job_from_text(text), d1)
+        run(job_from_text(text), d2)
         for name in ("potential_trace.csv", "riccati_residual.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_bool_is_not_a_number(self):
         with pytest.raises(SchemaError) as err:
-            parse_input('{"command":"check","setting":"jacobi","R":true}')
+            job_from_text('{"command":"check","setting":"jacobi","R":true}')
         assert err.value.pointer == "/R"
 
     def test_csv_line_endings(self, tmp_path):
-        job = parse_input('{"command":"jacobi","setting":"jacobi","R":2,"N":3}')
+        job = job_from_text('{"command":"jacobi","setting":"jacobi","R":2,"N":3}')
         run(job, tmp_path)
         raw = (tmp_path / "jacobi_window.csv").read_bytes()
         assert b"\r" not in raw
@@ -317,11 +321,31 @@ class TestMain:
         argv = [command, "--order", "3", "--step", "1e-9", "--grid", "8"]
         assert main(argv + ["--input", str(measure), "--out", str(tmp_path)]) == 0
 
-    def test_cli_admissibility_exit_code(self, tmp_path):
-        measure = tmp_path / "m.json"
-        measure.write_text('{"setting":"jacobi","R":4,"atoms":[{"t":1.0,"w":1.0}]}')
-        status = main(["jacobi", "--input", str(measure), "--out", str(tmp_path)])
+    def test_cli_admissibility_exit_code(self, tmp_path, capsys):
+        # a reconstruction refused by the gate names it in one line on stderr
+        for command, text in [
+            ("jacobi", '{"setting":"jacobi","R":4,"atoms":[{"t":1.0,"w":1.0}]}'),
+            ("schrodinger", '{"setting":"schrodinger","R":2,"atoms":[{"t":0.0,"w":5.0}]}'),
+        ]:
+            measure = tmp_path / f"{command}.json"
+            measure.write_text(text)
+            status = main([command, "--input", str(measure), "--out", str(tmp_path / command)])
+            assert status == 2
+            err = _one_error_line(capsys)
+            assert err["error"] == "AdmissibilityRequired"
+            assert f"fails the {command} admissibility inequality" in err["message"]
+
+    @pytest.mark.parametrize(
+        "preset", [["delta1"], ["delta0", "--mass", "5"]], ids=["jacobi", "schrodinger"]
+    )
+    def test_cli_example_on_inadmissible_preset(self, tmp_path, capsys, preset):
+        # one pipeline for both settings: the failed check skips the
+        # reconstruction, and verify still runs
+        status = main(["example", "--name", *preset, "--out", str(tmp_path)])
         assert status == 2
+        assert capsys.readouterr().err == ""
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["admissibility.json", "verify.json"]
+        assert json.loads((tmp_path / "admissibility.json").read_text())["passed"] is False
 
     @pytest.mark.parametrize(
         "argv, text, pointer",

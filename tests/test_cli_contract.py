@@ -1,7 +1,9 @@
 """Property tests of the CLI contract.
 
-On every input, ``main`` returns exit 0 or 2 with finite artifacts, or exit
-1 with exactly one JSON line on stderr; it never raises and never prints a
+On every input, ``main`` returns exit 0, or exit 2 from check or example,
+with finite artifacts and nothing on stderr; exit 2 from jacobi or
+schrodinger with one AdmissibilityRequired line on stderr; or exit 1 with
+exactly one JSON line on stderr.  It never raises and never prints a
 traceback or a warning.
 """
 
@@ -180,9 +182,15 @@ def _assert_contract(command, payload, flags=()):
             error = getattr(errors, json.loads(lines[0])["error"], None)
             assert isinstance(error, type), lines[0]
             assert issubclass(error, errors.ReflectionlessError), lines[0]
+            return
+        if status == 2 and command in ("jacobi", "schrodinger"):
+            # the reconstruction's own gate refused the measure
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == "AdmissibilityRequired", lines[0]
         else:
-            assert len(lines) <= 1
-            _assert_finite_artifacts(out)
+            # check and example write the failed report instead
+            assert lines == [], lines
+        _assert_finite_artifacts(out)
 
 
 def _refuse_constant(name):
@@ -207,6 +215,7 @@ def _assert_finite_artifacts(out):
 @example("verify", {**ATOM_JACOBI, "eta": 1e300})
 @example("verify", {**README_MEASURE, "eta": 1e300})
 @example("verify", {**README_MEASURE, "eta": 1e200})
+@example("example", {"name": "delta0", "mass": 5})  # an inadmissible preset
 def test_valid_jobs_meet_the_contract(command, job):
     _assert_contract(command, json.dumps(job).encode())
 
@@ -283,7 +292,7 @@ def _nan_window(*args, **kwargs):
     "command, name, patched",
     [
         ("verify", "reflectionless_residual", lambda *args: math.nan),
-        ("check", "admissible_discrete", lambda *args: AdmissibilityReport(True, math.inf, -2.0, ())),
+        ("check", "admissibility", lambda *args: AdmissibilityReport(True, math.inf, -2.0, ())),
         ("jacobi", "reconstruct", _nan_window),
         # the plus side's residual comes first and must not hide a NaN after it
         ("jacobi", "m_value", lambda sigma, setting, z, side: math.nan if side == "minus" else 0j),

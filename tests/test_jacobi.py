@@ -303,7 +303,9 @@ class TestReconstruct:
         assert oracle_vs_direct(window, sigma, setting) <= 1e-6
 
     def test_inadmissible_rejected(self):
-        with pytest.raises(AdmissibilityRequired):
+        # the gate's message names the setting, the minimum and its E
+        message = r"^measure fails the jacobi admissibility inequality \(min -0\.5 at E = -4\)$"
+        with pytest.raises(AdmissibilityRequired, match=message):
             reconstruct(Measure.point(1.0, 1.0), Setting.jacobi(4.0), 6)
 
     def test_oracle_convergence_monotone(self):

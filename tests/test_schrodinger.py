@@ -52,7 +52,9 @@ class TestInitFlow:
         assert s.tolist() == [1.0, 0.0, 0.25, 0.0, 0.0625]
 
     def test_requires_admissible(self):
-        with pytest.raises(AdmissibilityRequired):
+        # the gate's message names the setting, the minimum and its E
+        message = r"^measure fails the schrodinger admissibility inequality \(min -0\.25 at E = -4\)$"
+        with pytest.raises(AdmissibilityRequired, match=message):
             init_flow(Measure.point(0.0, 5.0), 6, 2.0)
 
     def test_piece_density_measure(self):
@@ -277,6 +279,7 @@ class TestRiccati:
             est_truncation_error=trace.est_truncation_error,
             R=trace.R,
             sigmas=big,
+            step=trace.step,
         )
         with pytest.raises(RiccatiBlowUp):
             riccati_oracle(fake, 0.45)
