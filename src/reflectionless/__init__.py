@@ -48,7 +48,6 @@ from .herglotz import (
     stieltjes_density,
 )
 from .jacobi import (
-    AsymptoticMoments,
     JacobiWindow,
     RatioReport,
     m_oracle,

@@ -37,7 +37,7 @@ from .herglotz import (
 )
 from .jacobi import m_oracle, reconstruct
 from .measure import Measure, moment
-from .schrodinger import MIN_FLOW_ORDER, integrate_flow, riccati_mismatch
+from .schrodinger import MIN_FLOW_ORDER, flow_steps, integrate_flow, riccati_mismatch
 
 COMMANDS = ("check", "jacobi", "schrodinger", "verify", "example")
 
@@ -170,8 +170,8 @@ def _parse_job(command, obj):
         N, steps = params["N"], params["x_max"] / params["step"]
         if N < MIN_FLOW_ORDER:
             raise SchemaError("/N", f"must be at least {MIN_FLOW_ORDER} for the flow, got {N}")
-        # a ratio beyond the budget is refused before ceil, which an infinite one breaks
-        if steps > MAX_FLOW_WORK or math.ceil(steps) * ((N + 1) ** 2 + FLOW_STEP_COST) > MAX_FLOW_WORK:
+        # a ratio beyond the budget is refused before flow_steps, which an infinite one breaks
+        if steps > MAX_FLOW_WORK or flow_steps(steps) * ((N + 1) ** 2 + FLOW_STEP_COST) > MAX_FLOW_WORK:
             work = f"ceil(x_max / step) * ((N + 1)^2 + {FLOW_STEP_COST})"
             raise SchemaError("/step", f"{work} must be at most {MAX_FLOW_WORK:g}")
 

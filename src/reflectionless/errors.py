@@ -23,7 +23,7 @@ class SupportViolation(ReflectionlessError):
     Carries the offending atom position or piece interval in ``offender``.
     """
 
-    def __init__(self, message, offender=None):
+    def __init__(self, message, offender):
         super().__init__(message)
         self.offender = offender
 
@@ -52,8 +52,8 @@ class InadmissibleSigma(ReflectionlessError):
 class HankelBreakdown(ReflectionlessError):
     """Moment matrix lost positive definiteness at the given pivot."""
 
-    def __init__(self, pivot, message=None):
-        super().__init__(message or f"Hankel matrix not positive definite at pivot {pivot}")
+    def __init__(self, pivot, message):
+        super().__init__(message)
         self.pivot = pivot
 
 
@@ -72,8 +72,8 @@ class FreeOperator(ReflectionlessError):
 class TruncationBlowup(ReflectionlessError):
     """Moment-flow truncation bound violated; reports where it happened."""
 
-    def __init__(self, x, message=None):
-        super().__init__(message or f"moment bound violated at x = {x}")
+    def __init__(self, x, message):
+        super().__init__(message)
         self.x = x
 
 

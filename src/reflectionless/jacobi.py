@@ -65,28 +65,15 @@ class JacobiWindow:
         return self.b[n - self.n_min] if self.n_min <= n <= self.n_max else 0.0
 
 
-@dataclass(frozen=True)
-class AsymptoticMoments:
-    """Moment data of one half-line spectral measure rho.
-
-    nu are the moments nu_k = int U_k(x/2) d rho_0 of its deflated part
-    rho_0 against the monic free-basis polynomials U_k(x/2), and nodes the
-    (E, mass) pairs that rho adds to rho_0 off [-2, 2]: its eigenvalues, or
-    quadrature nodes of the image of a density piece inside the unit disk.
-    """
-
-    nu: tuple
-    nodes: tuple
-
-
 # ---------------------------------------------------------------------------
 # moment extraction
 
 
 def _deflated_moments(ts, ws, K):
-    """Free-basis moments nu_0..nu_K and nodes of the half-line measure whose
-    m function is F(lam) = lam + sum_{k>=2} s_{-1-k} lam^k, s the moments of
-    the weighted nodes (ts, ws).
+    """Float arrays (nu, (E, mass)) of the half-line measure rho whose m
+    function is F(lam) = lam + sum_{k>=2} s_{-1-k} lam^k, s the moments of
+    the weighted nodes (ts, ws): rho puts the masses at the eigenvalues E off
+    [-2, 2], and nu_0..nu_K are the free-basis moments of the rest.
 
     Since 1/(x - z) = lam sum_k U_k(-x/2) lam^k with z = -(lam + 1/lam), the
     full moments are (-1)^k s_{-(k+2)}.  A node with |t| < 1 puts the mass
@@ -103,20 +90,17 @@ def _deflated_moments(ts, ws, K):
     nu[1::2] = 0.0 - nu[1::2]  # not -nu: a zero moment stays +0.0, so free rows get b = +0
     mass = w_in * (1.0 - t_in) * (1.0 + t_in) / (t_in * t_in)
     nu[0] = 1.0 - mass.sum()
-    return tuple(nu.tolist()), tuple(zip((-(t_in + 1.0 / t_in)).tolist(), mass.tolist()))
+    return nu, (-(t_in + 1.0 / t_in), mass)
 
 
 def rho_plus_moments(sigma, K):
-    """Deflated free-basis moments nu_0..nu_K and nodes of rho+, read off the
-    lambda -> 0 expansion of F: m_plus(z) = F(lam(z)) with lam the unit-disk
-    root of lam^2 + z lam + 1 = 0."""
-    nu, nodes = _deflated_moments(*quadrature_atoms(sigma, (0.0,), K + 2), K)
-    return AsymptoticMoments(nu=nu, nodes=nodes)
+    """(nu, (E, mass)) of rho+, read off the lambda -> 0 expansion of F:
+    m_plus(z) = F(lam(z)) with lam the unit-disk root of lam^2 + z lam + 1 = 0."""
+    return _deflated_moments(*quadrature_atoms(sigma, (0.0,), K + 2), K)
 
 
 def rho_minus_moments(sigma, K):
-    """Deflated free-basis moments and nodes of rho-, and the site-0
-    coefficients (a0, b0, a_{-1}).
+    """(nu, (E, mass)) of rho-, and the site-0 coefficients (a0, b0, a_{-1}).
 
     a0 = (1 - s_{-2})^{-1/2} and b0 = -s_{-1}/(1 - s_{-2}); the |lambda| ->
     infinity expansion of -F then carries rho- through a0^2 m_-(z) = z - b0
@@ -134,8 +118,7 @@ def rho_minus_moments(sigma, K):
         raise InadmissibleSigma(f"needs 1 - s_{{-2}} + s_0 > 0, got {q}")
     a_minus1 = a0 * math.sqrt(q)
     ts, ws = quadrature_atoms(sigma, (0.0,), K + 2)
-    nu, nodes = _deflated_moments(1.0 / ts, ws / (ts * ts * q), K)
-    return AsymptoticMoments(nu=nu, nodes=nodes), (a0, b0, a_minus1)
+    return _deflated_moments(1.0 / ts, ws / (ts * ts * q), K), (a0, b0, a_minus1)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +158,11 @@ def _wheeler(nu_monic, N):
 
 
 def _add_nodes(alpha, beta, nodes):
-    """Recurrence rows of the measure plus each (x, w) node, in place, by the
-    RKPW update (Gragg & Harrod 1984; Gautschi's OPQ `lanczos`).  Row k of
-    the result depends only on rows 0..k, so the rows kept are exact."""
+    """Recurrence rows of the measure plus the nodes (x, w), in place, on Python
+    floats, by the RKPW update (Gragg & Harrod 1984; Gautschi's OPQ `lanczos`).
+    Row k of the result depends only on rows 0..k, so the rows kept are exact."""
     a, b = alpha.tolist(), beta.tolist()
-    for x, pn in nodes:
+    for x, pn in zip(*np.asarray(nodes).tolist()):
         gam, sig, t = 1.0, 0.0, 0.0
         for k in range(len(a)):
             rho = b[k] + pn
@@ -197,16 +180,17 @@ def _add_nodes(alpha, beta, nodes):
 
 
 def moments_to_recurrence(m, N):
-    """Three-term recurrence coefficients of the orthonormal polynomials.
+    """Three-term recurrence coefficients of the measure m = (nu, (E, mass)).
 
     Returns (alpha, beta) with beta[0] the total mass and sqrt(beta[k]) the
     off-diagonal entries.  Raises HankelBreakdown at the first pivot of the
     deflated part at or below BREAKDOWN_TOL.
     """
-    if len(m.nu) < 2 * N:
-        raise HankelBreakdown(N, f"need {2 * N} moments for {N} rows, have {len(m.nu)}")
-    alpha, beta = _wheeler(m.nu, N)
-    _add_nodes(alpha, beta, m.nodes)
+    nu, nodes = m
+    if len(nu) < 2 * N:
+        raise HankelBreakdown(N, f"need {2 * N} moments for {N} rows, have {len(nu)}")
+    alpha, beta = _wheeler(nu, N)
+    _add_nodes(alpha, beta, nodes)
     return alpha, beta
 
 

@@ -72,6 +72,11 @@ def _truncation_envelope(N, R, x):
         return math.inf
 
 
+def flow_steps(ratio):
+    """Steps per side that integrate_flow takes where x_max / step = ratio."""
+    return max(1, math.ceil(ratio - 1e-12))
+
+
 def integrate_flow(sigma, N, R, x_max, step=None):
     """Fourth-order integration of the hierarchy over [-x_max, x_max].
 
@@ -84,8 +89,7 @@ def integrate_flow(sigma, N, R, x_max, step=None):
     if not x_max > 0.0:
         raise BadParameter("x_max must be positive")
     s0 = init_flow(sigma, N, R)
-    h = step if step is not None else 1.0 / (20.0 * R)
-    n_steps = max(1, int(math.ceil(x_max / h - 1e-12)))
+    n_steps = flow_steps(x_max / (step if step is not None else 1.0 / (20.0 * R)))
     h = x_max / n_steps
     bounds = moment_bounds(N, R)
 

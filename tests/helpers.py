@@ -204,15 +204,15 @@ def loop_wheeler(nu_monic, N):
 
 
 def power_moments(m):
-    """Power moments mu_n = int x^n d rho, n < len(m.nu), of the measure an
-    AsymptoticMoments describes: x^n = sum_j (C(n, j) - C(n, j - 1))
-    U_{n-2j}(x/2) on the deflated part, plus sum mass E^n over its nodes."""
-    nu = np.asarray(m.nu, dtype=float)
+    """Power moments mu_n = int x^n d rho, n < len(nu), of the measure
+    m = (nu, (E, mass)): x^n = sum_j (C(n, j) - C(n, j - 1)) U_{n-2j}(x/2) on
+    the deflated part, plus sum mass E^n over its nodes."""
+    nu, (E, mass) = m
     mu = np.empty(len(nu))
     for n in range(len(nu)):
         j = np.arange(n // 2 + 1)
         c = np.array([math.comb(n, i) - (math.comb(n, i - 1) if i else 0) for i in j], dtype=float)
-        mu[n] = np.dot(c, nu[n - 2 * j]) + sum(w * E ** n for E, w in m.nodes)
+        mu[n] = np.dot(c, nu[n - 2 * j]) + np.dot(mass, E ** n)
     return mu
 
 

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reflectionless
+from reflectionless import cli
 from reflectionless.cli import (
     FLOW_STEP_COST,
     MAX_FLOW_WORK,
@@ -20,6 +23,9 @@ from reflectionless.cli import (
 )
 from reflectionless.errors import NonFiniteOutput, SchemaError
 from reflectionless.measure import solve_r
+from reflectionless.schrodinger import integrate_flow
+
+ATOM_S = '"setting":"schrodinger","R":2,"atoms":[{"t":0.3,"w":0.8}]'
 
 
 def job_from_text(json_text):
@@ -105,6 +111,34 @@ class TestParseInput:
         with pytest.raises(SchemaError) as err:
             job(steps + 1)
         assert err.value.pointer == "/step"
+
+    def test_flow_budget_edge_at_a_decimal_step(self):
+        # 0.6993 / 7e-05 is 9990.000000000002 in floating point, and the flow
+        # takes 9,990 steps: the most that N = 4 fits.  9,991 steps are refused.
+        def job(x_max):
+            return job_from_text(f'{{"command":"schrodinger",{ATOM_S},"N":4,"x_max":{x_max},"step":7e-05}}')
+
+        assert job(0.6993).params["x_max"] == 0.6993
+        with pytest.raises(SchemaError) as err:
+            job(0.69937)
+        assert err.value.pointer == "/step"
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 600))
+    @example(3, 7)  # 0.00021 / 7e-05 is 3.0000000000000004
+    def test_flow_budget_charges_the_steps_the_flow_takes(self, n, d):
+        # decimal x_max = n d 1e-5 and step = d 1e-5: a budget of exactly the
+        # steps integrate_flow takes admits the job, and one unit less refuses it
+        text = f'{{"command":"schrodinger",{ATOM_S},"N":4,"x_max":{n * d}e-5,"step":{d}e-5}}'
+        job = job_from_text(text)
+        trace = integrate_flow(job.measure, 4, 2.0, job.params["x_max"], step=job.params["step"])
+        work = (len(trace.xs) - 1) // 2 * ((4 + 1) ** 2 + FLOW_STEP_COST)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "MAX_FLOW_WORK", work)
+            job_from_text(text)
+            mp.setattr(cli, "MAX_FLOW_WORK", work - 1)
+            with pytest.raises(SchemaError):
+                job_from_text(text)
 
     @pytest.mark.parametrize(
         "command, setting, fields",

@@ -25,7 +25,6 @@ from reflectionless.errors import (
 from reflectionless.herglotz import Setting, admissible_discrete, m_value
 from reflectionless.jacobi import (
     MIN_EXCESS,
-    AsymptoticMoments,
     JacobiWindow,
     RatioReport,
     m_oracle,
@@ -40,6 +39,7 @@ from reflectionless.presets import free, soliton
 
 ZERO = Measure.zero()
 JAC2 = Setting.jacobi(2.0)
+NO_NODES = (np.empty(0), np.empty(0))
 
 ZGRID = np.array(
     [complex(x, y) for x in (-2.0, -1.0, 0.0, 1.0, 2.0) for y in (1.0, 1.5, 2.0, 2.5, 3.0)]
@@ -51,10 +51,11 @@ def catalan(m):
 
 
 def single_atom_moments(t, count):
-    """Free-basis moments nu_k = U_k(t/2) of a unit atom at t in (-2, 2)."""
+    """Free-basis moments nu_k = U_k(t/2) of a unit atom at t in (-2, 2), and
+    no nodes."""
     theta = math.acos(t / 2.0)
-    nu = tuple(math.sin((k + 1) * theta) / math.sin(theta) for k in range(count))
-    return AsymptoticMoments(nu=nu, nodes=())
+    nu = np.array([math.sin((k + 1) * theta) / math.sin(theta) for k in range(count)])
+    return nu, NO_NODES
 
 
 def oracle_vs_direct(window, sigma, setting, z_grid=ZGRID):
@@ -104,9 +105,10 @@ class TestRhoPlusMoments:
     def test_chebyshev_moments_free(self):
         # the second-kind Chebyshev polynomials U_k(x/2) are orthonormal for
         # the free measure: nu = (1, 0, 0, ...), and nothing to deflate
-        m = rho_plus_moments(ZERO, 10)
-        assert m.nu == (1.0,) + (0.0,) * 10
-        assert m.nodes == ()
+        nu, (E, mass) = rho_plus_moments(ZERO, 10)
+        assert nu.dtype == E.dtype == mass.dtype == np.float64
+        assert nu.tolist() == [1.0] + [0.0] * 10
+        assert E.size == mass.size == 0
 
 
 def assert_site_zero_of_window(site0, sigma, setting):
@@ -119,6 +121,9 @@ def assert_site_zero_of_window(site0, sigma, setting):
 class TestRhoMinusMoments:
     def test_free(self):
         m, (a0, b0, a_minus1) = rho_minus_moments(ZERO, 8)
+        nu, (E, mass) = m
+        assert nu.dtype == E.dtype == mass.dtype == np.float64
+        assert nu.tolist() == [1.0] + [0.0] * 8 and E.size == mass.size == 0
         assert a0 == 1.0 and b0 == 0.0 and a_minus1 == 1.0
         assert power_moments(m)[0] == pytest.approx(1.0, abs=1e-12)
         assert_site_zero_of_window((a0, b0, a_minus1), ZERO, JAC2)
@@ -194,8 +199,8 @@ class TestMomentsToRecurrence:
     # its pivot is an exact zero (NaN row) or 6e-16, below BREAKDOWN_TOL
     @pytest.mark.parametrize("t1, t2, w", [(1.3, -1.1, 0.5), (1.7, 0.2, 0.6)])
     def test_breakdown_in_the_last_row_raises(self, t1, t2, w):
-        one, two = single_atom_moments(t1, 6).nu, single_atom_moments(t2, 6).nu
-        m = AsymptoticMoments(nu=tuple(w * x + (1.0 - w) * y for x, y in zip(one, two)), nodes=())
+        (one, _), (two, _) = single_atom_moments(t1, 6), single_atom_moments(t2, 6)
+        m = (w * one + (1.0 - w) * two, NO_NODES)
         alpha, beta = moments_to_recurrence(m, 2)
         assert np.all(np.isfinite(alpha)) and beta[1] > 0.5
         with pytest.raises(HankelBreakdown) as err:
