@@ -15,26 +15,23 @@ FLOW_BOUND_VIOLATED = 1
 FLOW_STEP_TOO_LARGE = 2
 
 
-def cf_plus(a, b, z, seed):
-    # descend m_n = -1/(z - b_{n+1} + a_{n+1}^2 m_{n+1}) in place; index i <-> site i+1
-    zb, a2 = z - b[:, None], (a * a).tolist()
-    m = seed.astype(np.complex128)
-    for i in range(a.size - 1, -1, -1):
-        m *= a2[i]
-        m += zb[i]
-        np.divide(-1.0, m, out=m)
-    return m
+def cf_plus(a, b, z, w):
+    # descend w_n = z - b_{n+1} - a_{n+1}^2 / w_{n+1} from the last site, m_n = -1/w_n
+    w = w.astype(np.complex128)
+    for a2, zb in zip((a * a)[::-1].tolist(), z - b[::-1, None]):
+        np.divide(a2, w, out=w)
+        np.subtract(zb, w, out=w)
+    return -1.0 / w
 
 
-def cf_minus(a, b, z, seed):
-    # ascend a_n^2 m_n = z - b_n - 1/m_{n-1}; arrays ordered along the sweep
-    zb, a2 = z - b[:, None], (a * a).tolist()
-    m = seed.astype(np.complex128)
-    for i in range(a.size):
-        np.divide(1.0, m, out=m)
-        np.subtract(zb[i], m, out=m)
-        m /= a2[i]
-    return m
+def cf_minus(a, b, z, v):
+    # ascend v_n = a_n^2 m_n = z - b_n - a_{n-1}^2 / v_{n-1}; arrays ordered along the sweep
+    a2 = [1.0, *(a * a).tolist()]
+    v = v.astype(np.complex128)
+    for a2_prev, zb in zip(a2, z - b[:, None]):
+        np.divide(a2_prev, v, out=v)
+        np.subtract(zb, v, out=v)
+    return v / a2[-1]
 
 
 def _deriv_numpy(s):

@@ -14,7 +14,7 @@ class BadR(ReflectionlessError):
 
 
 class NegativeWeight(ReflectionlessError):
-    """A measure atom or density with nonpositive mass."""
+    """A measure atom or density with nonpositive or non-finite mass."""
 
 
 class SupportViolation(ReflectionlessError):

@@ -96,13 +96,18 @@ def phi_inv(setting, z, region):
         raise BranchAmbiguity(f"both preimages of real z = {z} meet the branch cut")
     if region not in ("upper", "lower"):
         raise BadParameter(f"unknown region {region!r}")
+    return _branch(setting, z, region == "upper")
+
+
+def _branch(setting, z, upper):
+    """phi_inv for a complex z off the real axis, unchecked."""
     if setting.kind == "jacobi":
         big = outer_root(z)
-        return 1.0 / big if region == "upper" else big
+        return 1.0 / big if upper else big
     w = cmath.sqrt(-z)
     if w.real < 0:
         w = -w
-    return -w if region == "upper" else w
+    return -w if upper else w
 
 
 def m_value(sigma, setting, z, side):
@@ -115,10 +120,9 @@ def m_value(sigma, setting, z, side):
     if not z.imag > 0.0:
         raise BranchAmbiguity("m functions are evaluated in the open upper half plane")
     if side == "plus":
-        return f_value(sigma, setting, phi_inv(setting, z, "upper"))
+        return f_value(sigma, setting, _branch(setting, z, True))
     if side == "minus":
-        lam = phi_inv(setting, z, "lower")
-        return -f_value(sigma, setting, lam.conjugate()).conjugate()
+        return -f_value(sigma, setting, _branch(setting, z, False).conjugate()).conjugate()
     raise BadParameter(f"unknown side {side!r}")
 
 
@@ -135,9 +139,10 @@ def _boundary_atoms(sigma, s):
 
 
 def _boundary_on_s_grid(atoms, s, root_sign):
-    """1 - s_{-2} + sum_j w_j / ((t_j - rho1)(t_j - rho2)) on one ray, with
-    rho1 = root_sign s and rho2 = root_sign / s for each s of an array: the
-    factored form avoids cancellation on the support."""
+    """1 - s_{-2} + sum_j w_j / ((t_j - rho1)(t_j - rho2)), with rho1 =
+    root_sign s and rho2 = root_sign / s for each s of an array (root_sign
+    one sign, or one per s): the factored form avoids cancellation on the
+    support."""
     one_minus_s2, ts, ws = atoms
     with np.errstate(divide="ignore", invalid="ignore"):
         contrib = ws / ((ts - root_sign * s) * (ts - root_sign / s))
@@ -174,23 +179,21 @@ def admissible_discrete(sigma, setting):
     [r / 4096, r].
     """
     r = setting.r
-    s_arr = r * np.append((np.arange(SAMPLES_PER_RAY) + 1 / 64) / SAMPLES_PER_RAY, 1.0)
-    atoms = _boundary_atoms(sigma, r)
-    best_val, best_E = math.inf, math.nan
-    samples = []
-    for ray in (-1.0, 1.0):
-        root_sign = -ray
-        vals = _boundary_on_s_grid(atoms, s_arr, root_sign)
-        E_arr = ray * (s_arr + 1.0 / s_arr)
-        k = int(np.nanargmin(vals))
-        if vals[k] < best_val:
-            best_val, best_E = float(vals[k]), float(E_arr[k])
-        samples.extend(zip(E_arr[:-1].tolist(), vals[:-1].tolist()))
+    s = r * np.append((np.arange(SAMPLES_PER_RAY) + 1 / 64) / SAMPLES_PER_RAY, 1.0)
+    rays = np.repeat([-1.0, 1.0], s.size)  # one grid: the -1 ray, then the +1 ray
+    s = np.tile(s, 2)
+    vals = _boundary_on_s_grid(_boundary_atoms(sigma, r), s, -rays)
+    E = rays * (s + 1.0 / s)
+    # the first least value that is not NaN, so ties go to the -1 ray; NaN
+    # (a failed check) when every value is
+    k = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
+    # every point but each ray's end is a reported sample
+    E_s, v_s = (x.reshape(2, -1)[:, :-1].ravel().tolist() for x in (E, vals))
     return AdmissibilityReport(
-        passed=bool(best_val > ADMISSIBILITY_TOL),
-        min_value=best_val,
-        argmin=best_E,
-        samples=tuple(samples),
+        passed=bool(vals[k] > ADMISSIBILITY_TOL),
+        min_value=float(vals[k]),
+        argmin=float(E[k]),
+        samples=tuple(zip(E_s, v_s)),
     )
 
 

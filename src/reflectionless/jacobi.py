@@ -136,23 +136,23 @@ def _wheeler(nu_monic, N):
     beta = np.empty(N)
     prev = np.zeros(K + 2)  # sigma_{-1}, from l = -1
     sig = np.array(nu_monic[:K], dtype=float)  # sigma_0, from l = 0
-    alpha[0] = sig[1] / sig[0]
-    beta[0] = sig[0]
+    alpha[0] = al = sig[1] / sig[0]  # numpy's division: a zero mass gives nan, not an exception
+    beta[0] = be = sig[0]
     p0, p1 = sig[:2].tolist()  # sigma_{k-1}[k-1], sigma_{k-1}[k]
     tmp = np.empty(K)
     for k in range(1, N):
         new, t = prev[2:-2], tmp[:K - 2 * k]  # new overwrites sigma_{k-2}[k:]
-        new *= beta[k - 1]
-        np.multiply(sig[1:-1], alpha[k - 1], t)
+        new *= be
+        np.multiply(sig[1:-1], al, t)
         np.subtract(sig[2:], t, t)
         np.subtract(t, new, new)
         new += sig[:-2]
         n0, n1 = new[:2].tolist()
-        pivot = n0 / p0 if p0 != 0.0 else math.nan
-        if not pivot > BREAKDOWN_TOL:
+        be = n0 / p0 if p0 != 0.0 else math.nan
+        if not be > BREAKDOWN_TOL:
             raise HankelBreakdown(k + 1, "moment pivot failed within the rows the window needs")
-        alpha[k] = n1 / n0 - p1 / p0
-        beta[k] = pivot
+        alpha[k] = al = n1 / n0 - p1 / p0
+        beta[k] = be
         prev, sig, p0, p1 = sig, new, n0, n1
     return alpha, beta
 
@@ -237,44 +237,38 @@ def reconstruct(sigma, setting, N):
 # continued-fraction oracle
 
 
-def _settle(cf, z, m):
-    """m taken through the free step of `cf` until it stops changing (at
-    most 16 times): the floating-point value that a walk over many free
-    sites settles on.  At every z of the CLI's oracle grid this takes at
-    most two steps.  Elsewhere the rounded map can cycle within a few ulps
-    instead, so the result may differ from a long walk's in the last bits."""
-    for _ in range(16):
-        step = cf(np.ones(1), np.zeros(1), z, m)
-        if np.array_equal(step, m):
-            break
-        m = step
-    return m
-
-
 def m_oracle(J, z, side):
     """m functions of the window continued by the free operator, by
     continued fractions over the window's own sites.
 
-    Past the window every step is the free map m -> -1/(z + m) (plus side)
-    or m -> z - 1/m (minus side), and the free m values u and -1/u, with u
-    the disk root of u^2 + z u + 1 = 0, are fixed points of these maps.  So
-    free sites beyond the window change nothing, and the recursion starts at
-    the window's edge from u (or -1/u) settled in floating point.  Returns
-    an array of the shape of np.atleast_1d(z).
+    Both walks carry a state that past the window follows the free map
+    w -> z - 1/w: w = -1/m_n on the plus side, w = a_n^2 m_n on the minus
+    side.  Its fixed point -outer_root(z) is the free state of both sides,
+    so free sites beyond the window change nothing, and each walk starts at
+    the window's edge from that fixed point settled in floating point: taken
+    through the map until it stops changing, at most 16 times.  At every z
+    of the CLI's oracle grid this takes at most two steps; elsewhere the
+    rounded map can cycle within a few ulps, so the result may differ from
+    a long walk's in the last bits.  Returns an array of the shape of
+    np.atleast_1d(z).
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(z_arr.imag <= 0):
         raise BadParameter("oracle needs Im z > 0")
-    u = np.array([1.0 / outer_root(zz) for zz in z_arr], dtype=complex)
     zero = -J.n_min  # array index of site 0
     if side == "plus":
-        cf, sites, seed = _kernels.cf_plus, slice(zero + 1, None), u
+        cf, sites = _kernels.cf_plus, slice(zero + 1, None)
     elif side == "minus":
-        cf, sites, seed = _kernels.cf_minus, slice(0, zero + 1), -1.0 / u
+        cf, sites = _kernels.cf_minus, slice(0, zero + 1)
     else:
         raise BadParameter(f"unknown side {side!r}")
-    a, b = np.asarray(J.a[sites]), np.asarray(J.b[sites])
-    return cf(a, b, z_arr, _settle(cf, z_arr, seed))
+    w = -np.array([outer_root(zz) for zz in z_arr.tolist()], dtype=complex)
+    for _ in range(16):
+        step = z_arr - 1.0 / w
+        if np.array_equal(step, w):
+            break
+        w = step
+    return cf(np.asarray(J.a[sites]), np.asarray(J.b[sites]), z_arr, w)
 
 
 # ---------------------------------------------------------------------------

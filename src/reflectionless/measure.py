@@ -114,8 +114,8 @@ def validate(mu, setting):
     occupied = []
     ts, ws = mu.atom_arrays
     for t, w in zip(ts, ws):
-        if not w > 0.0:
-            raise NegativeWeight(f"atom at t={t} has weight {w} <= 0")
+        if not 0.0 < w < math.inf:
+            raise NegativeWeight(f"atom at t={t} has weight {w}, not a positive finite number")
         check_inside(t, t, t)
         occupied.append((t, t))
     for p in mu.pieces:
@@ -128,9 +128,10 @@ def validate(mu, setting):
             raise NegativeWeight(f"piece [{p.a}, {p.b}] has no density coefficients")
         check_inside(p.a, p.b, (p.a, p.b))
         xs = np.cos(np.pi * np.arange(4 * len(p.cheb) + 33) / (4 * len(p.cheb) + 32))
-        vals = _cheb.chebval(xs, p.cheb)
-        if np.min(vals) < -1e-12 * max(1.0, np.max(np.abs(vals))):
-            raise NegativeWeight(f"density negative on [{p.a}, {p.b}]")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            vals = _cheb.chebval(xs, p.cheb)
+        if not np.isfinite(vals).all() or np.min(vals) < -1e-12 * max(1.0, np.max(np.abs(vals))):
+            raise NegativeWeight(f"density negative or not finite on [{p.a}, {p.b}]")
         occupied.append((p.a, p.b))
     occupied.sort()
     for (a1, b1), (a2, b2) in zip(occupied, occupied[1:]):
@@ -246,11 +247,11 @@ def cauchy(mu, lam):
     lam = complex(lam)
     if not cmath.isfinite(lam):
         raise NonFiniteOutput(f"Cauchy transform at a non-finite point {lam}")
-    if any(t == lam for t, _ in mu.atoms):
-        raise OnSupport(f"Cauchy transform evaluated on an atom at {lam}")
-    if lam.imag == 0.0:
+    if lam.imag == 0.0:  # only a real lam can meet the support
+        if any(t == lam for t, _ in mu.atoms):
+            raise OnSupport(f"Cauchy transform evaluated on an atom at {lam}")
         for p in mu.pieces:
             if p.a <= lam.real <= p.b:
                 raise OnSupport(f"Cauchy transform evaluated inside a piece at {lam}")
     ts, ws = quadrature_atoms(mu, (lam,), split=lam.real)
-    return complex((ws / (ts - lam)).sum())
+    return complex(np.add.reduce(ws / (ts - lam)))

@@ -328,17 +328,39 @@ def one_atom_window(t, w, N):
     return np.array(a), np.array(b)
 
 
-def loop_cf_plus(a, b, z, seed):
+def loop_cf_plus(a, b, z, w):
     """_kernels.cf_plus with a new array per site: its bit-for-bit reference."""
-    m = seed.astype(np.complex128).copy()
+    w = w.astype(np.complex128).copy()
+    for i in range(a.size - 1, -1, -1):
+        w = (z - b[i]) - a[i] * a[i] / w
+    return -1.0 / w
+
+
+def loop_cf_minus(a, b, z, v):
+    """_kernels.cf_minus with a new array per site: its bit-for-bit reference."""
+    v = v.astype(np.complex128).copy()
+    a2_prev = 1.0
+    for i in range(a.size):
+        v = (z - b[i]) - a2_prev / v
+        a2_prev = a[i] * a[i]
+    return v / a2_prev
+
+
+def m_form_cf_plus(a, b, z, m):
+    """The plus continued fraction on m itself, m_n = -1/(z - b_{n+1} +
+    a_{n+1}^2 m_{n+1}), from the seed m: a cross-check of cf_plus that
+    rounds differently."""
+    m = m.astype(np.complex128).copy()
     for i in range(a.size - 1, -1, -1):
         m = -1.0 / (z - b[i] + a[i] * a[i] * m)
     return m
 
 
-def loop_cf_minus(a, b, z, seed):
-    """_kernels.cf_minus with a new array per site: its bit-for-bit reference."""
-    m = seed.astype(np.complex128).copy()
+def m_form_cf_minus(a, b, z, m):
+    """The minus continued fraction on m itself, a_n^2 m_n = z - b_n -
+    1/m_{n-1}, from the seed m: a cross-check of cf_minus that rounds
+    differently."""
+    m = m.astype(np.complex128).copy()
     for i in range(a.size):
         m = (z - b[i] - 1.0 / m) / (a[i] * a[i])
     return m
@@ -367,20 +389,20 @@ def numpy_riccati_path(p0, v_nodes, v_mids, h, w):
 def padded_m_oracle(J, z, side, pad=200):
     """The window's m functions by continued fractions over the window
     extended by `pad` free sites on the far side, seeded there with the free
-    m value: the reference for the production oracle, which starts at the
-    window's edge.  It runs the reference loops, not the production kernels."""
+    state -outer_root(z) of both walks: the reference for the production
+    oracle, which starts at the window's edge.  It runs the reference loops,
+    not the production kernels."""
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    seed_u = np.array([1.0 / herglotz.outer_root(zz) for zz in z_arr], dtype=complex)
+    seed = np.array([-herglotz.outer_root(zz) for zz in z_arr], dtype=complex)
     if side == "plus":
         sites = np.arange(1, J.n_max + pad + 1)
-        a_arr = np.array([J.a_at(n) for n in sites])
-        b_arr = np.array([J.b_at(n) for n in sites])
-        out = loop_cf_plus(a_arr, b_arr, z_arr, seed_u)
+        walk = loop_cf_plus
     else:
         sites = np.arange(J.n_min - pad + 1, 1)
-        a_arr = np.array([J.a_at(n) for n in sites])
-        b_arr = np.array([J.b_at(n) for n in sites])
-        out = loop_cf_minus(a_arr, b_arr, z_arr, -1.0 / seed_u)
+        walk = loop_cf_minus
+    a_arr = np.array([J.a_at(n) for n in sites])
+    b_arr = np.array([J.b_at(n) for n in sites])
+    out = walk(a_arr, b_arr, z_arr, seed)
     return out[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
 

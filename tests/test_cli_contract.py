@@ -139,6 +139,8 @@ README_MEASURE = {
     "pieces": [{"a": 0.92, "b": 0.98, "cheb": [0.005, 0.0, 0.001]}],
 }
 
+BIG_CHEB = {"setting": "jacobi", "R": 2.5, "pieces": [{"a": 1.2, "b": 1.4, "cheb": [1e308, 1e308]}]}
+
 BOUNDARY = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, 2.0, 2.0 + 4e-16, 1.0, -1.0, 1e-9])
 
 
@@ -230,6 +232,9 @@ def test_valid_jobs_meet_the_contract(command, job):
 @example("verify", {"setting": "schrodinger", "R": 1e155, "atoms": [{"t": 0.5, "w": 0.01}]})
 @example("example", {"name": "soliton", "epsilon": [1]})
 @example("example", {"name": "delta0", "mass": {"a": 1}})
+# a finite density whose samples overflow: refused, not scanned into an all-NaN slice
+@example("check", BIG_CHEB)
+@example("jacobi", BIG_CHEB)
 def test_boundary_numbers_meet_the_contract(command, job):
     _assert_contract(command, json.dumps(job).encode())
 

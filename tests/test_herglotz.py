@@ -20,6 +20,7 @@ from helpers import (
     scan_admissible_discrete,
 )
 from reflectionless import herglotz
+from reflectionless.cli import ORACLE_GRID
 from reflectionless.jacobi import reconstruct
 from reflectionless.errors import BranchAmbiguity, NonConvergent, OnSupport
 from reflectionless.herglotz import (
@@ -183,7 +184,7 @@ class TestMValue:
         cases.append((Measure.with_pieces(*readme), Setting.jacobi(2.01)))
         cases.append((Measure.with_pieces([(0.4, 0.2)], [(-1.5, 0.3, (0.3, 0.1, 0.02))]), SCH2))
         xs, ys = (-2.5, -1.0, 0.0, 0.7, 2.0, 6.0), (1e-6, 0.3, 1.0, 3.0)
-        zs = [complex(x, y) for x in xs for y in ys]
+        zs = [complex(x, y) for x in xs for y in ys] + list(ORACLE_GRID)
         for sigma, setting in cases:
             for side in ("plus", "minus"):
                 got = np.array([m_value(sigma, setting, z, side) for z in zs])
@@ -233,6 +234,11 @@ class TestAdmissibility:
             rep = admissible_discrete(DELTA1, Setting.jacobi(R))
             assert not rep.passed
             assert rep.min_value < 0
+
+    def test_all_nan_scan_fails(self):
+        # a NaN weight, which validate refuses, makes every value of the scan NaN
+        rep = admissible_discrete(Measure.point(1.5, math.nan), Setting.jacobi(2.5))
+        assert not rep.passed and math.isnan(rep.min_value)
 
     def test_soliton_boundary_case(self):
         eps = 0.25

@@ -65,6 +65,15 @@ class TestValidate:
         with pytest.raises(NegativeWeight):
             validate(Measure.point(1.0, -0.5), Setting.jacobi(4.0))
 
+    @pytest.mark.parametrize("mu", [
+        Measure.point(1.5, math.inf),
+        Measure.with_pieces([], [(1.2, 1.4, (1.0, math.nan))]),
+        Measure.with_pieces([], [(1.2, 1.4, (1e308, 1e308))]),  # its density overflows
+    ], ids=["infinite-weight", "nan-coefficient", "overflowing-density"])
+    def test_non_finite_mass(self, mu):
+        with pytest.raises(NegativeWeight):
+            validate(mu, Setting.jacobi(2.5))
+
     def test_negative_density(self):
         mu = Measure.with_pieces([], [(0.5, 0.9, (0.0, 1.0))])  # odd: negative at left
         with pytest.raises(NegativeWeight):
