@@ -29,7 +29,6 @@ from .errors import (
     SchemaError,
     StepTooLarge,
     SupportViolation,
-    TruncationBlowup,
 )
 from .herglotz import (
     AdmissibilityReport,
@@ -67,9 +66,9 @@ from .measure import (
 from .schrodinger import (
     PotentialTrace,
     binomial_sum_identity,
+    generating_function,
     init_flow,
     integrate_flow,
-    moment_generating,
     riccati_oracle,
 )
 

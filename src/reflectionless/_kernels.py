@@ -1,7 +1,7 @@
-"""Hot numeric kernels: continued fractions, moment-flow RK4 and Riccati paths.
+"""Hot numeric kernels: continued fractions, the atom flow's RK4 and Riccati paths.
 
 All but the Riccati path are vectorized numpy; it walks one w on Python
-complex scalars.  The RK4 step looks up ``_deriv_numpy`` as a module global
+complex scalars.  The RK4 step looks up ``_atom_deriv`` as a module global
 on every call, so a wrapper swapped in under that name sees every derivative
 evaluation.
 """
@@ -11,8 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 FLOW_OK = 0
-FLOW_BOUND_VIOLATED = 1
+FLOW_LEFT_REGION = 1
 FLOW_STEP_TOO_LARGE = 2
+# 4 |V_{h/2} - V_h| / 15, 4 times the global Richardson estimate of V_{h/2}'s error
+ERR_FACTOR = 4.0 * 2.0 / 15.0
 
 
 def cf_plus(a, b, z, w):
@@ -34,46 +36,53 @@ def cf_minus(a, b, z, v):
     return v / a2[-1]
 
 
-def _deriv_numpy(s):
-    # s0' = -2 s1 ; sn' = -2 s_{n+1} + sum_{j<n} s_j s_{n-1-j} ; closure s_{N+1}=0
-    ds = np.empty_like(s)
-    conv = np.convolve(s, s)[: s.size]
-    ds[:-1] = -2.0 * s[1:]
-    ds[-1] = 0.0
-    ds[1:] += conv[: s.size - 1]
-    return ds
+def _atom_deriv(y, off):
+    # y = (t, w), each (..., n): t_i' = w_i, w_i' = 2 w_i (sum_{j != i} w_j / (t_i - t_j) - t_i);
+    # off masks out the diagonal, where t_i - t_i leaves 0
+    t, w = y[0], y[1]
+    d = t[..., :, None] - t[..., None, :]
+    np.divide(1.0, d, out=d, where=off)
+    dy = np.empty_like(y)
+    dy[0] = w
+    np.multiply(np.matmul(d, w[..., None])[..., 0] - t, 2.0 * w, out=dy[1])
+    return dy
 
 
-def _rk4(s, h):
-    k1 = _deriv_numpy(s)
-    k2 = _deriv_numpy(s + 0.5 * h * k1)
-    k3 = _deriv_numpy(s + 0.5 * h * k2)
-    k4 = _deriv_numpy(s + h * k3)
-    return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(y, h, off):
+    k1 = _atom_deriv(y, off)
+    k2 = _atom_deriv(y + 0.5 * h * k1, off)
+    k3 = _atom_deriv(y + 0.5 * h * k2, off)
+    k4 = _atom_deriv(y + h * k3, off)
+    return y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def flow_integrate(s0, h, n_steps, bounds, err_tol):
-    states = [s0.copy()]
-    status = FLOW_OK
-    bad_step = -1
+def flow_integrate(y0, h, n_steps, R, err_tol):
+    """RK4 on the atoms y0 = (t, w): n_steps steps of h, each taken as two of
+    h/2, with the trajectory of single steps of h beside it; one batched call
+    moves both (12 derivative evaluations a step in 8 calls).  A figure ERR_FACTOR |V_{h/2} - V_h|, V = -2 sum w,
+    above err_tol or NaN stops the walk with FLOW_STEP_TOO_LARGE; an h/2 state
+    outside |t| < R, w > 0 (or not finite) with FLOW_LEFT_REGION.  Returns
+    (states, status, bad_step, worst_err): the h/2 states up to the last good
+    one, the status, the step where the walk stopped (-1 if it did not) and
+    the largest figure."""
+    off = ~np.eye(y0.shape[1], dtype=bool)
+    steps = np.array([[h], [0.5 * h]])
+    y = np.stack([y0, y0], axis=1)  # y[:, 0] the h trajectory, y[:, 1] the h/2 one
+    states = [y0.copy()]
     worst_err = 0.0
-    y = s0.copy()
     for k in range(n_steps):
-        y_full = _rk4(y, h)
-        y_half = _rk4(_rk4(y, 0.5 * h), 0.5 * h)
-        err = float(np.max(np.abs(y_half - y_full) / bounds)) / 15.0
+        y = _rk4(y, steps, off)
+        y[:, 1:] = _rk4(y[:, 1:], 0.5 * h, off)
+        t, w = y[0, 1], y[1, 1]
+        mass = w.sum()
+        err = ERR_FACTOR * abs(float(mass - y[1, 0].sum()))
         worst_err = max(worst_err, err)
-        if not err <= err_tol:  # a NaN estimate is refused too
-            status = FLOW_STEP_TOO_LARGE
-            bad_step = k
-            break
-        y = y_half
-        states.append(y.copy())
-        if not np.all(np.abs(y) <= bounds):
-            status = FLOW_BOUND_VIOLATED
-            bad_step = k + 1
-            break
-    return np.asarray(states), status, bad_step, worst_err
+        if not err <= err_tol:  # a NaN figure is refused too
+            return np.asarray(states), FLOW_STEP_TOO_LARGE, k, worst_err
+        states.append(y[:, 1])
+        if not (np.abs(t).max(initial=0.0) < R and w.min(initial=np.inf) > 0.0 and mass < np.inf):
+            return np.asarray(states), FLOW_LEFT_REGION, k + 1, worst_err
+    return np.asarray(states), FLOW_OK, -1, worst_err
 
 
 def riccati_path(p0, v_nodes, v_mids, h, w):

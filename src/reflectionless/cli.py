@@ -37,7 +37,7 @@ from .herglotz import (
 )
 from .jacobi import m_oracle, reconstruct
 from .measure import Measure, moment
-from .schrodinger import MIN_FLOW_ORDER, flow_steps, integrate_flow, riccati_mismatch
+from .schrodinger import MIN_FLOW_ORDER, flow_atoms, flow_steps, integrate_flow, riccati_mismatch
 
 COMMANDS = ("check", "jacobi", "schrodinger", "verify", "example")
 
@@ -94,10 +94,12 @@ _PARAM_KEYS = ("N", "eta", "grid", "x_max", "step")
 # largest accepted sizes: one parameter beyond them can exhaust memory or run for minutes
 MAX_ORDER = 10_000
 MAX_GRID = 512
-# the flow jobs' budget on ceil(x_max / step) * ((N + 1)^2 + FLOW_STEP_COST): a flow
-# step, Riccati cross-check included, costs about 0.31 ms + 12 ns (N + 1)^2 on 2 vCPUs,
-# and the slowest jobs admitted run 3.6 s (4.3 s where moment products underflow)
+# the flow jobs' budget on ceil(x_max / step) * ((N + 1)^2 + FLOW_PAIR_COST n (n - 1) +
+# FLOW_STEP_COST), n the flow's atoms: on 2 vCPUs a flow step costs about 0.28 ms and
+# 65 ns more per atom pair, so the slowest jobs admitted (one atom at N = 4, a
+# 121-node piece at N = 40) run 2.8 s and 2.2 s; (N + 1)^2 bounds the moment trace
 FLOW_STEP_COST = 25_000
+FLOW_PAIR_COST = 8
 MAX_FLOW_WORK = 2.5e8
 
 
@@ -170,9 +172,12 @@ def _parse_job(command, obj):
         N, steps = params["N"], params["x_max"] / params["step"]
         if N < MIN_FLOW_ORDER:
             raise SchemaError("/N", f"must be at least {MIN_FLOW_ORDER} for the flow, got {N}")
+        with np.errstate(all="ignore"):  # a measure that breaks the rule fails validation
+            n = flow_atoms(mu, N).shape[1]
         # a ratio beyond the budget is refused before flow_steps, which an infinite one breaks
-        if steps > MAX_FLOW_WORK or flow_steps(steps) * ((N + 1) ** 2 + FLOW_STEP_COST) > MAX_FLOW_WORK:
-            work = f"ceil(x_max / step) * ((N + 1)^2 + {FLOW_STEP_COST})"
+        per_step = (N + 1) ** 2 + FLOW_PAIR_COST * n * (n - 1) + FLOW_STEP_COST
+        if steps > MAX_FLOW_WORK or flow_steps(steps) * per_step > MAX_FLOW_WORK:
+            work = f"ceil(x_max / step) * ((N + 1)^2 + {FLOW_PAIR_COST} n (n - 1) + {FLOW_STEP_COST}), n = {n},"
             raise SchemaError("/step", f"{work} must be at most {MAX_FLOW_WORK:g}")
 
     return Job(command=command, measure=mu, setting=setting, params=params)
@@ -270,7 +275,7 @@ def run_schrodinger(job, out):
     emit_json(
         {
             "N": N,
-            "est_truncation_error": trace.est_truncation_error,
+            "est_error": trace.est_error,
             "max_abs_mismatch": mismatch,
             "w_values": [[w.real, w.imag] for w in ws],
             "x_max": float(trace.xs[-1]),
@@ -357,7 +362,7 @@ def build_parser():
         p.add_argument("--input", help="job/measure JSON file")
         p.add_argument("--out", default=".", help="output directory")
         # number flags stay text here: _parse_job's checks read them like job-file fields
-        p.add_argument("--order", dest="N", help="truncation order N")
+        p.add_argument("--order", dest="N", help="order N: window half-width, or the flow's moment order")
         p.add_argument("--eta", help="boundary offset for residuals")
         p.add_argument("--grid", help="number of residual grid points")
         p.add_argument("--xmax", dest="x_max", help="flow half-width")

@@ -69,16 +69,8 @@ class FreeOperator(ReflectionlessError):
     """
 
 
-class TruncationBlowup(ReflectionlessError):
-    """Moment-flow truncation bound violated; reports where it happened."""
-
-    def __init__(self, x, message):
-        super().__init__(message)
-        self.x = x
-
-
 class StepTooLarge(ReflectionlessError):
-    """Embedded error estimate of the one-step integrator exceeded its budget."""
+    """The flow's error figure exceeded its budget, or its state left the region."""
 
 
 class RiccatiBlowUp(ReflectionlessError):

@@ -92,6 +92,8 @@ def phi_inv(setting, z, region):
     schrodinger: 'upper' is the Re < 0 square root, 'lower' the Re > 0 one.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise BadParameter(f"conformal-map preimage needs a finite z, got {z}")
     if z.imag == 0.0:
         raise BranchAmbiguity(f"both preimages of real z = {z} meet the branch cut")
     if region not in ("upper", "lower"):
@@ -246,9 +248,9 @@ def herglotz_exp(xi, C, z):
     piece integrates in closed form to logarithms; the principal branch is
     continuous here because t - z stays on one side of the cut.
     """
-    if not C > 0.0:
-        raise BadParameter("herglotz_exp needs C > 0")
     z = complex(z)
+    if not (0.0 < C < math.inf and cmath.isfinite(z)):
+        raise BadParameter("herglotz_exp needs a finite C > 0 and a finite z")
     total = 0.0 + 0.0j
 
     def antiderivative(t):

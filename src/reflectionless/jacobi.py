@@ -22,6 +22,7 @@ index conventions and cross-validates every reconstruction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,8 +206,8 @@ def reconstruct(sigma, setting, N):
     1..N, (a0, b0, a_{-1}) come from the rho- asymptotics, and the rho-
     recurrence fills sites -1..-N (couplings a_{-2}..a_{-N}).
     """
-    if N < 1:
-        raise BadParameter("window half-width N must be at least 1")
+    if not isinstance(N, numbers.Integral) or N < 1:
+        raise BadParameter("window half-width N must be an integer of at least 1")
     if setting.kind != "jacobi":
         raise BadR(f"reconstruct needs the jacobi setting, got {setting.kind!r}")
     require_admissible(sigma, setting)
@@ -253,8 +254,8 @@ def m_oracle(J, z, side):
     np.atleast_1d(z).
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    if np.any(z_arr.imag <= 0):
-        raise BadParameter("oracle needs Im z > 0")
+    if not np.all(np.isfinite(z_arr) & (z_arr.imag > 0)):
+        raise BadParameter("oracle needs a finite z with Im z > 0")
     zero = -J.n_min  # array index of site 0
     if side == "plus":
         cf, sites = _kernels.cf_plus, slice(zero + 1, None)

@@ -473,6 +473,36 @@ def loop_moment_bounds_ok(s, R, p_max=0):
     return not failures, worst, tuple(failures)
 
 
+def one_soliton_potential(t, w, x):
+    """integrate_flow's V for sigma = w delta_t in closed form, at the points
+    x: -2 k^2 sech^2(k x + artanh(t/k)) with k^2 = t^2 + w, the one-soliton
+    (its atom moves as t(x) = k tanh(k x + artanh(t/k)), w = k^2 - t^2).
+    sech^2 u is taken as 4 e/(1 + e)^2 with e = exp(-2|u|), which cannot
+    overflow."""
+    k = math.sqrt(t * t + w)
+    e = np.exp(-2.0 * np.abs(k * np.asarray(x, dtype=float) + math.atanh(t / k)))
+    return -8.0 * k * k * e / (1.0 + e) ** 2
+
+
+def atom_flow_reference(atoms, xs):
+    """V = -2 sum w at the points xs >= 0 of the flow t_i' = w_i, w_i' =
+    2 w_i (sum_{j != i} w_j / (t_i - t_j) - t_i) from the atoms (t, w) at
+    x = 0, by mpmath's Taylor-series integrator at 20 digits, tolerance
+    1e-18: the same ODE as the production flow, integrated another way."""
+    n = len(atoms)
+    with mpmath.workdps(20):
+        def rhs(x, y):
+            t, w = y[:n], y[n:]
+            return list(w) + [
+                2 * w[i] * (mpmath.fsum(w[j] / (t[i] - t[j]) for j in range(n) if j != i) - t[i])
+                for i in range(n)
+            ]
+
+        start = [mpmath.mpf(t) for t, _ in atoms] + [mpmath.mpf(w) for _, w in atoms]
+        sol = mpmath.odefun(rhs, 0, start, tol=mpmath.mpf(10) ** -18, degree=12)
+        return np.array([float(-2 * mpmath.fsum(sol(mpmath.mpf(float(x)))[n:])) for x in xs])
+
+
 def free_window(N, R=2.0):
     """The free operator's window over sites -N..N: a = 1, b = 0."""
     n = 2 * N + 1

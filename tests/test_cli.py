@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import one_soliton_potential
 import reflectionless
 from reflectionless import cli
 from reflectionless.cli import (
+    FLOW_PAIR_COST,
     FLOW_STEP_COST,
     MAX_FLOW_WORK,
     MAX_GRID,
@@ -112,6 +114,23 @@ class TestParseInput:
             job(steps + 1)
         assert err.value.pointer == "/step"
 
+    def test_flow_budget_charges_atom_pairs(self):
+        # the pieces count by the nodes of their rule at order N: 121 atoms at
+        # N = 40 take FLOW_PAIR_COST * 121 * 120 more per step than one atom
+        piece = '"setting":"schrodinger","R":1.5,"atoms":[{"t":0.9,"w":0.2}],' \
+                '"pieces":[{"a":-0.5,"b":0.5,"cheb":[0.4,0.0,0.1]}]'
+        per_step = 41 ** 2 + FLOW_PAIR_COST * 121 * 120 + FLOW_STEP_COST
+        steps = int(MAX_FLOW_WORK // per_step)
+
+        def job(k):
+            fields = f'"N":40,"x_max":{k * 2.0 ** -13!r},"step":{2.0 ** -13!r}'
+            return job_from_text(f'{{"command":"schrodinger",{piece},{fields}}}')
+
+        assert job(steps).params["x_max"] / 2.0 ** -13 == steps
+        with pytest.raises(SchemaError, match=r"n = 121,") as err:
+            job(steps + 1)
+        assert err.value.pointer == "/step"
+
     def test_flow_budget_edge_at_a_decimal_step(self):
         # 0.6993 / 7e-05 is 9990.000000000002 in floating point, and the flow
         # takes 9,990 steps: the most that N = 4 fits.  9,991 steps are refused.
@@ -200,6 +219,20 @@ class TestRun:
         assert float(mid[1]) == -2.0
         resid = json.loads((tmp_path / "riccati_residual.json").read_text())
         assert resid["max_abs_mismatch"] < 1e-6
+
+    def test_schrodinger_long_atom_flow(self, tmp_path):
+        # R = 2, the atom (0.3, 0.8), --xmax 10 --step 0.1: V within 2e-6 of
+        # the one-soliton and within the error figure the job reports
+        job = tmp_path / "atom-s.json"
+        job.write_text("{" + ATOM_S + "}")
+        assert main(["schrodinger", "--input", str(job), "--xmax", "10", "--step", "0.1",
+                     "--out", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / "potential_trace.csv").read_text().splitlines()
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        err = np.max(np.abs(table[:, 1] - one_soliton_potential(0.3, 0.8, table[:, 0])))
+        resid = json.loads((tmp_path / "riccati_residual.json").read_text())
+        assert err <= 2e-6 and err <= resid["est_error"] <= 100.0 * err
+        assert table[-1, 0] == 10.0 and len(table) == 201
 
     def test_verify_free(self, tmp_path):
         job = job_from_text('{"command":"verify","setting":"jacobi","R":2,"grid":64}')
@@ -391,7 +424,7 @@ class TestMain:
             (["schrodinger"], '{"setting":"schrodinger","R":2,"N":1e12}', "/N"),
             (["schrodinger"], '{"setting":"schrodinger","R":2,"step":1e-200}', "/step"),
             (["schrodinger"], '{"setting":"schrodinger","R":2,"N":2.7}', "/N"),
-            # the moment flow needs N >= 4, and no job takes N beyond 10^4
+            # the flow needs N >= 4, and no job takes N beyond 10^4
             (["schrodinger", "--order", "3"], ATOM_SCHRODINGER, "/N"),
             (["example", "--name", "delta0", "--order", "2"], "{}", "/N"),
             (["schrodinger", "--order", "10001"], ATOM_SCHRODINGER, "/N"),

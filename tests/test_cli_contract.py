@@ -44,9 +44,10 @@ from reflectionless.schrodinger import (
 )
 
 # Most drawn jobs take about 10 ms.  The slowest jobs the CLI's limits admit are
-# flows at the edge of the flow budget: 3.6 s on 2 vCPUs, 4.3 s where moment
-# products underflow (N = 300, an atom at 0.1), so only a job that escapes the
-# limits misses the deadline.
+# flows at the edge of the flow budget: 2.8 s for one atom at N = 4 on 2 vCPUs,
+# where the moment flow's slowest (N = 300, an atom at 0.1) took 3.5 s on the
+# same host, and a flow's retries in substeps add at most about 1 s; so only a
+# job that escapes the limits misses the deadline.
 CONTRACT = settings(
     max_examples=60,
     deadline=timedelta(seconds=6.5),
@@ -227,7 +228,7 @@ def test_valid_jobs_meet_the_contract(command, job):
 @example("jacobi", {"setting": "schrodinger", "R": 2.0, "atoms": [{"t": 1e-300, "w": 1e-300}]})
 @example("verify", {"setting": "schrodinger", "R": 1e300})
 @example("schrodinger", {"setting": "schrodinger", "R": 1e300})
-# past the float range: the truncation envelope and verify's R^2 are inf, not an OverflowError
+# past the float range: verify's R^2 is inf, not an OverflowError, and the atom flow stays finite
 @example("schrodinger", {"setting": "schrodinger", "R": 1e130, "atoms": [{"t": 0.5, "w": 0.01}]})
 @example("verify", {"setting": "schrodinger", "R": 1e155, "atoms": [{"t": 0.5, "w": 0.01}]})
 @example("example", {"name": "soliton", "epsilon": [1]})
@@ -366,6 +367,7 @@ def test_every_error_type_is_exported():
 
 _DELTA0 = Measure.point(0.0, 1.0)
 _FREE = free_window(3)
+_ATOM = Measure.point(0.3, 0.8)
 
 
 @pytest.mark.parametrize(
@@ -385,10 +387,28 @@ _FREE = free_window(3)
         lambda: JacobiWindow(1, 2, (1.0, 1.0), (0.0, 0.0), 2.0),
         lambda: JacobiWindow(-1, 1, (1.0,), (0.0,), 2.0),
         lambda: binomial_sum_identity(0, 2, 1),
+        # each flow argument is refused before any work: the step count of an
+        # infinite x_max or a zero step, a NaN or negative step, a fractional N
+        lambda: integrate_flow(_ATOM, 10, 2.0, math.inf),
+        lambda: integrate_flow(_ATOM, 10, 2.0, 1.0, step=0.0),
+        lambda: integrate_flow(_ATOM, 10, 2.0, 1.0, step=math.nan),
+        lambda: integrate_flow(_ATOM, 10, 2.0, 1.0, step=-0.1),
+        lambda: integrate_flow(_ATOM, 10.5, 2.0, 1.0),
+        lambda: integrate_flow(_ATOM, 10, 2.0, 1e300, step=1e-300),
+        lambda: reconstruct(Measure.zero(), Setting.jacobi(2.5), 10.5),
+        # a non-finite z, like m_value's
+        lambda: m_oracle(_FREE, complex(math.nan, 1.0), "plus"),
+        lambda: phi_inv(Setting.jacobi(2.5), complex(math.nan, 1.0), "upper"),
+        lambda: herglotz_exp([(0.0, 1.0, 0.5)], 1.0, complex(math.nan, 1.0)),
+        lambda: herglotz_exp([(0.0, 1.0, 0.5)], math.inf, 1j),
     ],
     ids=["reconstruct-N", "init_flow-N", "integrate_flow-x_max", "m_oracle-z", "m_oracle-side",
          "riccati_oracle-w", "phi_inv-region", "m_value-side", "boundary_value-E-nan",
-         "herglotz_exp-C", "herglotz_exp-xi", "window-site-0", "window-lengths", "binomial-range"],
+         "herglotz_exp-C", "herglotz_exp-xi", "window-site-0", "window-lengths", "binomial-range",
+         "integrate_flow-x_max-inf", "integrate_flow-step-0", "integrate_flow-step-nan",
+         "integrate_flow-step-negative", "integrate_flow-N-fraction", "integrate_flow-ratio-inf",
+         "reconstruct-N-fraction", "m_oracle-z-nan", "phi_inv-z-nan", "herglotz_exp-z-nan",
+         "herglotz_exp-C-inf"],
 )
 def test_bad_parameter_is_a_typed_value_error(call):
     with pytest.raises(errors.BadParameter) as err:

@@ -1,4 +1,4 @@
-"""The hot kernels: moment-flow status codes, and the in-place modified
+"""The hot kernels: atom-flow status codes, and the in-place modified
 Chebyshev sweep and continued fractions against their loop references."""
 
 import numpy as np
@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import loop_cf_minus, loop_cf_plus, loop_wheeler, m_form_cf_minus, m_form_cf_plus
+from helpers import (
+    loop_cf_minus,
+    loop_cf_plus,
+    loop_wheeler,
+    m_form_cf_minus,
+    m_form_cf_plus,
+    one_soliton_potential,
+)
 from reflectionless import _kernels
 from reflectionless.errors import HankelBreakdown
 from reflectionless.jacobi import BREAKDOWN_TOL, _wheeler
@@ -19,24 +26,40 @@ M_FORM_RTOL = 1e-14
 
 
 def test_flow_status_codes():
-    s0 = np.array([5.0, 0.0, 0.0, 0.0, 0.0])
-    tight = np.full(5, 4.0)  # violated from the start once sigma_1 grows
-    states, status, bad, _ = _kernels.flow_integrate(s0, 0.1, 50, tight, 1e6)
-    assert status == _kernels.FLOW_BOUND_VIOLATED
-    assert bad >= 1
+    # an atom thrown past R by steps of 1.5, with the figure let through
+    y0 = np.array([[0.0], [3.9]])
+    states, status, bad, _ = _kernels.flow_integrate(y0, 1.5, 5, 2.0, np.inf)
+    assert status == _kernels.FLOW_LEFT_REGION
+    assert bad == len(states) - 1 >= 1
 
-    states, status, bad, worst = _kernels.flow_integrate(
-        np.array([3.0, 0.0, 0.0, 0.0, 0.0]), 2.0, 10, np.full(5, 1e12), 1e-9
-    )
+    states, status, bad, worst = _kernels.flow_integrate(np.array([[0.0], [3.0]]), 2.0, 10, 2.0, 1e-9)
     assert status == _kernels.FLOW_STEP_TOO_LARGE
+    assert bad == 0 and len(states) == 1 and worst > 1e-9
+
+    states, status, bad, worst = _kernels.flow_integrate(np.array([[0.0], [1.0]]), 0.01, 10, 2.0, 1e-9)
+    assert status == _kernels.FLOW_OK and bad == -1 and len(states) == 11 and worst <= 1e-9
 
 
 def test_flow_refuses_nan_states():
     # NaN compares false both ways, so each step test must be one that NaN fails
-    s0 = np.array([1.0, np.nan, 0.0, 0.0, 0.0])
-    states, status, bad, _ = _kernels.flow_integrate(s0, 0.1, 5, np.full(5, 1e12), 1e-6)
+    y0 = np.array([[0.5, 1.0], [np.nan, 0.1]])
+    states, status, bad, _ = _kernels.flow_integrate(y0, 0.1, 5, 2.0, 1e-6)
     assert status == _kernels.FLOW_STEP_TOO_LARGE
     assert bad == 0 and len(states) == 1
+
+
+def test_flow_figure_bounds_the_error():
+    # the h/2 states against the one-soliton: below the figure, which shrinks
+    # about 16-fold when the step halves
+    y0 = np.array([[0.3], [0.8]])
+    worsts = []
+    for h, n in ((0.25, 8), (0.125, 16)):
+        states, status, _, worst = _kernels.flow_integrate(y0, h, n, 2.0, 1.0)
+        exact = one_soliton_potential(0.3, 0.8, h * np.arange(n + 1))
+        assert status == _kernels.FLOW_OK and states.shape == (n + 1, 2, 1)
+        assert np.max(np.abs(-2.0 * states[:, 1, 0] - exact)) <= worst
+        worsts.append(worst)
+    assert 8 < worsts[0] / worsts[1] < 32
 
 
 def _bits(*arrays):
