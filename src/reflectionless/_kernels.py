@@ -18,22 +18,12 @@ ERR_FACTOR = 4.0 * 2.0 / 15.0
 
 
 def cf_plus(a, b, z, w):
-    # descend w_n = z - b_{n+1} - a_{n+1}^2 / w_{n+1} from the last site, m_n = -1/w_n
+    # descend w <- z - b_k - a_k^2 / w from the last site to the first; returns the state w
     w = w.astype(np.complex128)
     for a2, zb in zip((a * a)[::-1].tolist(), z - b[::-1, None]):
         np.divide(a2, w, out=w)
         np.subtract(zb, w, out=w)
-    return -1.0 / w
-
-
-def cf_minus(a, b, z, v):
-    # ascend v_n = a_n^2 m_n = z - b_n - a_{n-1}^2 / v_{n-1}; arrays ordered along the sweep
-    a2 = [1.0, *(a * a).tolist()]
-    v = v.astype(np.complex128)
-    for a2_prev, zb in zip(a2, z - b[:, None]):
-        np.divide(a2_prev, v, out=v)
-        np.subtract(zb, v, out=v)
-    return v / a2[-1]
+    return w
 
 
 def _atom_deriv(y, off):

@@ -413,7 +413,7 @@ def main(argv=None):
 
 def _emit_error(exc):
     payload = {"error": type(exc).__name__, "message": str(exc)}
-    for attr in ("pointer", "pivot", "x", "offender"):
+    for attr in ("pointer", "pivot", "offender"):
         if hasattr(exc, attr):
             payload[attr] = getattr(exc, attr)
     sys.stderr.write(json.dumps(payload, sort_keys=True, default=str) + "\n")

@@ -238,38 +238,44 @@ def reconstruct(sigma, setting, N):
 # continued-fraction oracle
 
 
+def _free_state(z):
+    """-outer_root(z) at each z of the array z, the fixed point of the free
+    map w -> z - 1/w, settled in floating point: taken through the map until
+    it stops changing, at most 16 times.  At every z of the CLI's oracle grid
+    this takes at most two steps; elsewhere the rounded map can cycle within
+    a few ulps."""
+    w = -np.array([outer_root(zz) for zz in z.tolist()], dtype=complex)
+    for _ in range(16):
+        step = z - 1.0 / w
+        if np.array_equal(step, w):
+            break
+        w = step
+    return w
+
+
 def m_oracle(J, z, side):
     """m functions of the window continued by the free operator, by
     continued fractions over the window's own sites.
 
-    Both walks carry a state that past the window follows the free map
-    w -> z - 1/w: w = -1/m_n on the plus side, w = a_n^2 m_n on the minus
-    side.  Its fixed point -outer_root(z) is the free state of both sides,
-    so free sites beyond the window change nothing, and each walk starts at
-    the window's edge from that fixed point settled in floating point: taken
-    through the map until it stops changing, at most 16 times.  At every z
-    of the CLI's oracle grid this takes at most two steps; elsewhere the
-    rounded map can cycle within a few ulps, so the result may differ from
-    a long walk's in the last bits.  Returns an array of the shape of
-    np.atleast_1d(z).
+    Both sides run one descent, w -> z - b_k - a_k^2 / w from the window's
+    edge toward site 0, seeded with _free_state(z), which free sites beyond
+    the window leave unchanged.  The plus side descends sites n_max..1 and
+    m_+ = -1/w.  The minus side descends the window reflected about site
+    1/2, b''_k = b_{1-k} and a''_k = a_{-k} with a = 1 past the window, so
+    that w = a_0^2 m_-.  Returns an array of the shape of np.atleast_1d(z).
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if not np.all(np.isfinite(z_arr) & (z_arr.imag > 0)):
         raise BadParameter("oracle needs a finite z with Im z > 0")
     zero = -J.n_min  # array index of site 0
     if side == "plus":
-        cf, sites = _kernels.cf_plus, slice(zero + 1, None)
+        a, b = J.a[zero + 1:], J.b[zero + 1:]
     elif side == "minus":
-        cf, sites = _kernels.cf_minus, slice(0, zero + 1)
+        a, b = (*J.a[:zero][::-1], 1.0), J.b[zero::-1]
     else:
         raise BadParameter(f"unknown side {side!r}")
-    w = -np.array([outer_root(zz) for zz in z_arr.tolist()], dtype=complex)
-    for _ in range(16):
-        step = z_arr - 1.0 / w
-        if np.array_equal(step, w):
-            break
-        w = step
-    return cf(np.asarray(J.a[sites]), np.asarray(J.b[sites]), z_arr, w)
+    w = _kernels.cf_plus(np.asarray(a), np.asarray(b), z_arr, _free_state(z_arr))
+    return -1.0 / w if side == "plus" else w / (J.a[zero] * J.a[zero])
 
 
 # ---------------------------------------------------------------------------

@@ -333,11 +333,14 @@ def loop_cf_plus(a, b, z, w):
     w = w.astype(np.complex128).copy()
     for i in range(a.size - 1, -1, -1):
         w = (z - b[i]) - a[i] * a[i] / w
-    return -1.0 / w
+    return w
 
 
 def loop_cf_minus(a, b, z, v):
-    """_kernels.cf_minus with a new array per site: its bit-for-bit reference."""
+    """The minus continued fraction v_n = a_n^2 m_n = z - b_n - a_{n-1}^2 /
+    v_{n-1} from the seed v, a_{n-1} = 1 before the first site, ascending the
+    sites in array order and returning m at the last: the bit-for-bit
+    reference of m_oracle's minus side, which descends the reflected window."""
     v = v.astype(np.complex128).copy()
     a2_prev = 1.0
     for i in range(a.size):
@@ -358,8 +361,8 @@ def m_form_cf_plus(a, b, z, m):
 
 def m_form_cf_minus(a, b, z, m):
     """The minus continued fraction on m itself, a_n^2 m_n = z - b_n -
-    1/m_{n-1}, from the seed m: a cross-check of cf_minus that rounds
-    differently."""
+    1/m_{n-1}, from the seed m: a cross-check of m_oracle's minus side that
+    rounds differently."""
     m = m.astype(np.complex128).copy()
     for i in range(a.size):
         m = (z - b[i] - 1.0 / m) / (a[i] * a[i])
@@ -394,15 +397,13 @@ def padded_m_oracle(J, z, side, pad=200):
     not the production kernels."""
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     seed = np.array([-herglotz.outer_root(zz) for zz in z_arr], dtype=complex)
-    if side == "plus":
-        sites = np.arange(1, J.n_max + pad + 1)
-        walk = loop_cf_plus
-    else:
-        sites = np.arange(J.n_min - pad + 1, 1)
-        walk = loop_cf_minus
+    sites = np.arange(1, J.n_max + pad + 1) if side == "plus" else np.arange(J.n_min - pad + 1, 1)
     a_arr = np.array([J.a_at(n) for n in sites])
     b_arr = np.array([J.b_at(n) for n in sites])
-    out = walk(a_arr, b_arr, z_arr, seed)
+    if side == "plus":
+        out = -1.0 / loop_cf_plus(a_arr, b_arr, z_arr, seed)
+    else:
+        out = loop_cf_minus(a_arr, b_arr, z_arr, seed)
     return out[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
 
@@ -443,34 +444,6 @@ def loop_prop311_check(J, r, min_excess=1e-6):
     if not pairs:
         return RatioReport(passed=True, worst_margin=math.inf)
     return RatioReport(passed=bool(worst > 0.0), worst_margin=float(worst))
-
-
-def loop_moment_bounds_ok(s, R, p_max=0):
-    """The moment envelope |sigma_n^(p)| <= R^(n+p+2) (n+1+p)!/(n+1)! for the
-    moment vector s and its x-derivatives up to order p_max, each derivative
-    table built one product at a time by differentiating each term of the
-    hierarchy (order p is checkable for n <= N - p).  Returns (passed,
-    worst_ratio, failures), each failure (n, p, value, bound)."""
-    N = len(s) - 1
-    ders = [np.asarray(s, dtype=float)]
-    for p in range(p_max):
-        nxt = np.zeros(N + 1)
-        for n in range(N + 1):
-            acc = -2.0 * ders[p][n + 1] if n + 1 <= N else 0.0
-            for i in range(p + 1):
-                c = math.comb(p, i)
-                for j in range(n):
-                    acc += c * ders[i][j] * ders[p - i][n - 1 - j]
-            nxt[n] = acc
-        ders.append(nxt)
-    worst, failures = 0.0, []
-    for p, arr in enumerate(ders):
-        for n in range(N + 1 - p):
-            bound = R ** (n + p + 2) * math.factorial(n + 1 + p) / math.factorial(n + 1)
-            worst = max(worst, abs(arr[n]) / bound)
-            if abs(arr[n]) / bound > 1.0 + 1e-9:
-                failures.append((n, p, float(arr[n]), bound))
-    return not failures, worst, tuple(failures)
 
 
 def one_soliton_potential(t, w, x):

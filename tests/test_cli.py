@@ -304,6 +304,7 @@ WIDE_R_JOBS = [
 
 
 ATOM_SCHRODINGER = '{"setting":"schrodinger","R":2,"atoms":[{"t":0.3,"w":0.8}]}'
+ATOM_JACOBI = '{"setting":"jacobi","R":2.01,"atoms":[{"t":1.05,"w":0.001}]}'
 # the measure file shown in the README
 README_MEASURE = (
     '{"setting":"jacobi","R":2.01,'
@@ -388,6 +389,40 @@ class TestMain:
         argv = [command, "--order", "3", "--step", "1e-9", "--grid", "8"]
         assert main(argv + ["--input", str(measure), "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize(
+        "argv, text, status, error",
+        [
+            (["example", "--name", "free"], None, 0, None),
+            (["example", "--name", "soliton", "--epsilon", "0.25"], None, 0, None),
+            (["schrodinger"], '{"setting":"schrodinger","R":2,"atoms":[{"t":0.3,"w":0.8}],"N":16,"x_max":0.3}',
+             0, None),
+            (["check", "--order", "2"], ATOM_SCHRODINGER, 0, None),
+            # the flow budget's edge at a decimal step: N = 4 fits the 9,990 steps the flow takes
+            (["schrodinger", "--order", "4", "--xmax", "0.6993", "--step", "7e-05"], ATOM_SCHRODINGER, 0, None),
+            # past the float range: r^2 underflows to 0 at R = 1e170, and the
+            # atom flow at R = 1e130 stays finite; verify's R^2 at R = 1e155
+            # overflows to inf, which is refused
+            (["jacobi", "--order", "10"], '{"setting":"jacobi","R":1e170,"atoms":[{"t":1.5,"w":0.01}]}', 0, None),
+            (["schrodinger"], '{"setting":"schrodinger","R":1e130,"atoms":[{"t":0.5,"w":0.01}]}', 0, None),
+            (["verify"], '{"setting":"schrodinger","R":1e155,"atoms":[{"t":0.5,"w":0.01}]}', 1, "NonFiniteOutput"),
+            # a point mass of 0.75 at t = 1 fails check at R = 5 and passes at R = 5.000005
+            (["check"], '{"setting":"jacobi","R":5,"atoms":[{"t":1,"w":0.75}]}', 2, None),
+            (["check"], '{"setting":"jacobi","R":5.000005,"atoms":[{"t":1,"w":0.75}]}', 0, None),
+        ],
+        ids=["example-free", "example-soliton", "schrodinger-N16", "check-order-2", "flow-budget-edge",
+             "jacobi-R1e170", "schrodinger-R1e130", "verify-R1e155", "point-mass-R5", "point-mass-R5.000005"],
+    )
+    def test_cli_exit_status(self, tmp_path, capsys, argv, text, status, error):
+        if text is not None:
+            measure = tmp_path / "m.json"
+            measure.write_text(text)
+            argv = argv + ["--input", str(measure)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == status
+        if error is None:
+            assert capsys.readouterr().err == ""
+        else:
+            assert _one_error_line(capsys)["error"] == error
+
     def test_cli_admissibility_exit_code(self, tmp_path, capsys):
         # a reconstruction refused by the gate names it in one line on stderr
         for command, text in [
@@ -453,6 +488,12 @@ class TestMain:
             # each reconstructing command reads its own setting
             (["schrodinger"], README_MEASURE, "/setting"),
             (["jacobi"], ATOM_SCHRODINGER, "/setting"),
+            (["schrodinger"], ATOM_JACOBI, "/setting"),
+            (["verify", "--grid", "513"], ATOM_JACOBI, "/grid"),
+            (["jacobi", "--order", "abc"], ATOM_JACOBI, "/N"),
+            # one step past the flow budget at N = 4: 9,991 steps of 2^-16
+            (["schrodinger", "--order", "4", "--xmax", "0.1524505615234375", "--step", "1.52587890625e-05"],
+             ATOM_SCHRODINGER, "/step"),
         ],
     )
     def test_cli_refuses_out_of_range(self, tmp_path, capsys, argv, text, pointer):
@@ -510,10 +551,15 @@ class TestMainRefusals:
                 '{"setting":"jacobi","R":3.0,"pieces":[{"a":2.0,"b":2.00000000000001,"cheb":[0.1]}]}',
                 "SupportViolation",
             ),
+            # a density whose samples overflow: a non-finite mass
+            (
+                '{"setting":"jacobi","R":2.5,"pieces":[{"a":1.2,"b":1.4,"cheb":[1e308,1e308]}]}',
+                "NegativeWeight",
+            ),
         ],
         ids=[
             "negative-weight-jacobi", "negative-weight-schrodinger", "outside-support", "overlap",
-            "piece-1-ulp-wide", "piece-1e-14-wide",
+            "piece-1-ulp-wide", "piece-1e-14-wide", "overflowing-density",
         ],
     )
     def test_invalid_measure_refused(self, tmp_path, capsys, command, text, error):
@@ -538,7 +584,7 @@ class TestMainRefusals:
     @pytest.mark.parametrize(
         "text, eta",
         [
-            ('{"setting":"jacobi","R":2.01,"atoms":[{"t":1.05,"w":0.001}]}', "1e300"),
+            (ATOM_JACOBI, "1e300"),
             (README_MEASURE, "1e300"),
             (README_MEASURE, "1e200"),
         ],

@@ -171,6 +171,33 @@ class TestRhoMinusMoments:
         assert resid[2] <= resid[1] / 3.0
         assert resid[2] * 200.0 ** 2 < 10.0 * (1 + s0)
 
+    def test_mirror_relation(self):
+        # a0^2 m_-(sigma; z) = z - b0 + a_{-1}^2 m_+(mirror; z), the mirror the
+        # nodes (1/t, w/(t^2 q)), q = 1 - s_{-2} + s_0, both sides by m_value at
+        # one Setting; measured worst 3.7e-16 (atoms) and 4.2e-16 (pieces) of
+        # the terms' size
+        pieces = Measure.with_pieces([(2.1, 0.01)], [(0.5, 1.5, [0.05, 0.01, 0.001]), (-1.9, -0.7, [0.02])])
+        cases = [(pieces, Setting.jacobi(2.6))]
+        rng = np.random.RandomState(14)
+        for i in range(24):
+            # R within 1e-4..10 of 2, log-uniform, or uniform on (2, 12]
+            R = min(2.0 + 10.0 ** rng.uniform(-4.0, 1.0), 12.0) if i % 2 else rng.uniform(2.0, 12.0)
+            r = solve_r(R)
+            edge = 0.01 * (1.0 / r - r)
+            n = rng.randint(1, 6)
+            ts = rng.uniform(r + edge, 1.0 / r - edge, n) * rng.choice([-1.0, 1.0], n)
+            ws = rng.dirichlet(np.ones(n)) * rng.uniform(0.01, 0.9) * np.min(ts * ts)
+            cases.append((Measure.from_atoms(zip(ts.tolist(), ws.tolist())), Setting.jacobi(R)))
+        for sigma, setting in cases:
+            _, (a0, b0, a_minus1) = rho_minus_moments(sigma, 8)
+            q = 1.0 - moment(sigma, -2) + moment(sigma, 0)
+            ts, ws = quadrature_atoms(sigma, (0.0,), 8)
+            mirror = Measure.from_atoms(zip((1.0 / ts).tolist(), (ws / (ts * ts * q)).tolist()))
+            for z in ORACLE_GRID:
+                tail = a_minus1 ** 2 * m_value(mirror, setting, z, "plus")
+                lhs = a0 ** 2 * m_value(sigma, setting, z, "minus")
+                assert abs(lhs - (z - b0 + tail)) <= 1e-15 * (abs(z - b0) + abs(tail))
+
     def test_support_ratio_inequality(self):
         # r^2 s_0 < s_{-2} < s_0 / r^2 for admissible nonzero measures
         rng = np.random.RandomState(32)

@@ -3,7 +3,7 @@ Chebyshev sweep and continued fractions against their loop references."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -16,12 +16,13 @@ from helpers import (
 )
 from reflectionless import _kernels
 from reflectionless.errors import HankelBreakdown
-from reflectionless.jacobi import BREAKDOWN_TOL, _wheeler
+from reflectionless.jacobi import BREAKDOWN_TOL, JacobiWindow, _free_state, _wheeler, m_oracle
 
 BIT_CHECKS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
-# the walks on w = -1/m (plus) and v = a^2 m (minus) against the same
-# continued fractions on m: worst relative difference measured over the
-# NaN-free cf_inputs draws 1.7e-15 (minus) and 4.5e-16 (plus)
+# the descent on w = -1/m (plus) and m_oracle's minus side (w = a_0^2 m, from
+# the free state) against the same continued fractions on m: worst relative
+# difference measured over the NaN-free cf_inputs draws 2.4e-15 (minus) and
+# 4.3e-16 (plus)
 M_FORM_RTOL = 1e-14
 
 
@@ -182,6 +183,11 @@ def cf_inputs(draw):
     return a, b, z, seed
 
 
+def _minus_window(a, b):
+    """The window of sites 1 - a.size..0 holding a and b in site order."""
+    return JacobiWindow(1 - a.size, 0, tuple(a.tolist()), tuple(b.tolist()), 2.0)
+
+
 class TestContinuedFractions:
     @BIT_CHECKS
     @given(cf_inputs())
@@ -191,9 +197,15 @@ class TestContinuedFractions:
 
     @BIT_CHECKS
     @given(cf_inputs())
+    @example((np.array([1.5]), np.array([0.3]), np.array([0.2 + 1j]), np.array([1j])))  # n_min = 0
     def test_minus_bit_equal_to_loop(self, case):
+        # m_oracle's minus side descends the reflected window with cf_plus
+        a, b, z, _ = case
+        if not a.size:
+            return
         with np.errstate(all="ignore"):
-            assert _bits(_kernels.cf_minus(*case)) == _bits(loop_cf_minus(*case))
+            got = m_oracle(_minus_window(a, b), z, "minus")
+            assert _bits(got) == _bits(loop_cf_minus(a, b, z, _free_state(z)))
 
     @BIT_CHECKS
     @given(cf_inputs())
@@ -201,14 +213,15 @@ class TestContinuedFractions:
         a, b, z, seed = case
         if np.isnan(a).any() or np.isnan(b).any():
             return
-        for cf, m_form, m_seed in ((_kernels.cf_plus, m_form_cf_plus, -1.0 / seed),
-                                   (_kernels.cf_minus, m_form_cf_minus, seed)):
-            want = m_form(a, b, z, m_seed)
-            assert np.all(np.abs(cf(a, b, z, seed) - want) <= M_FORM_RTOL * np.abs(want))
+        want = m_form_cf_plus(a, b, z, -1.0 / seed)
+        assert np.all(np.abs(-1.0 / _kernels.cf_plus(a, b, z, seed) - want) <= M_FORM_RTOL * np.abs(want))
+        if a.size:
+            want = m_form_cf_minus(a, b, z, _free_state(z))
+            got = m_oracle(_minus_window(a, b), z, "minus")
+            assert np.all(np.abs(got - want) <= M_FORM_RTOL * np.abs(want))
 
     def test_seed_not_modified(self):
         seed = np.array([0.2 + 0.1j, -0.3 + 0.4j])
         z = np.array([1j, 0.5 + 2j])
-        for cf in (_kernels.cf_plus, _kernels.cf_minus):
-            out = cf(np.array([1.5, 1.2]), np.array([0.1, -0.2]), z, seed)
-            assert out is not seed and seed.tolist() == [0.2 + 0.1j, -0.3 + 0.4j]
+        out = _kernels.cf_plus(np.array([1.5, 1.2]), np.array([0.1, -0.2]), z, seed)
+        assert out is not seed and seed.tolist() == [0.2 + 0.1j, -0.3 + 0.4j]

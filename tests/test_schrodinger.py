@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from helpers import (
     atom_flow_reference,
-    loop_moment_bounds_ok,
     numpy_riccati_path,
     one_soliton_potential,
     random_schrodinger_measure,
@@ -350,29 +349,6 @@ class TestRiccati:
                 at_zero = idx == n
                 flow_p = generating_function(trace.atoms[idx], w)
                 assert p[at_zero].tobytes() == flow_p[at_zero].tobytes()
-
-
-class TestMomentBounds:
-    def test_atom_state_passes(self):
-        passed, worst, _ = loop_moment_bounds_ok(moments(DELTA0, range(9)), 2.0, p_max=2)
-        assert passed
-        assert worst <= 1.0
-
-    def test_zeroth_moment_bound_is_R_squared(self):
-        # admissibility forces sigma_0 <= R^2; a mass at the limit passes
-        passed, _, _ = loop_moment_bounds_ok(moments(Measure.point(0.0, 3.999999), range(7)), 2.0)
-        assert passed
-
-    def test_derivative_bound_sharpness(self):
-        # |s0'| = 2|s1| <= 2 R^3 against the envelope R^3 * 2!/1! = 2 R^3
-        sigma = Measure.from_atoms([(1.5, 1.0)])
-        passed, _, _ = loop_moment_bounds_ok(moments(sigma, range(9)), 2.0, p_max=1)
-        assert passed
-
-    def test_failure_reported(self):
-        passed, _, failures = loop_moment_bounds_ok(np.array([9.0, 0.0, 0.0, 0.0, 0.0]), 1.2)
-        assert not passed
-        assert failures
 
 
 class TestBinomialIdentity:
