@@ -126,7 +126,7 @@ def _json_object(json_text):
 
 def _parse_job(command, obj):
     """Validated Job for a subcommand from a decoded job object: the one check
-    of every field."""
+    of every field, then of the measure, which the flow budget counts."""
     if command == "example":
         name = _require(obj, "name", "", str)
         fields = {key: _finite(obj[key], f"/{key}") for key in ("epsilon", "mass") if key in obj}
@@ -168,12 +168,13 @@ def _parse_job(command, obj):
             elif not val > 0.0:
                 raise SchemaError(f"/{key}", f"must be positive, got {val!r}")
             params[key] = val
-    if setting.kind == "schrodinger" and command in ("schrodinger", "example"):  # the flow jobs
-        N, steps = params["N"], params["x_max"] / params["step"]
-        if N < MIN_FLOW_ORDER:
-            raise SchemaError("/N", f"must be at least {MIN_FLOW_ORDER} for the flow, got {N}")
-        with np.errstate(all="ignore"):  # a measure that breaks the rule fails validation
-            n = flow_atoms(mu, N).shape[1]
+    flow = setting.kind == "schrodinger" and command in ("schrodinger", "example")
+    N, steps = params["N"], params["x_max"] / params["step"]
+    if flow and N < MIN_FLOW_ORDER:
+        raise SchemaError("/N", f"must be at least {MIN_FLOW_ORDER} for the flow, got {N}")
+    measure.validate(mu, setting)  # after every field, so a bad field wins over a bad measure
+    if flow:
+        n = flow_atoms(mu, N).shape[1]
         # a ratio beyond the budget is refused before flow_steps, which an infinite one breaks
         per_step = (N + 1) ** 2 + FLOW_PAIR_COST * n * (n - 1) + FLOW_STEP_COST
         if steps > MAX_FLOW_WORK or flow_steps(steps) * per_step > MAX_FLOW_WORK:
@@ -321,8 +322,7 @@ def run_example(job, out):
 
 
 def run(job, out_dir="."):
-    """Validate the job's measure, then dispatch; returns the exit status."""
-    measure.validate(job.measure, job.setting)
+    """Make the output directory, then dispatch; returns the exit status."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -23,7 +23,7 @@ from reflectionless.cli import (
     main,
     run,
 )
-from reflectionless.errors import NonFiniteOutput, SchemaError
+from reflectionless.errors import NonFiniteOutput, SchemaError, SupportViolation
 from reflectionless.measure import solve_r
 from reflectionless.schrodinger import integrate_flow
 
@@ -39,16 +39,16 @@ def job_from_text(json_text):
 
 class TestParseInput:
     def test_check_job_echo(self):
-        job = job_from_text('{"command":"check","setting":"jacobi","R":2,"atoms":[{"t":1,"w":1}]}')
+        job = job_from_text('{"command":"check","setting":"jacobi","R":4,"atoms":[{"t":1,"w":1}]}')
         assert job.command == "check"
         assert job.setting.kind == "jacobi"
-        assert job.setting.R == 2.0
+        assert job.setting.R == 4.0
         assert job.measure.atoms == ((1.0, 1.0),)
         assert job.params["N"] == 40
         assert job.params["eta"] == 1e-4
         assert job.params["grid"] == 512
-        assert job.params["x_max"] == pytest.approx(0.4)
-        assert job.params["step"] == pytest.approx(1.0 / 40.0)
+        assert job.params["x_max"] == pytest.approx(0.2)
+        assert job.params["step"] == pytest.approx(1.0 / 80.0)
 
     def test_missing_R(self):
         with pytest.raises(SchemaError) as err:
@@ -80,6 +80,8 @@ class TestParseInput:
             ('"R":4,"grid":2.5', "/grid"),
             ('"R":4,"N":10001', "/N"),
             ('"R":4,"grid":513', "/grid"),
+            # every field is checked before the measure: the atom lies past 1/r
+            ('"R":4,"atoms":[{"t":5,"w":1}],"grid":0', "/grid"),
         ],
     )
     def test_out_of_range_numbers(self, fields, pointer):
@@ -164,6 +166,8 @@ class TestParseInput:
         [
             ("schrodinger", "schrodinger", '"N":3'),
             ("schrodinger", "jacobi", '"N":3'),
+            # the flow's least N is checked before the measure: the atom lies past R
+            ("schrodinger", "schrodinger", '"N":3,"atoms":[{"t":5,"w":1}]'),
         ],
     )
     def test_flow_limits(self, command, setting, fields):
@@ -171,6 +175,17 @@ class TestParseInput:
             job_from_text(f'{{"command":"{command}","setting":"{setting}","R":4,{fields}}}')
         # a command on the other setting's measure is refused before its limits
         assert err.value.pointer == ("/N" if setting == command else "/setting")
+
+    def test_bad_measure_wins_over_flow_budget(self):
+        # the budget counts the nodes of a validated measure, so the measure
+        # is checked before it: an over-budget step on an atom outside (-2, 2)
+        # is the measure's error, not a SchemaError at /step
+        bad_atom = ATOM_S.replace('"t":0.3', '"t":3')
+        with pytest.raises(SupportViolation):
+            job_from_text(f'{{"command":"schrodinger",{bad_atom},"N":4,"x_max":1,"step":1e-9}}')
+        with pytest.raises(SchemaError) as err:
+            job_from_text(f'{{"command":"schrodinger",{ATOM_S},"N":4,"x_max":1,"step":1e-9}}')
+        assert err.value.pointer == "/step"
 
     def test_example_preset(self):
         job = job_from_text('{"command":"example","name":"soliton","epsilon":0.25}')
@@ -534,7 +549,7 @@ class TestMainRefusals:
         assert err["pointer"] == ""
         assert "invalid JSON" in err["message"]
 
-    @pytest.mark.parametrize("command", ["check", "verify", "jacobi"])
+    @pytest.mark.parametrize("command", ["check", "verify", "jacobi", "schrodinger"])
     @pytest.mark.parametrize(
         "text, error",
         [
@@ -556,15 +571,22 @@ class TestMainRefusals:
                 '{"setting":"jacobi","R":2.5,"pieces":[{"a":1.2,"b":1.4,"cheb":[1e308,1e308]}]}',
                 "NegativeWeight",
             ),
+            # pieces the flow's node count would read: refused before the flow budget
+            ('{"setting":"schrodinger","R":2,"pieces":[{"a":0.1,"b":0.5,"cheb":[]}]}', "NegativeWeight"),
+            (
+                '{"setting":"schrodinger","R":2,"pieces":[{"a":0.5,"b":0.5000000000000001,"cheb":[1]}]}',
+                "SupportViolation",
+            ),
         ],
         ids=[
             "negative-weight-jacobi", "negative-weight-schrodinger", "outside-support", "overlap",
             "piece-1-ulp-wide", "piece-1e-14-wide", "overflowing-density",
+            "empty-cheb-schrodinger", "piece-1-ulp-wide-schrodinger",
         ],
     )
     def test_invalid_measure_refused(self, tmp_path, capsys, command, text, error):
-        if command == "jacobi" and '"schrodinger"' in text:
-            error = "SchemaError"  # the jacobi command refuses the setting before the measure
+        if command in ("jacobi", "schrodinger") and f'"setting":"{command}"' not in text:
+            error = "SchemaError"  # the command refuses the other setting before the measure
         measure = tmp_path / "m.json"
         measure.write_text(text)
         status = main([command, "--input", str(measure), "--out", str(tmp_path / "out")])

@@ -44,10 +44,12 @@ from reflectionless.schrodinger import (
 )
 
 # Most drawn jobs take about 10 ms.  The slowest jobs the CLI's limits admit are
-# flows at the edge of the flow budget: 2.8 s for one atom at N = 4 on 2 vCPUs,
-# where the moment flow's slowest (N = 300, an atom at 0.1) took 3.5 s on the
-# same host, and a flow's retries in substeps add at most about 1 s; so only a
-# job that escapes the limits misses the deadline.
+# flows at the edge of the flow budget, which prices each step by the flow's
+# atoms: on 2 vCPUs one atom at N = 4 and 9,990 steps takes 2.3-2.5 s, a
+# 120-node piece at N = 40 and 1,774 steps 2.1-2.4 s, and a 400-node piece
+# at 191 steps 2.4-2.6 s, with runs on the same host up to 20 % slower.  A
+# flow's retries in substeps add at most about 1 s, so only a job that
+# escapes the limits misses the deadline.
 CONTRACT = settings(
     max_examples=60,
     deadline=timedelta(seconds=6.5),
@@ -153,7 +155,10 @@ def boundary_jobs(draw):
     if draw(st.booleans()):
         job["atoms"] = [{"t": draw(BOUNDARY), "w": draw(BOUNDARY)}]
     if draw(st.booleans()):
-        job["pieces"] = [{"a": draw(BOUNDARY), "b": draw(BOUNDARY), "cheb": [draw(BOUNDARY)]}]
+        # a piece one ulp wide, or with no coefficients: invalid before its rule is built
+        a = draw(BOUNDARY)
+        b = math.nextafter(a, math.inf) if draw(st.booleans()) else draw(BOUNDARY)
+        job["pieces"] = [{"a": a, "b": b, "cheb": draw(st.lists(BOUNDARY, max_size=1))}]
     for key in draw(st.lists(st.sampled_from(["N", "grid", "eta"]), unique=True)):
         job[key] = draw(st.sampled_from([1, 2, 1e-300, 0.5, 1e300]))
     return {**job, **draw(ANY_PRESET_FIELDS)}
@@ -236,6 +241,10 @@ def test_valid_jobs_meet_the_contract(command, job):
 # a finite density whose samples overflow: refused, not scanned into an all-NaN slice
 @example("check", BIG_CHEB)
 @example("jacobi", BIG_CHEB)
+# pieces refused by validation before the flow budget counts their rule's nodes
+@example("schrodinger", {"setting": "schrodinger", "R": 2, "pieces": [{"a": 0.1, "b": 0.5, "cheb": []}]})
+@example("schrodinger", {"setting": "schrodinger", "R": 2,
+                         "pieces": [{"a": 0.5, "b": math.nextafter(0.5, 1.0), "cheb": [1]}]})
 def test_boundary_numbers_meet_the_contract(command, job):
     _assert_contract(command, json.dumps(job).encode())
 
