@@ -398,11 +398,11 @@ def _job_from_args(args):
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        job = _job_from_args(args)
-        # stderr holds nothing but the error line: floating-point warnings
-        # stay off, and a non-finite result is refused where it is written
+        # stderr holds nothing but the error line: floating-point warnings stay
+        # off while the job is parsed and run (a valid piece's weights can
+        # overflow), and a non-finite result is refused where it is written
         with np.errstate(all="ignore"):
-            return run(job, args.out)
+            return run(_job_from_args(args), args.out)
     except AdmissibilityRequired as exc:
         _emit_error(exc)
         return 2

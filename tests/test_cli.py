@@ -423,10 +423,16 @@ class TestMain:
             # a point mass of 0.75 at t = 1 fails check at R = 5 and passes at R = 5.000005
             (["check"], '{"setting":"jacobi","R":5,"atoms":[{"t":1,"w":0.75}]}', 2, None),
             (["check"], '{"setting":"jacobi","R":5.000005,"atoms":[{"t":1,"w":0.75}]}', 0, None),
+            # a valid piece whose widest panel's weights overflow while the
+            # flow budget counts its nodes: no warning, the gate's one line
+            (["schrodinger"], '{"setting":"schrodinger","R":1e200,"pieces":[{"a":1,"b":1e199,"cheb":[1e200]}]}',
+             2, "AdmissibilityRequired"),
         ],
         ids=["example-free", "example-soliton", "schrodinger-N16", "check-order-2", "flow-budget-edge",
-             "jacobi-R1e170", "schrodinger-R1e130", "verify-R1e155", "point-mass-R5", "point-mass-R5.000005"],
+             "jacobi-R1e170", "schrodinger-R1e130", "verify-R1e155", "point-mass-R5", "point-mass-R5.000005",
+             "schrodinger-piece-R1e200"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_cli_exit_status(self, tmp_path, capsys, argv, text, status, error):
         if text is not None:
             measure = tmp_path / "m.json"

@@ -155,10 +155,15 @@ def boundary_jobs(draw):
     if draw(st.booleans()):
         job["atoms"] = [{"t": draw(BOUNDARY), "w": draw(BOUNDARY)}]
     if draw(st.booleans()):
-        # a piece one ulp wide, or with no coefficients: invalid before its rule is built
-        a = draw(BOUNDARY)
-        b = math.nextafter(a, math.inf) if draw(st.booleans()) else draw(BOUNDARY)
-        job["pieces"] = [{"a": a, "b": b, "cheb": draw(st.lists(BOUNDARY, max_size=1))}]
+        piece = {"a": draw(BOUNDARY), "b": draw(BOUNDARY), "cheb": [draw(BOUNDARY)]}
+        # now and then a piece one ulp wide, or with no coefficients: invalid
+        # before its rule is built
+        shape = draw(st.sampled_from(["drawn"] * 8 + ["one-ulp", "no-cheb"]))
+        if shape == "one-ulp":
+            piece["b"] = math.nextafter(piece["a"], math.inf)
+        elif shape == "no-cheb":
+            piece["cheb"] = []
+        job["pieces"] = [piece]
     for key in draw(st.lists(st.sampled_from(["N", "grid", "eta"]), unique=True)):
         job[key] = draw(st.sampled_from([1, 2, 1e-300, 0.5, 1e300]))
     return {**job, **draw(ANY_PRESET_FIELDS)}
@@ -245,6 +250,8 @@ def test_valid_jobs_meet_the_contract(command, job):
 @example("schrodinger", {"setting": "schrodinger", "R": 2, "pieces": [{"a": 0.1, "b": 0.5, "cheb": []}]})
 @example("schrodinger", {"setting": "schrodinger", "R": 2,
                          "pieces": [{"a": 0.5, "b": math.nextafter(0.5, 1.0), "cheb": [1]}]})
+# a valid piece whose weights overflow while the flow budget counts its nodes
+@example("schrodinger", {"setting": "schrodinger", "R": 1e200, "pieces": [{"a": 1, "b": 1e199, "cheb": [1e200]}]})
 def test_boundary_numbers_meet_the_contract(command, job):
     _assert_contract(command, json.dumps(job).encode())
 
