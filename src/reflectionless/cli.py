@@ -35,9 +35,9 @@ from .herglotz import (
     m_value,
     reflectionless_residual,
 )
-from .jacobi import m_oracle, reconstruct
+from .jacobi import MAX_ORDER, m_oracle, reconstruct
 from .measure import Measure, moment
-from .schrodinger import MIN_FLOW_ORDER, flow_atoms, flow_steps, integrate_flow, riccati_mismatch
+from .schrodinger import MIN_FLOW_ORDER, default_step, flow_budget, integrate_flow, riccati_mismatch
 
 COMMANDS = ("check", "jacobi", "schrodinger", "verify", "example")
 
@@ -91,26 +91,8 @@ def _objects(obj, key):
 
 
 _PARAM_KEYS = ("N", "eta", "grid", "x_max", "step")
-# largest accepted sizes: one parameter beyond them can exhaust memory or run for minutes
-MAX_ORDER = 10_000
+# largest accepted grid: one beyond it can exhaust memory or run for minutes
 MAX_GRID = 512
-# the flow jobs' budget on ceil(x_max / step) * ((N + 1)^2 + FLOW_PAIR_COST n (n - 1) +
-# FLOW_STEP_COST), n the flow's atoms: on 2 vCPUs a flow step costs about 0.28 ms and
-# 65 ns more per atom pair, so the slowest jobs admitted (one atom at N = 4, a
-# 121-node piece at N = 40) run 2.8 s and 2.2 s; (N + 1)^2 bounds the moment trace
-FLOW_STEP_COST = 25_000
-FLOW_PAIR_COST = 8
-MAX_FLOW_WORK = 2.5e8
-
-
-def default_params(R):
-    return {
-        "N": 40,
-        "eta": 1e-4,
-        "grid": MAX_GRID,
-        "x_max": 0.8 / R,
-        "step": 1.0 / (20.0 * R),
-    }
 
 
 def _json_object(json_text):
@@ -151,7 +133,7 @@ def _parse_job(command, obj):
             pieces.append((a, b, tuple(_finite(c, f"{p}/cheb/{j}") for j, c in enumerate(cheb))))
         mu = Measure.with_pieces(atoms, pieces)
         setting = Setting.jacobi(R) if setting_kind == "jacobi" else Setting.schrodinger(R)
-    params = default_params(setting.R)
+    params = {"N": 40, "eta": 1e-4, "grid": MAX_GRID, "x_max": 0.8 / setting.R, "step": default_step(setting.R)}
 
     for key in _PARAM_KEYS:
         if key in obj:
@@ -169,17 +151,14 @@ def _parse_job(command, obj):
                 raise SchemaError(f"/{key}", f"must be positive, got {val!r}")
             params[key] = val
     flow = setting.kind == "schrodinger" and command in ("schrodinger", "example")
-    N, steps = params["N"], params["x_max"] / params["step"]
-    if flow and N < MIN_FLOW_ORDER:
-        raise SchemaError("/N", f"must be at least {MIN_FLOW_ORDER} for the flow, got {N}")
+    if flow and params["N"] < MIN_FLOW_ORDER:
+        raise SchemaError("/N", f"must be at least {MIN_FLOW_ORDER} for the flow, got {params['N']}")
     measure.validate(mu, setting)  # after every field, so a bad field wins over a bad measure
     if flow:
-        n = flow_atoms(mu, N).shape[1]
-        # a ratio beyond the budget is refused before flow_steps, which an infinite one breaks
-        per_step = (N + 1) ** 2 + FLOW_PAIR_COST * n * (n - 1) + FLOW_STEP_COST
-        if steps > MAX_FLOW_WORK or flow_steps(steps) * per_step > MAX_FLOW_WORK:
-            work = f"ceil(x_max / step) * ((N + 1)^2 + {FLOW_PAIR_COST} n (n - 1) + {FLOW_STEP_COST}), n = {n},"
-            raise SchemaError("/step", f"{work} must be at most {MAX_FLOW_WORK:g}")
+        try:
+            flow_budget(mu, params["N"], params["x_max"] / params["step"])
+        except BadParameter as exc:
+            raise SchemaError("/step", str(exc)) from None
 
     return Job(command=command, measure=mu, setting=setting, params=params)
 

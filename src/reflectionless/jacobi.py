@@ -199,6 +199,10 @@ def moments_to_recurrence(m, N):
 # window assembly
 
 
+# the widest window: one beyond it can exhaust memory or run for minutes
+MAX_ORDER = 10_000
+
+
 def reconstruct(sigma, setting, N):
     """Window of Jacobi coefficients for n in [-N, N] from an admissible measure.
 
@@ -206,8 +210,8 @@ def reconstruct(sigma, setting, N):
     1..N, (a0, b0, a_{-1}) come from the rho- asymptotics, and the rho-
     recurrence fills sites -1..-N (couplings a_{-2}..a_{-N}).
     """
-    if not isinstance(N, numbers.Integral) or N < 1:
-        raise BadParameter("window half-width N must be an integer of at least 1")
+    if not isinstance(N, numbers.Integral) or not 1 <= N <= MAX_ORDER:
+        raise BadParameter(f"window half-width N must be an integer from 1 to {MAX_ORDER}")
     if setting.kind != "jacobi":
         raise BadR(f"reconstruct needs the jacobi setting, got {setting.kind!r}")
     require_admissible(sigma, setting)

@@ -27,11 +27,14 @@ STEP_ERR_TOL = 1e-6
 # rounding in V grows about like sqrt(steps) ulps of max |V|: measured up to
 # 47 ulps after 5,000 one-atom steps, 44 after 1,000 and 3 after 10
 ROUNDING_ULPS = 4.0
-# a refused side is taken again in m = 2, 4, ... substeps per step while
-# steps * m * (n^2 + 3000), n atoms, is within RETRY_WORK: a substep costs about
-# 0.1 ms + 35 ns n^2 on 2 vCPUs, so one side's retries take at most about 0.5 s
-RETRY_WORK = 7e6
 BLOWUP_FACTOR = 10.0
+# the flow's budget: steps ((N + 1)^2 + FLOW_PAIR_COST n (n - 1) + FLOW_STEP_COST), n atoms,
+# at most MAX_FLOW_WORK: on 2 vCPUs a step on both sides costs about 0.28 ms, Riccati walks
+# included, and 65 ns more per atom pair, so the slowest flows admitted run about 2.8 s;
+# (N + 1)^2 bounds the moment trace.  A side taken again in m substeps costs m / 2 of the rest.
+FLOW_STEP_COST = 25_000
+FLOW_PAIR_COST = 8
+MAX_FLOW_WORK = 2.5e8
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,42 +67,56 @@ def init_flow(sigma, N, R):
     return flow_atoms(sigma, N)
 
 
-def flow_steps(ratio):
-    """Steps per side that integrate_flow takes where x_max / step = ratio."""
-    return max(1, math.ceil(ratio - 1e-12))
+def default_step(R):
+    """The flow's step where none is given: 20 steps per unit of 1/R."""
+    return 1.0 / (20.0 * R)
+
+
+def flow_budget(sigma, N, ratio):
+    """(steps, allowance) of the validated sigma's flow at order N where x_max /
+    step = ratio: the steps per side (ratio less 1e-12, rounded up, at least 1),
+    and the RK4 steps per step its passes on both sides may take in all (2 is one
+    pass a side) within MAX_FLOW_WORK.  BadParameter if not even 2 fit, or NaN."""
+    n = flow_atoms(sigma, N).shape[1]
+    if ratio <= MAX_FLOW_WORK:
+        steps = max(1, math.ceil(ratio - 1e-12))
+        per_pass = FLOW_PAIR_COST * n * (n - 1) + FLOW_STEP_COST
+        work = steps * ((N + 1) ** 2 + per_pass)  # an integer: compared exactly, never overflows
+        if work <= MAX_FLOW_WORK:
+            return steps, 2 + int(2 * (MAX_FLOW_WORK - work) // (steps * per_pass))
+    formula = f"ceil(x_max / step) * ((N + 1)^2 + {FLOW_PAIR_COST} n (n - 1) + {FLOW_STEP_COST}), n = {n},"
+    raise BadParameter(f"{formula} must be at most {MAX_FLOW_WORK:g}")
 
 
 def integrate_flow(sigma, N, R, x_max, step=None):
     """Fourth-order integration of sigma's atoms over [-x_max, x_max].
 
-    The grid is symmetric, so its middle node is x = 0.  Each side runs
+    The grid is symmetric, so its middle node is x = 0.  A flow beyond
+    flow_budget raises BadParameter first.  Each side runs
     _kernels.flow_integrate.  Atoms passing close to each other make the flow
     stiff, so a side whose figure exceeds STEP_ERR_TOL R^2, or whose atoms
     leave |t| < R, w > 0, is taken again in 2, 4, ... substeps per step
-    within RETRY_WORK, and then raises StepTooLarge.  est_error is the
+    within the budget, and then raises StepTooLarge.  est_error is the
     largest figure plus ROUNDING_ULPS sqrt(substeps) ulps of max |V|.
     """
-    if not 0.0 < x_max < math.inf:
-        raise BadParameter(f"x_max must be positive and finite, got {x_max!r}")
-    if step is None:
-        step = 1.0 / (20.0 * Setting.schrodinger(R).R)
-    if not (0.0 < step < math.inf and x_max / step < math.inf):
-        raise BadParameter(f"step must be positive with x_max / step finite, got {step!r}")
+    step = default_step(Setting.schrodinger(R).R) if step is None else step
+    if not (0.0 < x_max < math.inf and 0.0 < step < math.inf):
+        raise BadParameter(f"x_max and step must be positive and finite, got {x_max!r} and {step!r}")
     y0 = init_flow(sigma, N, R)
-    n_steps = flow_steps(x_max / step)
+    n_steps, allowance = flow_budget(sigma, N, x_max / step)
     h = x_max / n_steps
     tol = STEP_ERR_TOL * R * R
 
     atoms = np.empty((2 * n_steps + 1, *y0.shape))
-    est, m_most = 0.0, 1
+    est, m_most, spent = 0.0, 1, 2  # spent: RK4 steps per step so far, both sides
     for d in (+1, -1):
         m = 1
         with np.errstate(all="ignore"):  # a state that overflows is refused as not finite
             while True:
                 states, status, bad, worst = _kernels.flow_integrate(y0, d * h / m, n_steps * m, R, tol)
-                if status == _kernels.FLOW_OK or 2 * m * n_steps * (y0.shape[1] ** 2 + 3000) > RETRY_WORK:
+                if status == _kernels.FLOW_OK or spent + 2 * m > allowance:
                     break
-                m *= 2
+                spent, m = spent + 2 * m, 2 * m
         where = f"x = {d * bad * h / m:.6g}; reduce the step"
         if status == _kernels.FLOW_STEP_TOO_LARGE:
             raise StepTooLarge(f"error figure exceeded {tol:.3g} near {where}")

@@ -10,13 +10,9 @@ from hypothesis import strategies as st
 
 from helpers import one_soliton_potential
 import reflectionless
-from reflectionless import cli
+from reflectionless import schrodinger
 from reflectionless.cli import (
-    FLOW_PAIR_COST,
-    FLOW_STEP_COST,
-    MAX_FLOW_WORK,
     MAX_GRID,
-    MAX_ORDER,
     _json_object,
     _parse_job,
     emit_csv,
@@ -24,8 +20,9 @@ from reflectionless.cli import (
     run,
 )
 from reflectionless.errors import NonFiniteOutput, SchemaError, SupportViolation
+from reflectionless.jacobi import MAX_ORDER
 from reflectionless.measure import solve_r
-from reflectionless.schrodinger import integrate_flow
+from reflectionless.schrodinger import FLOW_PAIR_COST, FLOW_STEP_COST, MAX_FLOW_WORK, integrate_flow
 
 ATOM_S = '"setting":"schrodinger","R":2,"atoms":[{"t":0.3,"w":0.8}]'
 
@@ -155,9 +152,9 @@ class TestParseInput:
         trace = integrate_flow(job.measure, 4, 2.0, job.params["x_max"], step=job.params["step"])
         work = (len(trace.xs) - 1) // 2 * ((4 + 1) ** 2 + FLOW_STEP_COST)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "MAX_FLOW_WORK", work)
+            mp.setattr(schrodinger, "MAX_FLOW_WORK", work)
             job_from_text(text)
-            mp.setattr(cli, "MAX_FLOW_WORK", work - 1)
+            mp.setattr(schrodinger, "MAX_FLOW_WORK", work - 1)
             with pytest.raises(SchemaError):
                 job_from_text(text)
 
@@ -515,6 +512,8 @@ class TestMain:
             # one step past the flow budget at N = 4: 9,991 steps of 2^-16
             (["schrodinger", "--order", "4", "--xmax", "0.1524505615234375", "--step", "1.52587890625e-05"],
              ATOM_SCHRODINGER, "/step"),
+            # the default x_max = 0.8/R and step = 1/(20 R) overflow to inf, so their ratio is NaN
+            (["schrodinger"], '{"setting":"schrodinger","R":1e-310}', "/step"),
         ],
     )
     def test_cli_refuses_out_of_range(self, tmp_path, capsys, argv, text, pointer):

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from helpers import free_window
 import reflectionless
-from reflectionless import cli, errors, jacobi
+from reflectionless import cli, errors, jacobi, schrodinger
 from reflectionless.cli import main
 from reflectionless.herglotz import (
     AdmissibilityReport,
@@ -48,7 +48,7 @@ from reflectionless.schrodinger import (
 # atoms: on 2 vCPUs one atom at N = 4 and 9,990 steps takes 2.3-2.5 s, a
 # 120-node piece at N = 40 and 1,774 steps 2.1-2.4 s, and a 400-node piece
 # at 191 steps 2.4-2.6 s, with runs on the same host up to 20 % slower.  A
-# flow's retries in substeps add at most about 1 s, so only a job that
+# flow's retries in substeps spend the same budget, so only a job that
 # escapes the limits misses the deadline.
 CONTRACT = settings(
     max_examples=60,
@@ -117,14 +117,14 @@ def valid_jobs(draw):
     c1, c2 = draw(st.floats(-0.45, 0.45)), draw(st.floats(-0.45, 0.45))
     job = {"setting": kind, "R": R, "atoms": [], "pieces": []}
     least = draw(st.sampled_from([MIN_FLOW_ORDER] * 3 + [1]))
-    job["N"] = N = round(least * (cli.MAX_ORDER / least) ** draw(st.floats(0.0, 1.0)))
+    job["N"] = N = round(least * (jacobi.MAX_ORDER / least) ** draw(st.floats(0.0, 1.0)))
     job["grid"] = round(cli.MAX_GRID ** draw(st.floats(0.0, 1.0)))
     job["eta"] = 10.0 ** draw(st.floats(-300.0, 300.0))
     job["x_max"] = 10.0 ** draw(st.floats(-300.0, 300.0))
     if draw(st.sampled_from([False] * 3 + [True])):
         job["step"] = 10.0 ** draw(st.floats(-300.0, 300.0))
     else:
-        max_steps = cli.MAX_FLOW_WORK / ((N + 1) ** 2 + cli.FLOW_STEP_COST)
+        max_steps = schrodinger.MAX_FLOW_WORK / ((N + 1) ** 2 + schrodinger.FLOW_STEP_COST)
         job["step"] = job["x_max"] / max_steps ** draw(st.floats(0.0, 1.0))
     if b > a:
         job["pieces"].append({"a": a, "b": b, "cheb": [mass, c1 * mass, c2 * mass]})
@@ -144,7 +144,7 @@ README_MEASURE = {
 
 BIG_CHEB = {"setting": "jacobi", "R": 2.5, "pieces": [{"a": 1.2, "b": 1.4, "cheb": [1e308, 1e308]}]}
 
-BOUNDARY = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, 2.0, 2.0 + 4e-16, 1.0, -1.0, 1e-9])
+BOUNDARY = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e-310, 1e300, 2.0, 2.0 + 4e-16, 1.0, -1.0, 1e-9])
 
 
 @st.composite
@@ -412,6 +412,10 @@ _ATOM = Measure.point(0.3, 0.8)
         lambda: integrate_flow(_ATOM, 10.5, 2.0, 1.0),
         lambda: integrate_flow(_ATOM, 10, 2.0, 1e300, step=1e-300),
         lambda: reconstruct(Measure.zero(), Setting.jacobi(2.5), 10.5),
+        # sizes beyond the library's own limits, refused before anything is allocated
+        lambda: reconstruct(Measure.zero(), Setting.jacobi(2.5), jacobi.MAX_ORDER + 1),
+        lambda: integrate_flow(_ATOM, 4, 2.0, 1e6, step=1e-7),
+        lambda: integrate_flow(_ATOM, 10**200, 2.0, 1.0),
         # a non-finite z, like m_value's
         lambda: m_oracle(_FREE, complex(math.nan, 1.0), "plus"),
         lambda: phi_inv(Setting.jacobi(2.5), complex(math.nan, 1.0), "upper"),
@@ -423,8 +427,8 @@ _ATOM = Measure.point(0.3, 0.8)
          "herglotz_exp-C", "herglotz_exp-xi", "window-site-0", "window-lengths", "binomial-range",
          "integrate_flow-x_max-inf", "integrate_flow-step-0", "integrate_flow-step-nan",
          "integrate_flow-step-negative", "integrate_flow-N-fraction", "integrate_flow-ratio-inf",
-         "reconstruct-N-fraction", "m_oracle-z-nan", "phi_inv-z-nan", "herglotz_exp-z-nan",
-         "herglotz_exp-C-inf"],
+         "reconstruct-N-fraction", "reconstruct-N-max", "integrate_flow-budget", "integrate_flow-N-huge",
+         "m_oracle-z-nan", "phi_inv-z-nan", "herglotz_exp-z-nan", "herglotz_exp-C-inf"],
 )
 def test_bad_parameter_is_a_typed_value_error(call):
     with pytest.raises(errors.BadParameter) as err:

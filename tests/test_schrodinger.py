@@ -24,6 +24,8 @@ from reflectionless.errors import (
 from reflectionless import _kernels, schrodinger
 from reflectionless.measure import Measure, moments
 from reflectionless.schrodinger import (
+    FLOW_PAIR_COST,
+    FLOW_STEP_COST,
     _quarter_potential,
     binomial_sum_identity,
     generating_function,
@@ -159,17 +161,18 @@ class TestIntegrateFlow:
                 assert np.max(np.abs(trace.V)) <= 1e-6
 
     def test_region_exit_is_refused(self, monkeypatch):
-        # with the error figure let through and no retry, two steps of 1.5
-        # carry the atom out of the region; the flow names the x where it left
+        # with the error figure let through and no retry (a budget of the two
+        # steps' first passes alone), two steps of 1.5 carry the atom out of
+        # the region; the flow names the x where it left
         monkeypatch.setattr(schrodinger, "STEP_ERR_TOL", math.inf)
-        monkeypatch.setattr(schrodinger, "RETRY_WORK", 0.0)
+        monkeypatch.setattr(schrodinger, "MAX_FLOW_WORK", 2 * (5 ** 2 + FLOW_STEP_COST))
         with pytest.raises(StepTooLarge, match=r"left \|t\| < R, w > 0 at x = 3;"):
             integrate_flow(Measure.point(0.0, 3.9), 4, 2.0, 3.0, step=1.5)
 
     def test_step_too_large(self, monkeypatch):
         # four steps of 0.5 resolve kappa = 1.87 only with substeps; with the
-        # retry's work allowance spent, the figure refuses the first step
-        monkeypatch.setattr(schrodinger, "RETRY_WORK", 2 * 4 * 3001.0)
+        # budget spent on one retry in 2 substeps, the figure refuses the first step
+        monkeypatch.setattr(schrodinger, "MAX_FLOW_WORK", 4 * (9 ** 2 + 2 * FLOW_STEP_COST))
         with pytest.raises(StepTooLarge, match="near x = 0;"):
             integrate_flow(Measure.point(0.0, 3.5), 8, 2.0, 2.0, step=0.5)
 
@@ -181,8 +184,23 @@ class TestIntegrateFlow:
         trace = integrate_flow(sigma, 8, R, 0.8 / R)
         fine = integrate_flow(sigma, 8, R, 0.8 / R, step=1.0 / (20.0 * R) / 64)
         assert np.max(np.abs(trace.V - fine.V[::64])) <= trace.est_error <= 1e-6 * R * R
-        monkeypatch.setattr(schrodinger, "RETRY_WORK", 0.0)
+        # a budget of the 16 steps' first passes alone leaves no retry
+        monkeypatch.setattr(schrodinger, "MAX_FLOW_WORK", 16 * (9 ** 2 + FLOW_PAIR_COST * 2 + FLOW_STEP_COST))
         with pytest.raises(StepTooLarge, match="error figure exceeded"):
+            integrate_flow(sigma, 8, R, 0.8 / R)
+
+    def test_retries_share_the_flow_budget(self, monkeypatch):
+        # each side of the stiff pass above needs one retry in 2 substeps, which
+        # costs per_pass a step (m / 2 of it for m substeps): a budget of the
+        # first passes and both retries admits the flow, and one unit less
+        # leaves the second side, x < 0, without its retry
+        sigma, R = Measure.from_atoms([(0.1081, 0.6361), (0.1736, 0.1447)]), 1.227
+        per_pass = FLOW_PAIR_COST * 2 + FLOW_STEP_COST
+        work = 16 * (9 ** 2 + per_pass) + 2 * 16 * per_pass
+        monkeypatch.setattr(schrodinger, "MAX_FLOW_WORK", work)
+        integrate_flow(sigma, 8, R, 0.8 / R)
+        monkeypatch.setattr(schrodinger, "MAX_FLOW_WORK", work - 1)
+        with pytest.raises(StepTooLarge, match="error figure exceeded .* near x = -"):
             integrate_flow(sigma, 8, R, 0.8 / R)
 
     def test_order_sets_only_the_columns(self):
