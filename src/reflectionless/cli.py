@@ -247,7 +247,7 @@ def run_schrodinger(job, out):
     trace = integrate_flow(job.measure, N, R, job.params["x_max"], step=job.params["step"])
     n_sig = min(N, 8) + 1
     header = ["x", "V"] + [f"sigma_{k}" for k in range(n_sig)]
-    table = np.column_stack([trace.xs, trace.V, trace.sigmas[:, :n_sig]])
+    table = np.column_stack([trace.xs, trace.V, trace.moments(n_sig)])
     emit_csv(header, table, out / "potential_trace.csv")
 
     ws = np.array([0.3 / R, 0.3j / R, -0.3 / R])
@@ -341,7 +341,7 @@ def build_parser():
         p.add_argument("--input", help="job/measure JSON file")
         p.add_argument("--out", default=".", help="output directory")
         # number flags stay text here: _parse_job's checks read them like job-file fields
-        p.add_argument("--order", dest="N", help="order N: window half-width, or the flow's moment order")
+        p.add_argument("--order", dest="N", help="order N: window half-width, or the flow's piece-rule order")
         p.add_argument("--eta", help="boundary offset for residuals")
         p.add_argument("--grid", help="number of residual grid points")
         p.add_argument("--xmax", dest="x_max", help="flow half-width")

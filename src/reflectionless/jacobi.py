@@ -113,7 +113,7 @@ def rho_minus_moments(sigma, K):
     if not s2 < 1.0:
         raise InadmissibleSigma(f"needs s_{{-2}} < 1, got {s2}")
     a0 = (1.0 - s2) ** -0.5
-    b0 = -s1 / (1.0 - s2)
+    b0 = 0.0 - s1 / (1.0 - s2)  # not -s1: a free measure's b0 stays +0.0
     q = 1.0 - s2 + s0
     if not q > 0.0:
         raise InadmissibleSigma(f"needs 1 - s_{{-2}} + s_0 > 0, got {q}")

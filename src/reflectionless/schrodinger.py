@@ -20,18 +20,19 @@ import numpy as np
 from . import _kernels
 from .errors import BadParameter, NonFiniteOutput, RiccatiBlowUp, StepTooLarge
 from .herglotz import Setting, require_admissible
+from .jacobi import MAX_ORDER
 from .measure import quadrature_atoms
 
+# the least order of a piece's rule: its gap to a rule of 4 N was measured from N = 4
 MIN_FLOW_ORDER = 4
 STEP_ERR_TOL = 1e-6
 # rounding in V grows about like sqrt(steps) ulps of max |V|: measured up to
 # 47 ulps after 5,000 one-atom steps, 44 after 1,000 and 3 after 10
 ROUNDING_ULPS = 4.0
 BLOWUP_FACTOR = 10.0
-# the flow's budget: steps ((N + 1)^2 + FLOW_PAIR_COST n (n - 1) + FLOW_STEP_COST), n atoms,
-# at most MAX_FLOW_WORK: on 2 vCPUs a step on both sides costs about 0.28 ms, Riccati walks
-# included, and 65 ns more per atom pair, so the slowest flows admitted run about 2.8 s;
-# (N + 1)^2 bounds the moment trace.  A side taken again in m substeps costs m / 2 of the rest.
+# the flow's budget: steps (FLOW_PAIR_COST n (n - 1) + FLOW_STEP_COST), n atoms, at most MAX_FLOW_WORK:
+# on 2 vCPUs a step on both sides costs about 0.28 ms, Riccati walks included, and 65 ns more per
+# atom pair, so the slowest flows admitted run about 3 s.  m substeps on one side cost m / 2 of it.
 FLOW_STEP_COST = 25_000
 FLOW_PAIR_COST = 8
 MAX_FLOW_WORK = 2.5e8
@@ -39,8 +40,7 @@ MAX_FLOW_WORK = 2.5e8
 
 @dataclass(frozen=True, eq=False)
 class PotentialTrace:
-    """Sampled potential V = -2 sigma_0 along the flow, with its atoms and
-    their moments."""
+    """Sampled potential V = -2 sigma_0 along the flow, with its atoms."""
 
     xs: np.ndarray
     V: np.ndarray
@@ -48,8 +48,16 @@ class PotentialTrace:
     est_error: float  # a figure above |V - V_exact| over the trace
     R: float
     atoms: np.ndarray = field(repr=False)  # row k holds (t, w) at xs[k]
-    sigmas: np.ndarray = field(repr=False)  # sigma_n = sum w t^n, n = 0..N
     step: float  # h = x_max / n_steps, the step of the trace grid
+
+    def moments(self, count):
+        """sigma_n = sum w t^n for n = 0 .. count - 1, one row per node of xs."""
+        sigmas = np.empty((len(self.atoms), count))
+        power = self.atoms[:, 1].copy()
+        for n in range(count):
+            sigmas[:, n] = np.sum(power, axis=1)
+            power *= self.atoms[:, 0]
+        return sigmas
 
 
 def flow_atoms(sigma, N):
@@ -59,10 +67,10 @@ def flow_atoms(sigma, N):
 
 
 def init_flow(sigma, N, R):
-    """The flow's state at x = 0, flow_atoms(sigma, N), once N is an integer of
-    at least MIN_FLOW_ORDER and sigma passes the admissibility gate."""
-    if not isinstance(N, numbers.Integral) or N < MIN_FLOW_ORDER:
-        raise BadParameter(f"flow order N must be an integer of at least {MIN_FLOW_ORDER}")
+    """The flow's state at x = 0, flow_atoms(sigma, N), once N is an integer
+    from MIN_FLOW_ORDER to MAX_ORDER and sigma passes the admissibility gate."""
+    if not isinstance(N, numbers.Integral) or not MIN_FLOW_ORDER <= N <= MAX_ORDER:
+        raise BadParameter(f"flow order N must be an integer from {MIN_FLOW_ORDER} to {MAX_ORDER}")
     require_admissible(sigma, Setting.schrodinger(R))
     return flow_atoms(sigma, N)
 
@@ -81,10 +89,10 @@ def flow_budget(sigma, N, ratio):
     if ratio <= MAX_FLOW_WORK:
         steps = max(1, math.ceil(ratio - 1e-12))
         per_pass = FLOW_PAIR_COST * n * (n - 1) + FLOW_STEP_COST
-        work = steps * ((N + 1) ** 2 + per_pass)  # an integer: compared exactly, never overflows
+        work = steps * per_pass  # an integer: compared exactly, never overflows
         if work <= MAX_FLOW_WORK:
-            return steps, 2 + int(2 * (MAX_FLOW_WORK - work) // (steps * per_pass))
-    formula = f"ceil(x_max / step) * ((N + 1)^2 + {FLOW_PAIR_COST} n (n - 1) + {FLOW_STEP_COST}), n = {n},"
+            return steps, 2 + int(2 * (MAX_FLOW_WORK - work) // work)
+    formula = f"ceil(x_max / step) * ({FLOW_PAIR_COST} n (n - 1) + {FLOW_STEP_COST}), n = {n},"
     raise BadParameter(f"{formula} must be at most {MAX_FLOW_WORK:g}")
 
 
@@ -124,15 +132,10 @@ def integrate_flow(sigma, N, R, x_max, step=None):
             raise StepTooLarge(f"an atom left |t| < R, w > 0 at {where}")
         atoms[n_steps::d] = states[::m]  # outward from x = 0
         est, m_most = max(est, worst), max(m_most, m)
-    sigmas = np.empty((len(atoms), N + 1))
-    power = atoms[:, 1].copy()
-    for n in range(N + 1):
-        sigmas[:, n] = np.sum(power, axis=1)
-        power *= atoms[:, 0]
-    V = -2.0 * sigmas[:, 0]
+    V = 0.0 - 2.0 * np.sum(atoms[:, 1], axis=1)  # not -2 s0: the zero measure's V stays +0.0
     est += ROUNDING_ULPS * math.sqrt(m_most * n_steps) * np.finfo(float).eps * float(np.max(np.abs(V)))
     xs = np.linspace(-n_steps * h, n_steps * h, 2 * n_steps + 1)
-    return PotentialTrace(xs, V, N, est, R, atoms, sigmas, h)
+    return PotentialTrace(xs, V, N, est, R, atoms, h)
 
 
 def generating_function(atoms, w):
@@ -191,7 +194,7 @@ def riccati_oracle(trace, w):
     w = complex(w)
     if not 0.0 < abs(w) < 1.0 / trace.R:
         raise BadParameter("w must be nonzero and inside the convergence disk |w| < 1/R")
-    V = _quarter_potential(trace.sigmas, trace.step)
+    V = _quarter_potential(trace.moments(3), trace.step)
     n = len(trace.xs) // 2
     h = trace.step / 2
     p0 = generating_function(trace.atoms[n], w)

@@ -211,13 +211,14 @@ def criterion_08_bounds_and_sign():
     worst_eig = math.inf
     for trace, R in flows:
         N = trace.N_used
+        sigmas = trace.moments(N + 1)
         envelope = R ** (np.arange(N + 1) + 2.0) * (1.0 + 1e-9)
-        assert np.all(np.abs(trace.sigmas) <= envelope), "moment envelope violated"
+        assert np.all(np.abs(sigmas) <= envelope), "moment envelope violated"
         worst_v = max(worst_v, float(np.max(trace.V)))
         assert np.max(trace.V) <= 1e-9, f"sign property violated: {np.max(trace.V)}"
         idx = np.arange(N // 2 + 1)
         tol = -1e-8 * R ** (N + 2)
-        for row in trace.sigmas[:: max(1, len(trace.xs) // 16)]:
+        for row in sigmas[:: max(1, len(trace.xs) // 16)]:
             H = row[idx[:, None] + idx[None, :]]
             eig = float(np.min(np.linalg.eigvalsh(H)))
             worst_eig = min(worst_eig, eig - tol)
@@ -225,7 +226,7 @@ def criterion_08_bounds_and_sign():
         # stricter certified-depth positivity, away from the closure error
         if N >= 40:
             sub = np.arange(11)
-            for row in trace.sigmas[:: max(1, len(trace.xs) // 8)]:
+            for row in sigmas[:: max(1, len(trace.xs) // 8)]:
                 H = row[sub[:, None] + sub[None, :]]
                 assert float(np.min(np.linalg.eigvalsh(H))) >= -1e-8 * R ** 22
     return f"max V = {worst_v:.1e}, Hankel slack = {worst_eig:.1e}, 5 flows"

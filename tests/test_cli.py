@@ -96,17 +96,19 @@ class TestParseInput:
         job = job_from_text('{"command":"jacobi","setting":"jacobi","R":4,"N":1}')
         assert job.params["N"] == 1
 
-    @pytest.mark.parametrize("N, steps", [(4, 9990), (73, 8203)])
+    @pytest.mark.parametrize("N", [4, 73])
     @pytest.mark.parametrize("command", ["schrodinger", "example"])
-    def test_flow_budget_edge(self, command, N, steps):
-        # step = 2^-13 and x_max = k steps of it: the step count is exact
+    def test_flow_budget_edge(self, command, N):
+        # step = 2^-13 and x_max = k steps of it: the step count is exact, and
+        # one atom fits 10,000 steps at any order
         def job(k):
             fields = f'"N":{N},"x_max":{k * 2.0 ** -13!r},"step":{2.0 ** -13!r}'
             if command == "example":
                 return job_from_text(f'{{"command":"example","name":"delta0",{fields}}}')
             return job_from_text(f'{{"command":"schrodinger","setting":"schrodinger","R":4,{fields}}}')
 
-        assert steps * ((N + 1) ** 2 + FLOW_STEP_COST) <= MAX_FLOW_WORK
+        steps = 10_000
+        assert steps * FLOW_STEP_COST <= MAX_FLOW_WORK
         params = job(steps).params
         assert params["x_max"] / params["step"] == steps
         with pytest.raises(SchemaError) as err:
@@ -118,7 +120,7 @@ class TestParseInput:
         # N = 40 take FLOW_PAIR_COST * 121 * 120 more per step than one atom
         piece = '"setting":"schrodinger","R":1.5,"atoms":[{"t":0.9,"w":0.2}],' \
                 '"pieces":[{"a":-0.5,"b":0.5,"cheb":[0.4,0.0,0.1]}]'
-        per_step = 41 ** 2 + FLOW_PAIR_COST * 121 * 120 + FLOW_STEP_COST
+        per_step = FLOW_PAIR_COST * 121 * 120 + FLOW_STEP_COST
         steps = int(MAX_FLOW_WORK // per_step)
 
         def job(k):
@@ -131,14 +133,14 @@ class TestParseInput:
         assert err.value.pointer == "/step"
 
     def test_flow_budget_edge_at_a_decimal_step(self):
-        # 0.6993 / 7e-05 is 9990.000000000002 in floating point, and the flow
-        # takes 9,990 steps: the most that N = 4 fits.  9,991 steps are refused.
+        # 1.3 / 1.3e-04 is 10000.000000000002 in floating point, and the flow
+        # takes 10,000 steps: the most that one atom fits.  10,001 steps are refused.
         def job(x_max):
-            return job_from_text(f'{{"command":"schrodinger",{ATOM_S},"N":4,"x_max":{x_max},"step":7e-05}}')
+            return job_from_text(f'{{"command":"schrodinger",{ATOM_S},"N":4,"x_max":{x_max},"step":1.3e-04}}')
 
-        assert job(0.6993).params["x_max"] == 0.6993
+        assert job(1.3).params["x_max"] == 1.3
         with pytest.raises(SchemaError) as err:
-            job(0.69937)
+            job(1.30013)
         assert err.value.pointer == "/step"
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -150,7 +152,7 @@ class TestParseInput:
         text = f'{{"command":"schrodinger",{ATOM_S},"N":4,"x_max":{n * d}e-5,"step":{d}e-5}}'
         job = job_from_text(text)
         trace = integrate_flow(job.measure, 4, 2.0, job.params["x_max"], step=job.params["step"])
-        work = (len(trace.xs) - 1) // 2 * ((4 + 1) ** 2 + FLOW_STEP_COST)
+        work = (len(trace.xs) - 1) // 2 * FLOW_STEP_COST
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(schrodinger, "MAX_FLOW_WORK", work)
             job_from_text(text)
@@ -317,6 +319,8 @@ WIDE_R_JOBS = [
 
 ATOM_SCHRODINGER = '{"setting":"schrodinger","R":2,"atoms":[{"t":0.3,"w":0.8}]}'
 ATOM_JACOBI = '{"setting":"jacobi","R":2.01,"atoms":[{"t":1.05,"w":0.001}]}'
+# two atoms whose flow is stiff at the default grid: each side is retried in substeps
+STIFF_SCHRODINGER = '{"setting":"schrodinger","R":1.227,"atoms":[{"t":0.1081,"w":0.6361},{"t":0.1736,"w":0.1447}]}'
 # the measure file shown in the README
 README_MEASURE = (
     '{"setting":"jacobi","R":2.01,'
@@ -409,8 +413,13 @@ class TestMain:
             (["schrodinger"], '{"setting":"schrodinger","R":2,"atoms":[{"t":0.3,"w":0.8}],"N":16,"x_max":0.3}',
              0, None),
             (["check", "--order", "2"], ATOM_SCHRODINGER, 0, None),
-            # the flow budget's edge at a decimal step: N = 4 fits the 9,990 steps the flow takes
-            (["schrodinger", "--order", "4", "--xmax", "0.6993", "--step", "7e-05"], ATOM_SCHRODINGER, 0, None),
+            # the flow budget's edge at a decimal step: one atom fits the 10,000 steps the flow takes
+            (["schrodinger", "--order", "4", "--xmax", "1.3", "--step", "1.3e-04"], ATOM_SCHRODINGER, 0, None),
+            # the order reaches the flow only through a piece's rule: an atom measure flows at any N
+            (["schrodinger", "--order", "10000"], ATOM_SCHRODINGER, 0, None),
+            (["schrodinger", "--order", "3948"], STIFF_SCHRODINGER, 0, None),
+            # the zero measure's V, like example free's b_0, is +0
+            (["schrodinger"], '{"setting":"schrodinger","R":1}', 0, None),
             # past the float range: r^2 underflows to 0 at R = 1e170, and the
             # atom flow at R = 1e130 stays finite; verify's R^2 at R = 1e155
             # overflows to inf, which is refused
@@ -426,6 +435,7 @@ class TestMain:
              2, "AdmissibilityRequired"),
         ],
         ids=["example-free", "example-soliton", "schrodinger-N16", "check-order-2", "flow-budget-edge",
+             "schrodinger-N10000", "stiff-N3948", "schrodinger-zero",
              "jacobi-R1e170", "schrodinger-R1e130", "verify-R1e155", "point-mass-R5", "point-mass-R5.000005",
              "schrodinger-piece-R1e200"],
     )
@@ -440,6 +450,17 @@ class TestMain:
             assert capsys.readouterr().err == ""
         else:
             assert _one_error_line(capsys)["error"] == error
+        for table in (tmp_path / "out").glob("*.csv"):  # no cell reads -0
+            assert "-0" not in table.read_text().replace("\n", ",").split(",")
+
+    def test_order_leaves_an_atom_trace_unchanged(self, tmp_path):
+        # the stiff measure's flow takes the same retries at N = 3948 as at N = 40
+        measure = tmp_path / "m.json"
+        measure.write_text(STIFF_SCHRODINGER)
+        for N in ("40", "3948"):
+            assert main(["schrodinger", "--order", N, "--input", str(measure), "--out", str(tmp_path / N)]) == 0
+        trace = "potential_trace.csv"
+        assert (tmp_path / "3948" / trace).read_bytes() == (tmp_path / "40" / trace).read_bytes()
 
     def test_cli_admissibility_exit_code(self, tmp_path, capsys):
         # a reconstruction refused by the gate names it in one line on stderr
@@ -499,8 +520,10 @@ class TestMain:
             (["example", "--name", "delta0", "--mass", "-1"], "{}", "/mass"),
             (["example", "--name", "delta0", "--mass", "0"], "{}", "/mass"),
             (["example", "--name", "nope"], "{}", "/name"),
-            # the flow budget binds the flow jobs, and grids beyond 512 points are refused
-            (["schrodinger", "--order", "10000"], ATOM_SCHRODINGER, "/step"),
+            # the flow budget binds the flow jobs at any order, 10,001 steps of 2^-16 for one atom,
+            # and grids beyond 512 points are refused
+            (["schrodinger", "--order", "73", "--xmax", "0.1526031494140625", "--step", "1.52587890625e-05"],
+             ATOM_SCHRODINGER, "/step"),
             (["example", "--name", "delta0", "--step", "1e-9"], "{}", "/step"),
             (["verify", "--grid", "513"], README_MEASURE, "/grid"),
             # each reconstructing command reads its own setting
@@ -509,8 +532,8 @@ class TestMain:
             (["schrodinger"], ATOM_JACOBI, "/setting"),
             (["verify", "--grid", "513"], ATOM_JACOBI, "/grid"),
             (["jacobi", "--order", "abc"], ATOM_JACOBI, "/N"),
-            # one step past the flow budget at N = 4: 9,991 steps of 2^-16
-            (["schrodinger", "--order", "4", "--xmax", "0.1524505615234375", "--step", "1.52587890625e-05"],
+            # one step past the flow budget at N = 4 too
+            (["schrodinger", "--order", "4", "--xmax", "0.1526031494140625", "--step", "1.52587890625e-05"],
              ATOM_SCHRODINGER, "/step"),
             # the default x_max = 0.8/R and step = 1/(20 R) overflow to inf, so their ratio is NaN
             (["schrodinger"], '{"setting":"schrodinger","R":1e-310}', "/step"),

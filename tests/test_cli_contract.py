@@ -45,10 +45,10 @@ from reflectionless.schrodinger import (
 
 # Most drawn jobs take about 10 ms.  The slowest jobs the CLI's limits admit are
 # flows at the edge of the flow budget, which prices each step by the flow's
-# atoms: on 2 vCPUs one atom at N = 4 and 9,990 steps takes 2.3-2.5 s, a
-# 120-node piece at N = 40 and 1,774 steps 2.1-2.4 s, and a 400-node piece
-# at 191 steps 2.4-2.6 s, with runs on the same host up to 20 % slower.  A
-# flow's retries in substeps spend the same budget, so only a job that
+# atoms: on 2 vCPUs, as whole CLI processes, one atom at 10,000 steps takes
+# 2.8-3.4 s at N = 4 or 10^4, a 121-node piece at N = 40 and 1,771 steps
+# 3.0-3.1 s, and a 481-node piece measure at N = 10^4 and 133 steps 3.0-3.1 s.
+# A flow's retries in substeps spend the same budget, so only a job that
 # escapes the limits misses the deadline.
 CONTRACT = settings(
     max_examples=60,
@@ -100,7 +100,7 @@ def valid_jobs(draw):
     log-uniformly from [MIN_FLOW_ORDER, MAX_ORDER] three times in four, and
     from [1, MAX_ORDER] otherwise; grid log-uniformly over its accepted
     range, and eta and x_max from [1e-300, 1e300].  Three times in four step
-    is x_max over a step count log-uniform up to the flow budget at this N,
+    is x_max over a step count log-uniform up to one atom's flow budget,
     and otherwise it is drawn from [1e-300, 1e300].  Each job also
     names a preset, which the example command runs instead of the measure.
     The setting is the command's own for jacobi and schrodinger."""
@@ -124,7 +124,7 @@ def valid_jobs(draw):
     if draw(st.sampled_from([False] * 3 + [True])):
         job["step"] = 10.0 ** draw(st.floats(-300.0, 300.0))
     else:
-        max_steps = schrodinger.MAX_FLOW_WORK / ((N + 1) ** 2 + schrodinger.FLOW_STEP_COST)
+        max_steps = schrodinger.MAX_FLOW_WORK / schrodinger.FLOW_STEP_COST
         job["step"] = job["x_max"] / max_steps ** draw(st.floats(0.0, 1.0))
     if b > a:
         job["pieces"].append({"a": a, "b": b, "cheb": [mass, c1 * mass, c2 * mass]})
@@ -224,7 +224,7 @@ def _assert_finite_artifacts(out):
 @given(COMMAND, valid_jobs())
 @example("jacobi", {"setting": "schrodinger", "R": 3.0, "atoms": [{"t": -1.5, "w": 0.5}]})
 @example("schrodinger", {**ATOM_SCHRODINGER, "N": 3})
-@example("schrodinger", {**ATOM_SCHRODINGER, "N": 10_000, "x_max": 0.002, "step": 0.001})  # budget edge
+@example("schrodinger", {**ATOM_SCHRODINGER, "N": 10_000, "x_max": 0.002, "step": 0.001})  # the largest order
 @example("verify", {**ATOM_JACOBI, "eta": 1e300})
 @example("verify", {**README_MEASURE, "eta": 1e300})
 @example("verify", {**README_MEASURE, "eta": 1e200})

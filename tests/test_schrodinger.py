@@ -67,7 +67,7 @@ class TestInitFlow:
         y = init_flow(PIECE, 40, 1.5)
         assert y.shape == (2, 121)
         trace = integrate_flow(PIECE, 40, 1.5, 0.1)
-        row = trace.sigmas[len(trace.xs) // 2]
+        row = trace.moments(41)[len(trace.xs) // 2]
         assert np.max(np.abs(row - moments(PIECE, range(41)))) <= 1e-15
 
     def test_requires_admissible(self):
@@ -165,14 +165,14 @@ class TestIntegrateFlow:
         # steps' first passes alone), two steps of 1.5 carry the atom out of
         # the region; the flow names the x where it left
         monkeypatch.setattr(schrodinger, "STEP_ERR_TOL", math.inf)
-        monkeypatch.setattr(schrodinger, "MAX_FLOW_WORK", 2 * (5 ** 2 + FLOW_STEP_COST))
+        monkeypatch.setattr(schrodinger, "MAX_FLOW_WORK", 2 * FLOW_STEP_COST)
         with pytest.raises(StepTooLarge, match=r"left \|t\| < R, w > 0 at x = 3;"):
             integrate_flow(Measure.point(0.0, 3.9), 4, 2.0, 3.0, step=1.5)
 
     def test_step_too_large(self, monkeypatch):
         # four steps of 0.5 resolve kappa = 1.87 only with substeps; with the
         # budget spent on one retry in 2 substeps, the figure refuses the first step
-        monkeypatch.setattr(schrodinger, "MAX_FLOW_WORK", 4 * (9 ** 2 + 2 * FLOW_STEP_COST))
+        monkeypatch.setattr(schrodinger, "MAX_FLOW_WORK", 4 * 2 * FLOW_STEP_COST)
         with pytest.raises(StepTooLarge, match="near x = 0;"):
             integrate_flow(Measure.point(0.0, 3.5), 8, 2.0, 2.0, step=0.5)
 
@@ -185,7 +185,7 @@ class TestIntegrateFlow:
         fine = integrate_flow(sigma, 8, R, 0.8 / R, step=1.0 / (20.0 * R) / 64)
         assert np.max(np.abs(trace.V - fine.V[::64])) <= trace.est_error <= 1e-6 * R * R
         # a budget of the 16 steps' first passes alone leaves no retry
-        monkeypatch.setattr(schrodinger, "MAX_FLOW_WORK", 16 * (9 ** 2 + FLOW_PAIR_COST * 2 + FLOW_STEP_COST))
+        monkeypatch.setattr(schrodinger, "MAX_FLOW_WORK", 16 * (FLOW_PAIR_COST * 2 + FLOW_STEP_COST))
         with pytest.raises(StepTooLarge, match="error figure exceeded"):
             integrate_flow(sigma, 8, R, 0.8 / R)
 
@@ -196,7 +196,7 @@ class TestIntegrateFlow:
         # leaves the second side, x < 0, without its retry
         sigma, R = Measure.from_atoms([(0.1081, 0.6361), (0.1736, 0.1447)]), 1.227
         per_pass = FLOW_PAIR_COST * 2 + FLOW_STEP_COST
-        work = 16 * (9 ** 2 + per_pass) + 2 * 16 * per_pass
+        work = 16 * per_pass + 2 * 16 * per_pass
         monkeypatch.setattr(schrodinger, "MAX_FLOW_WORK", work)
         integrate_flow(sigma, 8, R, 0.8 / R)
         monkeypatch.setattr(schrodinger, "MAX_FLOW_WORK", work - 1)
@@ -205,12 +205,12 @@ class TestIntegrateFlow:
 
     def test_order_sets_only_the_columns(self):
         # N no longer truncates anything: an atom measure's V is the same
-        # array at every order, and N + 1 moment columns are reported
+        # array at every order, and its N + 1 moment columns are read from the atoms
         sigma = Measure.from_atoms([(0.4, 0.5), (-1.0, 0.3)])
         traces = [integrate_flow(sigma, N, 2.0, 1.0) for N in (4, 12, 40)]
         for trace, N in zip(traces, (4, 12, 40)):
             assert trace.V.tobytes() == traces[0].V.tobytes()
-            assert trace.sigmas.shape == (len(trace.xs), N + 1)
+            assert trace.moments(N + 1).shape == (len(trace.xs), N + 1)
 
     def test_moment_envelope_along_flow(self):
         rng = np.random.RandomState(41)
@@ -219,7 +219,7 @@ class TestIntegrateFlow:
             R = setting.R
             trace = integrate_flow(sigma, 20, R, 0.8 / R)
             bound = R ** (np.arange(21) + 2.0) * (1 + 1e-9)
-            assert np.all(np.abs(trace.sigmas) <= bound)
+            assert np.all(np.abs(trace.moments(21)) <= bound)
 
     def test_hankel_psd_along_flow(self):
         # moments of a positive measure stay a positive-definite sequence
@@ -230,7 +230,7 @@ class TestIntegrateFlow:
         sigma, setting = random_schrodinger_measure(rng)
         trace = integrate_flow(sigma, N, setting.R, 0.8 / setting.R)
         tol = -1e-8 * setting.R ** 22
-        for row in trace.sigmas[::4]:
+        for row in trace.moments(N + 1)[::4]:
             assert hankel_min_eig(row, 10) >= tol
 
 
@@ -250,7 +250,7 @@ class TestHermiteSampler:
         h = 1.0 / (20.0 * R)
         trace = integrate_flow(sigma, 40, R, 0.8 / R, step=h)
         fine = integrate_flow(sigma, 40, R, 0.8 / R, step=h / 2)
-        table = _quarter_potential(trace.sigmas, trace.step)
+        table = _quarter_potential(trace.moments(3), trace.step)
         assert table.size == 4 * (len(trace.xs) - 1) + 1
         assert table[::4].tobytes() == trace.V.tobytes()
         assert np.max(np.abs(table[2::4] - fine.V[1::2])) <= 1e-6
@@ -335,11 +335,14 @@ class TestRiccati:
             riccati_oracle(trace, 0.6)
 
     def test_blowup_detected(self):
-        # drive the quadratic term with an artificial far-out start
+        # drive the quadratic term with an artificial deep well: w = 60 off the
+        # middle node, which keeps the flow's seed p(0, w)
         trace = integrate_flow(DELTA0, 8, 2.0, 0.4)
-        big = trace.sigmas.copy()
-        big[:, 0] = 60.0
-        fake = dataclasses.replace(trace, V=-2.0 * big[:, 0], sigmas=big)
+        n = len(trace.xs) // 2
+        big = trace.atoms.copy()
+        big[:, 1] = 60.0
+        big[n] = trace.atoms[n]
+        fake = dataclasses.replace(trace, V=-2.0 * big[:, 1, 0], atoms=big)
         with pytest.raises(RiccatiBlowUp):
             riccati_oracle(fake, 0.45)
 
