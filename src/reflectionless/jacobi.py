@@ -9,10 +9,15 @@ the moments of rho+- against the monic free-basis polynomials U_k(x/2) are
 plain moments of sigma (of sigma mirrored to 1/t for rho-): no series
 algebra and no dependence on R.  Mass of sigma inside the unit disk becomes
 eigenvalues of rho+- off [-2, 2], whose moment terms grow with k; they are
-taken out analytically, the modified Chebyshev algorithm runs on the
-decaying rest in the free basis, and the eigenvalues are added back to its
-recurrence rows by the RKPW update.  Power moments are never formed (going
-through them is exponentially unstable).
+taken out analytically, and the eigenvalues are added back by the RKPW
+update to the recurrence rows of the decaying rest in the free basis.  Those
+rows are read off one Cholesky factorization of the rest's Gram matrix in
+that basis wherever the factorization resolves every row (at most
+CHOLESKY_MAX_ROWS rows, small pivot growth, no beta_k at rounding distance
+from 1), and else off the modified Chebyshev algorithm, which keeps the
+soliton presets, windows whose tails reach rounding, and every breakdown on
+one rounding.  Power moments are never formed (going through them is
+exponentially unstable).
 
 An independent continued-fraction oracle evaluates the m functions of a
 finite coefficient window continued by the free operator, which pins the
@@ -40,6 +45,17 @@ from .measure import moment, quadrature_atoms
 
 BREAKDOWN_TOL = 1e-12
 MIN_EXCESS = 1e-6
+# The Cholesky route's gates, measured on 2 vCPUs with numpy 2.4.6 and OpenBLAS 0.3.31.
+# At most 121 rows, a Gram matrix of order 122: OpenBLAS threads the factorization from
+# order 128 on, where 1 and 2 threads round differently; up to 127 they give the same bits.
+CHOLESKY_MAX_ROWS = 121
+# pivot growth max G_kk / D_k: at most 1.1 on the 960 jacobi-deep sides of perfbench
+# seeds 1-3, 16 to 35 on the soliton presets, whose window tails reach rounding
+CHOLESKY_MAX_GROWTH = 2.0
+# every |beta_k - 1| above CHOLESKY_FLOOR (N + 1) growth eps: on 1,410 sides of random
+# jacobi measures (N = 40 to 120 rows) the route's beta_k left the sweep's by at most
+# 0.12 of (N + 1) growth eps
+CHOLESKY_FLOOR = 16.0
 
 
 @dataclass(frozen=True)
@@ -123,7 +139,7 @@ def rho_minus_moments(sigma, K):
 
 
 # ---------------------------------------------------------------------------
-# recurrence extraction (modified Chebyshev, then RKPW)
+# recurrence extraction (Cholesky or modified Chebyshev, then RKPW)
 
 
 def _wheeler(nu_monic, N):
@@ -180,17 +196,67 @@ def _add_nodes(alpha, beta, nodes):
     alpha[:], beta[:] = a, b
 
 
+def _gram(nu, n):
+    """G_ij = sum_{m <= min(i, j)} nu_{|i-j|+2m}, 0 <= i, j < n, the Gram matrix
+    of the free basis (U_i U_j = sum_m U_{|i-j|+2m}), from nu_0 .. nu_{2n-2}:
+    with the tail sums T[l] = nu_l + nu_{l+2} + ..., the Toeplitz view
+    T[|i-j|] less the Hankel view T[i + j + 2].  Tail sums, not running sums,
+    so an entry far off the diagonal carries rounding of its own size."""
+    top = 2 * n - 2
+    T = np.zeros(4 * n - 1)  # T[|l|] at index n - 1 + l, l = 1 - n .. 2n; zero past nu_top
+    tail = T[n - 1:]
+    tail[top::-2] = np.cumsum(nu[top::-2])
+    tail[top - 1::-2] = np.cumsum(nu[top - 1::-2])
+    T[:n - 1] = tail[n - 1:0:-1]
+    step = T.strides[0]
+    toeplitz = np.lib.stride_tricks.as_strided(tail, (n, n), (-step, step))
+    hankel = np.lib.stride_tricks.as_strided(tail[2:], (n, n), (step, step))
+    return toeplitz - hankel
+
+
+def _cholesky_rows(nu, N):
+    """(alpha, beta) of N rows from the Cholesky factor L of the Gram matrix
+    of nu_0 .. nu_2N (Gautschi, Orthogonal Polynomials, 2004, Sec. 2.1):
+    D_k = L_kk^2, beta_k = D_k / D_{k-1} and alpha_k = L_{k+1,k}/L_kk -
+    L_{k,k-1}/L_{k-1,k-1}.  None unless the factorization resolves every row
+    by its own checks: at most CHOLESKY_MAX_ROWS rows, pivot growth max G_kk /
+    D_k at most CHOLESKY_MAX_GROWTH, every pivot beta_k (k >= 1) above
+    BREAKDOWN_TOL and every |beta_k - 1| above the rounding floor
+    CHOLESKY_FLOOR (N + 1) growth eps."""
+    if not 2 <= N <= CHOLESKY_MAX_ROWS or len(nu) <= 2 * N:
+        return None
+    with np.errstate(all="ignore"):  # moments not finite, or pivots that underflow, fail a test
+        G = _gram(np.asarray(nu, dtype=float), N + 1)
+        try:
+            L = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:  # not positive definite, or not finite
+            return None
+        d = L.diagonal()
+        D = d * d
+        growth = np.max(G.diagonal() / D)
+        beta = D[1:N] / D[:N - 1]
+        floor = CHOLESKY_FLOOR * (N + 1) * growth * np.finfo(float).eps
+        if not (growth <= CHOLESKY_MAX_GROWTH and np.min(beta) > BREAKDOWN_TOL
+                and np.min(np.abs(beta - 1.0)) > floor):
+            return None
+        ratio = L.diagonal(-1) / d[:N]  # L_{k+1,k} / L_kk
+    return np.diff(ratio, prepend=0.0), np.concatenate(([nu[0]], beta))
+
+
 def moments_to_recurrence(m, N):
     """Three-term recurrence coefficients of the measure m = (nu, (E, mass)).
 
     Returns (alpha, beta) with beta[0] the total mass and sqrt(beta[k]) the
-    off-diagonal entries.  Raises HankelBreakdown at the first pivot of the
-    deflated part at or below BREAKDOWN_TOL.
+    off-diagonal entries.  The deflated part's rows come from one Cholesky
+    factorization where _cholesky_rows resolves all of them, else from
+    _wheeler, which raises HankelBreakdown at the first pivot at or below
+    BREAKDOWN_TOL.
     """
     nu, nodes = m
     if len(nu) < 2 * N:
         raise HankelBreakdown(N, f"need {2 * N} moments for {N} rows, have {len(nu)}")
-    alpha, beta = _wheeler(nu, N)
+    rows = _cholesky_rows(nu, N)
+    alpha, beta = _wheeler(nu, N) if rows is None else rows
     _add_nodes(alpha, beta, nodes)
     return alpha, beta
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,12 @@ class PotentialTrace:
             sigmas[:, n] = np.sum(power, axis=1)
             power *= self.atoms[:, 0]
         return sigmas
+
+    @cached_property
+    def quarter_potential(self):
+        """V on the quarter steps of the trace grid, which riccati_oracle reads
+        for every w: _quarter_potential of the first three moments, built once."""
+        return _quarter_potential(self.moments(3), self.step)
 
 
 def flow_atoms(sigma, N):
@@ -186,15 +193,15 @@ def riccati_oracle(trace, w):
 
     Starts at the trace's middle node, x = 0, and integrates along the stable
     direction(s) for this w, two steps per trace step, reading V from the
-    trace's quarter-step table.  Returns (idx, p): the ascending trace indices
-    the integration passes and p at those nodes.  Raises NonFiniteOutput when
-    the table is not finite, and RiccatiBlowUp when |p| exceeds 10 R, the
-    sign of leaving the analyticity domain.
+    trace's quarter-step table, trace.quarter_potential.  Returns (idx, p):
+    the ascending trace indices the integration passes and p at those nodes.
+    Raises NonFiniteOutput when the table is not finite, and RiccatiBlowUp
+    when |p| exceeds 10 R, the sign of leaving the analyticity domain.
     """
     w = complex(w)
     if not 0.0 < abs(w) < 1.0 / trace.R:
         raise BadParameter("w must be nonzero and inside the convergence disk |w| < 1/R")
-    V = _quarter_potential(trace.moments(3), trace.step)
+    V = trace.quarter_potential
     n = len(trace.xs) // 2
     h = trace.step / 2
     p0 = generating_function(trace.atoms[n], w)

@@ -1,5 +1,11 @@
-"""The hot kernels: atom-flow status codes, and the in-place modified
-Chebyshev sweep and continued fractions against their loop references."""
+"""The hot kernels: atom-flow status codes, the in-place modified Chebyshev
+sweep and continued fractions against their loop references, and the
+Cholesky route of moments_to_recurrence against the sweep."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +19,25 @@ from helpers import (
     m_form_cf_minus,
     m_form_cf_plus,
     one_soliton_potential,
+    random_jacobi_measure,
 )
-from reflectionless import _kernels
+import reflectionless
+from reflectionless import Measure, Setting, _kernels
 from reflectionless.errors import HankelBreakdown
-from reflectionless.jacobi import BREAKDOWN_TOL, JacobiWindow, _free_state, _wheeler, m_oracle
+from reflectionless.jacobi import (
+    BREAKDOWN_TOL,
+    CHOLESKY_MAX_ROWS,
+    JacobiWindow,
+    _add_nodes,
+    _cholesky_rows,
+    _free_state,
+    _wheeler,
+    m_oracle,
+    moments_to_recurrence,
+    rho_minus_moments,
+    rho_plus_moments,
+)
+from reflectionless.presets import soliton
 
 BIT_CHECKS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 # the descent on w = -1/m (plus) and m_oracle's minus side (w = a_0^2 m, from
@@ -225,3 +246,78 @@ class TestContinuedFractions:
         z = np.array([1j, 0.5 + 2j])
         out = _kernels.cf_plus(np.array([1.5, 1.2]), np.array([0.1, -0.2]), z, seed)
         assert out is not seed and seed.tolist() == [0.2 + 0.1j, -0.3 + 0.4j]
+
+
+def _sides(sigma, N):
+    """The deflated moments of rho+ and rho- that reconstruct(sigma, ., N) reads."""
+    K = 2 * N + 2
+    return rho_plus_moments(sigma, K), rho_minus_moments(sigma, K)[0]
+
+
+def _swept(m, rows):
+    alpha, beta = _wheeler(m[0], rows)
+    _add_nodes(alpha, beta, m[1])
+    return alpha, beta
+
+
+# worst disagreement measured over these 200 draws, alpha absolute and beta
+# relative: 7.2e-16 and 1.6e-15 at N = 40, 1.1e-15 and 1.8e-15 at N = 80, and
+# 4.3e-15 and 4.9e-15 at N = 120 (draw 64 of the minus side, where both routes
+# are about 1e-14 from the mpmath window; every other N = 120 side within 1.6e-15)
+ROUTE_TOL = {40: 2e-15, 80: 2e-15, 120: 6e-15}
+# an N = 120 reconstruction that takes the route on both sides
+DEEP_ATOMS = [(-0.98, 2.1e-4), (-1.027, 1.7e-5), (1.008, 8.1e-5), (-0.968, 3.3e-5), (-0.996, 1.3e-4)]
+
+
+class TestCholeskyRoute:
+    @pytest.mark.parametrize("N", sorted(ROUTE_TOL))
+    def test_rows_agree_with_the_sweep(self, N):
+        taken = 0
+        for seed in range(200):
+            sigma, _ = random_jacobi_measure(np.random.RandomState(seed))
+            for m in _sides(sigma, N):
+                if _cholesky_rows(m[0], N + 1) is None:
+                    continue
+                taken += 1
+                alpha, beta = moments_to_recurrence(m, N + 1)
+                alpha_s, beta_s = _swept(m, N + 1)
+                assert np.max(np.abs(alpha - alpha_s)) <= ROUTE_TOL[N]
+                assert np.max(np.abs(beta / beta_s - 1.0)) <= ROUTE_TOL[N]
+        # the route resolves every side up to N = 80 and most at N = 120,
+        # where the deepest rows of some draws reach rounding
+        assert taken == 400 if N <= 80 else taken >= 350
+
+    @pytest.mark.parametrize("sigma, setting, N", [
+        (*soliton(0.1), 40),
+        (*soliton(0.25), 40),
+        (*soliton(0.5), 40),
+        (Measure.zero(), Setting.jacobi(2.0), 40),
+        # a one-atom tail at rounding level: a_n = 1 - 1.1e-16 at some sites
+        (Measure.point(0.5, 0.01), Setting.jacobi(8.0), 40),
+        # more rows than CHOLESKY_MAX_ROWS
+        (Measure.from_atoms(DEEP_ATOMS), Setting.jacobi(2.003), CHOLESKY_MAX_ROWS),
+    ], ids=["soliton-0.1", "soliton-0.25", "soliton-0.5", "free", "atom-R8", "deep-122-rows"])
+    def test_inputs_the_route_leaves_to_the_sweep(self, sigma, setting, N):
+        for m in _sides(sigma, N):
+            assert _cholesky_rows(m[0], N + 1) is None
+            assert _bits(*moments_to_recurrence(m, N + 1)) == _bits(*_swept(m, N + 1))
+
+    def test_same_bytes_under_one_and_two_threads(self):
+        # the largest order the route takes, N = CHOLESKY_MAX_ROWS - 1, in
+        # fresh interpreters whose BLAS runs one thread or two
+        N = CHOLESKY_MAX_ROWS - 1
+        sigma = Measure.from_atoms(DEEP_ATOMS)
+        assert all(_cholesky_rows(m[0], N + 1) is not None for m in _sides(sigma, N))
+        src = str(Path(reflectionless.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import hashlib, numpy as np; "
+            "from reflectionless import Measure, Setting; from reflectionless.jacobi import reconstruct; "
+            f"w = reconstruct(Measure.from_atoms({DEEP_ATOMS!r}), Setting.jacobi(2.003), {N}); "
+            "print(hashlib.sha256(np.array(w.a + w.b).tobytes()).hexdigest())"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            digests.append(run.stdout.strip())
+        assert digests[0] == digests[1] and len(digests[0]) == 64

@@ -324,6 +324,22 @@ class TestRiccati:
             assert idx.tobytes() == ref_idx.tobytes()
             assert p.tobytes() == ref.tobytes()
 
+    def test_one_table_per_trace(self, monkeypatch):
+        # the CLI's three w values read one quarter-step table, built once,
+        # with the bits of _quarter_potential on the trace's moments
+        trace = integrate_flow(DELTA0, 16, 2.0, 0.25)
+        expect = _quarter_potential(trace.moments(3), trace.step)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _quarter_potential(*args)
+
+        monkeypatch.setattr(schrodinger, "_quarter_potential", counted)
+        riccati_mismatch(trace, [0.15, 0.15j, -0.15])
+        assert len(calls) == 1
+        assert trace.quarter_potential.tobytes() == expect.tobytes()
+
     def test_rejects_zero_w(self):
         trace = integrate_flow(DELTA0, 8, 2.0, 0.4)
         with pytest.raises(BadParameter):
