@@ -1,9 +1,7 @@
 """Hot numeric kernels: continued fractions, the atom flow's RK4 and Riccati paths.
 
 All but the Riccati path are vectorized numpy; it walks one w on Python
-complex scalars.  The RK4 step looks up ``_atom_deriv`` as a module global
-on every call, so a wrapper swapped in under that name sees every derivative
-evaluation.
+complex scalars.
 """
 
 from __future__ import annotations

@@ -35,15 +35,11 @@ from .herglotz import (
     m_value,
     reflectionless_residual,
 )
-from .jacobi import MAX_ORDER, m_oracle, reconstruct
+from .jacobi import MAX_ORDER, ORACLE_GRID, oracle_residual, reconstruct
 from .measure import Measure, moment
 from .schrodinger import MIN_FLOW_ORDER, default_step, flow_budget, integrate_flow, riccati_mismatch
 
 COMMANDS = ("check", "jacobi", "schrodinger", "verify", "example")
-
-ORACLE_GRID = tuple(
-    complex(x, y) for x in (-2.0, -1.0, 0.0, 1.0, 2.0) for y in (1.0, 1.5, 2.0, 2.5, 3.0)
-)
 
 
 @dataclass(frozen=True)
@@ -224,18 +220,11 @@ def run_jacobi(job, out):
     window = reconstruct(job.measure, setting, N)
     table = np.column_stack([np.arange(window.n_min, window.n_max + 1), window.a, window.b])
     emit_csv(("n", "a_n", "b_n"), table, out / "jacobi_window.csv")
-    z_grid = np.asarray(ORACLE_GRID)
-    residuals = [
-        np.abs(m_oracle(window, z_grid, side)
-               - np.array([m_value(job.measure, setting, z, side) for z in z_grid]))
-        for side in ("plus", "minus")
-    ]
-    worst = float(np.max(residuals))  # NaN stays NaN, refused where it is written
     emit_json(
         {
             "N": N,
-            "max_abs_residual": worst,
-            "z_grid": [[z.real, z.imag] for z in z_grid],
+            "max_abs_residual": oracle_residual(window, job.measure, setting),  # a NaN is refused
+            "z_grid": [[z.real, z.imag] for z in ORACLE_GRID],
         },
         out / "oracle_residual.json",
     )

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, herglotz
 from .errors import (
     BadParameter,
     BadR,
@@ -308,11 +308,16 @@ def reconstruct(sigma, setting, N):
 # continued-fraction oracle
 
 
+ORACLE_GRID = tuple(
+    complex(x, y) for x in (-2.0, -1.0, 0.0, 1.0, 2.0) for y in (1.0, 1.5, 2.0, 2.5, 3.0)
+)
+
+
 def _free_state(z):
     """-outer_root(z) at each z of the array z, the fixed point of the free
     map w -> z - 1/w, settled in floating point: taken through the map until
-    it stops changing, at most 16 times.  At every z of the CLI's oracle grid
-    this takes at most two steps; elsewhere the rounded map can cycle within
+    it stops changing, at most 16 times.  At every z of ORACLE_GRID this
+    takes at most two steps; elsewhere the rounded map can cycle within
     a few ulps."""
     w = -np.array([outer_root(zz) for zz in z.tolist()], dtype=complex)
     for _ in range(16):
@@ -348,6 +353,18 @@ def m_oracle(J, z, side):
     return -1.0 / w if side == "plus" else w / (J.a[zero] * J.a[zero])
 
 
+def oracle_residual(window, sigma, setting):
+    """max |m_oracle - m_value| over ORACLE_GRID and both sides: the window's
+    cross-check against the measure it was reconstructed from, NaN kept.
+    m_value is read off the herglotz module at each call, so a wrapper set
+    there (the benchmark's tracer) sees all 50 calls."""
+    z = np.asarray(ORACLE_GRID)
+    return float(np.max([
+        np.abs(m_oracle(window, z, side) - [herglotz.m_value(sigma, setting, zz, side) for zz in z])
+        for side in ("plus", "minus")
+    ]))
+
+
 # ---------------------------------------------------------------------------
 # coefficient-ratio check
 
@@ -363,15 +380,17 @@ def prop311_check(J, r):
 
     Only pairs with both excesses a^2 - 1 above MIN_EXCESS participate: below
     that the excess is beyond the resolution of double-precision moment data.
-    A window with no such pair passes, with margin inf.
+    A window with no such pair passes, with margin inf; a non-finite coupling
+    fails.
     """
     a = np.asarray(J.a)
     excess = a * a - 1.0
-    above = excess > MIN_EXCESS
+    above = ~(excess <= MIN_EXCESS)  # a NaN excess takes part, and fails
     pairs = np.flatnonzero(above[:-1] & above[1:])
     if not pairs.size:
         return RatioReport(passed=True, worst_margin=math.inf)
     rho = excess[pairs + 1] / excess[pairs]
-    # 1/r/r, not 1/(r*r): where r^2 underflows the upper bound is inf
-    worst = min(np.min(rho - r * r), np.min(1.0 / r / r - rho))
+    # 1/r/r, not 1/(r*r): where r^2 underflows the upper bound is inf, less an inf rho a NaN
+    with np.errstate(invalid="ignore"):
+        worst = np.minimum(np.min(rho - r * r), np.min(1.0 / r / r - rho))  # NaN kept
     return RatioReport(passed=bool(worst > 0.0), worst_margin=float(worst))

@@ -148,7 +148,9 @@ def integrate_flow(sigma, N, R, x_max, step=None):
 def generating_function(atoms, w):
     """p(w) = sum w_i w / (1 - t_i w) for an atom state (t, w), or a stack of them."""
     w = complex(w)
-    return np.sum(atoms[..., 1, :] * w / (1.0 - atoms[..., 0, :] * w), axis=-1)
+    den = atoms[..., 0, :] * -w  # 1 - t_i w, then the terms, in one complex array
+    den += 1.0
+    return np.sum(np.divide(atoms[..., 1, :] * w, den, out=den), axis=-1)
 
 
 def stable_riccati_directions(w):
@@ -193,8 +195,8 @@ def riccati_oracle(trace, w):
 
     Starts at the trace's middle node, x = 0, and integrates along the stable
     direction(s) for this w, two steps per trace step, reading V from the
-    trace's quarter-step table, trace.quarter_potential.  Returns (idx, p):
-    the ascending trace indices the integration passes and p at those nodes.
+    trace's quarter-step table, trace.quarter_potential.  Returns (rows, p):
+    the slice of trace rows the integration passes and p at those nodes.
     Raises NonFiniteOutput when the table is not finite, and RiccatiBlowUp
     when |p| exceeds 10 R, the sign of leaving the analyticity domain.
     """
@@ -216,8 +218,8 @@ def riccati_oracle(trace, w):
             k = int(np.argmax(bad))
             raise RiccatiBlowUp(f"|p| exceeded {BLOWUP_FACTOR} R at x = {d * k * h:.6g}")
         p[n::d] = path[::2]
-    idx = np.arange(0 if -1 in directions else n, 2 * n + 1 if +1 in directions else n + 1)
-    return idx, p[idx]
+    rows = slice(0 if -1 in directions else n, 2 * n + 1 if +1 in directions else n + 1)
+    return rows, p[rows]
 
 
 def riccati_mismatch(trace, ws):
@@ -228,8 +230,8 @@ def riccati_mismatch(trace, ws):
     """
     per_w = []
     for w in np.atleast_1d(ws):
-        idx, path = riccati_oracle(trace, w)
-        flow_p = generating_function(trace.atoms[idx], w)
+        rows, path = riccati_oracle(trace, w)
+        flow_p = generating_function(trace.atoms[rows], w)  # a view of the atoms, not a copy
         per_w.append((complex(w), float(np.max(np.abs(flow_p - path)))))
     return float(np.max([d for _, d in per_w], initial=0.0)), per_w  # NaN stays NaN
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from helpers import free_window
 import reflectionless
-from reflectionless import cli, errors, jacobi, schrodinger
+from reflectionless import cli, errors, herglotz, jacobi, schrodinger
 from reflectionless.cli import main
 from reflectionless.herglotz import (
     AdmissibilityReport,
@@ -316,12 +316,13 @@ def _nan_window(*args, **kwargs):
         ("verify", "reflectionless_residual", lambda *args: math.nan),
         ("check", "admissibility", lambda *args: AdmissibilityReport(True, math.inf, -2.0, ())),
         ("jacobi", "reconstruct", _nan_window),
-        # the plus side's residual comes first and must not hide a NaN after it
+        # the plus side's residual comes first and must not hide a NaN after it;
+        # the oracle residual reads m_value on herglotz, not on cli
         ("jacobi", "m_value", lambda sigma, setting, z, side: math.nan if side == "minus" else 0j),
     ],
 )
 def test_non_finite_result_is_refused(tmp_path, capsys, monkeypatch, command, name, patched):
-    monkeypatch.setattr(cli, name, patched)
+    monkeypatch.setattr(herglotz if name == "m_value" else cli, name, patched)
     measure = tmp_path / "m.json"
     measure.write_text('{"setting":"jacobi","R":2.5,"atoms":[{"t":1.2,"w":0.01}]}')
     out = tmp_path / "out"
@@ -348,6 +349,12 @@ def _ratio_jump(*args):
     return alpha, beta
 
 
+def _nan_coupling(*args):
+    alpha, beta = moments_to_recurrence(*args)
+    beta[2] = math.nan  # a NaN coupling on each side: min a passes it, the ratio check may not
+    return alpha, beta
+
+
 def _run_one_error(tmp_path, capsys, command, out):
     measure = tmp_path / "m.json"
     measure.write_text('{"setting":"jacobi","R":2.5,"atoms":[{"t":1.2,"w":0.01}]}')
@@ -359,7 +366,7 @@ def _run_one_error(tmp_path, capsys, command, out):
 
 @pytest.mark.parametrize(
     "patched, postcondition",
-    [(_low_coupling, "a_n >= 1 - 1e-9"), (_ratio_jump, "adjacent ratio")],
+    [(_low_coupling, "a_n >= 1 - 1e-9"), (_ratio_jump, "adjacent ratio"), (_nan_coupling, "adjacent ratio")],
 )
 def test_window_postconditions_raise_moment_mismatch(tmp_path, capsys, monkeypatch, patched, postcondition):
     monkeypatch.setattr(jacobi, "moments_to_recurrence", patched)

@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from helpers import (
     adaptive_gauss_legendre,
@@ -20,8 +18,7 @@ from helpers import (
     scan_admissible_discrete,
 )
 from reflectionless import herglotz
-from reflectionless.cli import ORACLE_GRID
-from reflectionless.jacobi import reconstruct
+from reflectionless.jacobi import ORACLE_GRID, reconstruct
 from reflectionless.errors import BranchAmbiguity, NonConvergent, OnSupport
 from reflectionless.herglotz import (
     Setting,
@@ -253,6 +250,7 @@ class TestAdmissibility:
     def test_boundary_root_location(self):
         eps = 0.25
         sigma = Measure.point(1.0, 1 - eps)
+        brentq = pytest.importorskip("scipy.optimize").brentq
         root = brentq(
             lambda E: boundary_value_discrete(sigma, E), -6.0, -4.5, xtol=1e-12
         )
@@ -539,6 +537,7 @@ class TestHerglotzExp:
         assert val.real > 0
 
     def test_against_quadrature(self):
+        quad = pytest.importorskip("scipy.integrate").quad
         z = 0.7 + 1.3j
         pieces = [(-1.0, 0.5, 0.3), (0.8, 2.0, 0.9)]
         expect = 0.0
@@ -549,6 +548,7 @@ class TestHerglotzExp:
         assert herglotz_exp(pieces, 2.0, z) == pytest.approx(2.0 * cmath.exp(expect), rel=1e-12)
 
     def test_infinite_tail(self):
+        quad = pytest.importorskip("scipy.integrate").quad
         z = 0.5 + 0.8j
         re, _ = quad(lambda t: (1 / (t - z) - t / (t * t + 1)).real, 3.0, np.inf, epsabs=1e-13)
         im, _ = quad(lambda t: (1 / (t - z) - t / (t * t + 1)).imag, 3.0, np.inf, epsabs=1e-13)

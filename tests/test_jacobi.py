@@ -15,7 +15,7 @@ from helpers import (
     recurrence_via_cholesky,
     reference_window,
 )
-from reflectionless.cli import ORACLE_GRID
+from reflectionless import herglotz
 from reflectionless.errors import (
     AdmissibilityRequired,
     HankelBreakdown,
@@ -24,10 +24,12 @@ from reflectionless.errors import (
 from reflectionless.herglotz import Setting, admissible_discrete, m_value
 from reflectionless.jacobi import (
     MIN_EXCESS,
+    ORACLE_GRID,
     JacobiWindow,
     RatioReport,
     m_oracle,
     moments_to_recurrence,
+    oracle_residual,
     prop311_check,
     reconstruct,
     rho_minus_moments,
@@ -40,11 +42,6 @@ ZERO = Measure.zero()
 JAC2 = Setting.jacobi(2.0)
 NO_NODES = (np.empty(0), np.empty(0))
 
-ZGRID = np.array(
-    [complex(x, y) for x in (-2.0, -1.0, 0.0, 1.0, 2.0) for y in (1.0, 1.5, 2.0, 2.5, 3.0)]
-)
-
-
 def catalan(m):
     return math.comb(2 * m, m) // (m + 1)
 
@@ -55,15 +52,6 @@ def single_atom_moments(t, count):
     theta = math.acos(t / 2.0)
     nu = np.array([math.sin((k + 1) * theta) / math.sin(theta) for k in range(count)])
     return nu, NO_NODES
-
-
-def oracle_vs_direct(window, sigma, setting, z_grid=ZGRID):
-    worst = 0.0
-    for side in ("plus", "minus"):
-        approx = m_oracle(window, z_grid, side)
-        exact = np.array([m_value(sigma, setting, z, side) for z in z_grid])
-        worst = max(worst, float(np.max(np.abs(approx - exact))))
-    return worst
 
 
 class TestRhoPlusMoments:
@@ -270,7 +258,7 @@ class TestMOracle:
 
     def test_matches_padded_walk(self):
         # the oracle starts at the window's edge; 200 free sites past it, as
-        # the reference walks, must not change a bit on the CLI's grid
+        # the reference walks, must not change a bit on ORACLE_GRID
         z_grid = np.asarray(ORACLE_GRID + (1j,))
         windows = [free_window(1), free_window(5)]
         # strong couplings carry a rounding change of the seed through to site 0
@@ -303,6 +291,22 @@ class TestMOracle:
                 assert m_oracle(window, 1j, side) == padded_m_oracle(window, 1j, side)
 
 
+class TestOracleResidual:
+    README = Measure.with_pieces([(1.05, 0.001), (-1.02, 0.002)], [(0.92, 0.98, (0.005, 0.0, 0.001))])
+
+    @pytest.mark.parametrize("case", [(README, Setting.jacobi(2.01)), soliton(0.25)], ids=["readme", "soliton"])
+    def test_worst_of_both_sides_nan_kept(self, monkeypatch, case):
+        sigma, setting = case
+        window, exact = reconstruct(sigma, setting, 40), herglotz.m_value
+        expect = max(abs(m_oracle(window, z, side)[0] - exact(sigma, setting, z, side))
+                     for side in ("plus", "minus") for z in ORACLE_GRID)
+        assert oracle_residual(window, sigma, setting) == expect <= 1e-6
+        for nan_side in ("plus", "minus"):  # one NaN value of m, at either side's last z, is kept
+            monkeypatch.setattr(herglotz, "m_value", lambda sigma, setting, z, side: (
+                math.nan if side == nan_side and z == ORACLE_GRID[-1] else exact(sigma, setting, z, side)))
+            assert math.isnan(oracle_residual(window, sigma, setting))
+
+
 class TestReconstruct:
     def test_free_window(self):
         window = reconstruct(ZERO, JAC2, 10)
@@ -317,7 +321,7 @@ class TestReconstruct:
         assert window.a_at(0) == pytest.approx(2.0, abs=1e-10)
         assert window.a_at(-1) == pytest.approx(2.0, abs=1e-10)
         assert window.b_at(0) == pytest.approx(-3.0, abs=1e-10)
-        assert oracle_vs_direct(window, sigma, setting) <= 1e-6
+        assert oracle_residual(window, sigma, setting) <= 1e-6
 
     def test_random_two_atom_ratio_check(self):
         rng = np.random.RandomState(35)
@@ -333,7 +337,7 @@ class TestReconstruct:
         window = reconstruct(sigma, setting, N)
         assert np.min(window.a) >= 1.0
         assert prop311_check(window, setting.r).passed
-        assert oracle_vs_direct(window, sigma, setting) <= 1e-6
+        assert oracle_residual(window, sigma, setting) <= 1e-6
 
     def test_inadmissible_rejected(self):
         # the gate's message names the setting, the minimum and its E
@@ -345,7 +349,7 @@ class TestReconstruct:
         rng = np.random.RandomState(36)
         sigma, setting = random_jacobi_measure(rng)
         errs = [
-            oracle_vs_direct(reconstruct(sigma, setting, N), sigma, setting)
+            oracle_residual(reconstruct(sigma, setting, N), sigma, setting)
             for N in (12, 18, 24, 30)
         ]
         for e1, e2 in zip(errs, errs[1:]):
@@ -361,7 +365,7 @@ class TestReconstruct:
             [(-1.0 / (r + 0.5 * ring), 0.002)], [(a, b, (0.004, 0.0, -0.0016))]
         )
         window = reconstruct(sigma, setting, 16)
-        assert oracle_vs_direct(window, sigma, setting) <= 1e-6
+        assert oracle_residual(window, sigma, setting) <= 1e-6
 
     @pytest.mark.parametrize("kind", ["atom", "pieces", "20 atoms"])
     def test_site_zero_reads_the_measures_inverse_moments(self, kind):
@@ -408,6 +412,12 @@ class TestProp311:
         window = JacobiWindow(-n, n, tuple(a), (0.0,) * (2 * n + 1), 5.0)
         report = prop311_check(window, 0.5)
         assert not report.passed
+
+    @pytest.mark.parametrize("a2, R", [(math.nan, 2.5), (math.inf, 2.5), (math.inf, 1e170), (math.nan, 1e170)])
+    def test_non_finite_coupling_fails(self, a2, R):
+        # at R = 1e170 r^2 underflows, and inf - inf is NaN: no NaN may drop out
+        report = prop311_check(JacobiWindow(-1, 1, (1.5, 1.2, a2), (0.0,) * 3, R), solve_r(R))
+        assert not report.passed and not report.worst_margin > -math.inf  # NaN or -inf
 
 
 # ---------------------------------------------------------------------------
@@ -585,4 +595,6 @@ class TestAgainstReference:
         for k in range(1, 50):
             sigma, setting = soliton(k / 50.0)
             window = reconstruct(sigma, setting, 80)
-            assert oracle_vs_direct(window, sigma, setting, z_grid) <= 1e-8
+            for side in ("plus", "minus"):
+                exact = [m_value(sigma, setting, z, side) for z in z_grid]
+                assert np.max(np.abs(m_oracle(window, z_grid, side) - exact)) <= 1e-8

@@ -299,8 +299,8 @@ class TestRiccati:
         trace = integrate_flow(DELTA0, 8, 2.0, 0.4)
 
         def nan_for_negative_w(trace, w):
-            idx, p = riccati_oracle(trace, w)
-            return idx, p * math.nan if w.real < 0 else p
+            rows, p = riccati_oracle(trace, w)
+            return rows, p * math.nan if w.real < 0 else p
 
         monkeypatch.setattr(schrodinger, "riccati_oracle", nan_for_negative_w)
         worst, per_w = riccati_mismatch(trace, [0.1, -0.15])
@@ -312,7 +312,7 @@ class TestRiccati:
         # one-column reference: the same bits
         trace = integrate_flow(sigma, N, R, 0.5 / R, step=0.01 / R)
         for w in (0.3 / R, 0.3j / R, -0.3 / R):
-            idx, p = riccati_oracle(trace, w)
+            rows, p = riccati_oracle(trace, w)
             with monkeypatch.context() as m:
                 m.setattr(
                     _kernels, "riccati_path",
@@ -320,8 +320,8 @@ class TestRiccati:
                         np.atleast_1d(p0), vn, vm, h, np.atleast_1d(w)
                     )[:, 0],
                 )
-                ref_idx, ref = riccati_oracle(trace, w)
-            assert idx.tobytes() == ref_idx.tobytes()
+                ref_rows, ref = riccati_oracle(trace, w)
+            assert rows == ref_rows
             assert p.tobytes() == ref.tobytes()
 
     def test_one_table_per_trace(self, monkeypatch):
@@ -382,9 +382,10 @@ class TestRiccati:
             trace = integrate_flow(sigma, int(rng.choice([8, 16, 40])), R, 0.4 / R, step=0.05 / R)
             n = len(trace.xs) // 2
             for w in (0.3 / R, 0.3j / R, -0.3 / R):
-                idx, p = riccati_oracle(trace, w)
-                at_zero = idx == n
-                flow_p = generating_function(trace.atoms[idx], w)
+                rows, p = riccati_oracle(trace, w)
+                at_zero = n - rows.start  # row n is x = 0, the start of the walk on either side
+                flow_p = generating_function(trace.atoms[rows], w)
+                assert rows.start <= n < rows.stop
                 assert p[at_zero].tobytes() == flow_p[at_zero].tobytes()
 
 
