@@ -295,7 +295,7 @@ def stieltjes_density(sigma, setting, side, x):
         tab.append([(fac * prev[i + 1] - prev[i]) / (fac - 1.0) for i in range(len(prev) - 1)])
     est = tab[-1][0]
     err = abs(est - tab[-2][0])
-    if err > DENSITY_ERR_MAX:
+    if not err <= DENSITY_ERR_MAX:
         raise NonConvergent(
             f"density extrapolation at x = {x} not settling (last diff {err:.3e})"
         )

@@ -10,9 +10,9 @@ import math
 import sys
 import time
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from reflectionless.herglotz import (
     Setting,
@@ -77,12 +77,11 @@ def criterion_02_soliton_family():
         a0_err = abs(window.a_at(0) - eps ** -0.5)
         assert a0_err <= 1e-8, f"eps={eps}: a0 off by {a0_err}"
         e_target = -(1.0 + 1.0 / eps)
-        root = brentq(
+        root = float(mpmath.findroot(
             lambda E: boundary_value_discrete(sigma, E),
-            e_target - 1.0,
-            0.5 * (e_target - 2.0),
-            xtol=1e-12,
-        )
+            (e_target - 1.0, 0.5 * (e_target - 2.0)),
+            solver="anderson",
+        ))
         assert abs(root - e_target) <= 1e-8, f"eps={eps}: root at {root}"
         details.append(f"eps={eps}: |a0 err| = {a0_err:.1e}, root err = {abs(root - e_target):.1e}")
     return "; ".join(details)

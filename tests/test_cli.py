@@ -143,7 +143,7 @@ class TestParseInput:
             job(1.30013)
         assert err.value.pointer == "/step"
 
-    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(1, 64), st.integers(1, 600))
     @example(3, 7)  # 0.00021 / 7e-05 is 3.0000000000000004
     def test_flow_budget_charges_the_steps_the_flow_takes(self, n, d):

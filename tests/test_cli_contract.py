@@ -51,11 +51,7 @@ from reflectionless.schrodinger import (
 # A flow's retries in substeps spend the same budget, so only a job that
 # escapes the limits misses the deadline.
 CONTRACT = settings(
-    max_examples=60,
-    deadline=timedelta(seconds=6.5),
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
+    max_examples=60, deadline=timedelta(seconds=6.5), suppress_health_check=[HealthCheck.too_slow]
 )
 
 # any JSON value: what a job file may hold where a number or a name belongs

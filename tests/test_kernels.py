@@ -39,7 +39,7 @@ from reflectionless.jacobi import (
 )
 from reflectionless.presets import soliton
 
-BIT_CHECKS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+BIT_CHECKS = settings(max_examples=300)
 # the descent on w = -1/m (plus) and m_oracle's minus side (w = a_0^2 m, from
 # the free state) against the same continued fractions on m: worst relative
 # difference measured over the NaN-free cf_inputs draws 2.4e-15 (minus) and

@@ -189,6 +189,28 @@ class TestIntegrateFlow:
         with pytest.raises(StepTooLarge, match="error figure exceeded"):
             integrate_flow(sigma, 8, R, 0.8 / R)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 16: est_error undercounts a 16-atom flow")
+    def test_figure_bounds_a_sixteen_atom_flow(self):
+        # draw 122 (0-based) of rng = np.random.default_rng(2026), each draw n =
+        # rng.choice([1, 2, 3, 4, 6, 8, 12, 16]), R = rng.uniform(1, 4), t =
+        # rng.uniform(-0.9 R, 0.9 R, n), w = exp(rng.uniform(log(1e-8), log(0.3), n)) R^2 / n:
+        # the default grid is 4.86e-6 off the flow at step / 32 (whose own figure
+        # is 1.9e-9), against a figure of 5.95e-7 and above STEP_ERR_TOL R^2 = 4.77e-6
+        t = [-0.6728228093015634, 0.4827229382753053, -1.8309485789214657, 0.8007923605630536,
+             1.1885548444541034, -0.5276568952540199, -1.8484550386306295, 0.7990446291147855,
+             0.5287935650382156, 0.9963541367654773, -1.4151306544915307, 0.28201638852486344,
+             -0.4499347455056122, -1.7204960005377425, 0.5304423666077702, 0.021244993837200132]
+        w = [0.003101547217355349, 1.273162682002755e-06, 3.3815766773982143e-06,
+             2.611006379094571e-07, 1.3245205674963244e-05, 1.065047020849025e-05,
+             1.016286670726757e-08, 0.04404262301738782, 0.004252945093058484,
+             0.00667842369422712, 1.356637695287001e-05, 1.9939724968994796e-06,
+             0.0007778556072566809, 0.07254270125142326, 0.0013276559459866706,
+             1.4342088054158944e-08]
+        sigma, R = Measure.from_atoms(zip(t, w)), 2.1835557863083466
+        trace = integrate_flow(sigma, 8, R, 0.8 / R)
+        fine = integrate_flow(sigma, 8, R, 0.8 / R, step=1.0 / (20.0 * R) / 32)
+        assert np.max(np.abs(trace.V - fine.V[::32])) <= trace.est_error
+
     def test_retries_share_the_flow_budget(self, monkeypatch):
         # each side of the stiff pass above needs one retry in 2 substeps, which
         # costs per_pass a step (m / 2 of it for m substeps): a budget of the
@@ -437,7 +459,7 @@ class TestExactFlow:
     """The atom flow against references of the same flow: the closed-form
     one-soliton, mpmath on a few atoms, and a finer rule for pieces."""
 
-    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=80)
     @given(one_atom_flows())
     @example((0.3, 0.8, 2.0, 40, 0.1, 10.0))  # the CLI's --xmax 10 --step 0.1 job
     @example((0.3, 0.8, 2.0, 40, 0.025, 0.4))  # its default grid
