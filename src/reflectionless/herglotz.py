@@ -107,8 +107,6 @@ def _branch(setting, z, upper):
         big = outer_root(z)
         return 1.0 / big if upper else big
     w = cmath.sqrt(-z)
-    if w.real < 0:
-        w = -w
     return -w if upper else w
 
 

@@ -105,7 +105,7 @@ def _deflated_moments(ts, ws, K):
     nu[1:] = (ws[~inner] @ np.float_power(ts[~inner, None], -(k + 2))
               + w_in @ np.float_power(t_in[:, None], k))
     nu[1::2] = 0.0 - nu[1::2]  # not -nu: a zero moment stays +0.0, so free rows get b = +0
-    mass = w_in * (1.0 - t_in) * (1.0 + t_in) / (t_in * t_in)
+    mass = w_in * ((1.0 - t_in) * (1.0 + t_in)) / (t_in * t_in)
     nu[0] = 1.0 - mass.sum()
     return nu, (-(t_in + 1.0 / t_in), mass)
 

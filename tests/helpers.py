@@ -446,37 +446,34 @@ def loop_prop311_check(J, r, min_excess=1e-6):
     return RatioReport(passed=bool(worst > 0.0), worst_margin=float(worst))
 
 
-def one_soliton_potential(t, w, x):
-    """integrate_flow's V for sigma = w delta_t in closed form, at the points
-    x: -2 k^2 sech^2(k x + artanh(t/k)) with k^2 = t^2 + w, the one-soliton
-    (its atom moves as t(x) = k tanh(k x + artanh(t/k)), w = k^2 - t^2).
-    artanh(t/k) is taken as sign(t) log((k + |t|)/sqrt(w)), since (k + |t|)
-    (k - |t|) = w: artanh itself loses digits as t/k nears 1, 4.7e-17 (115 ulps
-    of max |V|) at t = 0.4727, w = 8.3e-4.  sech^2 u is taken as 4 e/(1 + e)^2
-    with e = exp(-2|u|), which cannot overflow."""
-    k = math.sqrt(t * t + w)
-    shift = math.copysign(math.log((k + abs(t)) / math.sqrt(w)), t)
-    e = np.exp(-2.0 * np.abs(k * np.asarray(x, dtype=float) + shift))
-    return -8.0 * k * k * e / (1.0 + e) ** 2
-
-
-def atom_flow_reference(atoms, xs):
-    """V = -2 sum w at the points xs >= 0 of the flow t_i' = w_i, w_i' =
-    2 w_i (sum_{j != i} w_j / (t_i - t_j) - t_i) from the atoms (t, w) at
-    x = 0, by mpmath's Taylor-series integrator at 20 digits, tolerance
-    1e-18: the same ODE as the production flow, integrated another way."""
+def soliton_potential(atoms, xs):
+    """integrate_flow's V for the measure sum w delta_t at the points xs: the
+    closed-form n-soliton (Kay & Moses, J. Appl. Phys. 27 (1956)), the source
+    paper's Marchenko parametrization restricted to atoms, at 60 digits.  The
+    flow conserves the kappa_j; their squares are the eigenvalues of diag(t^2)
+    + sqrt(w) sqrt(w)^T.  With beta_j = e^{-2 kappa_j x} prod_i (kappa_j -
+    t_i)/(-kappa_j - t_i) prod_{l != j} (kappa_l - kappa_j) / prod_l (kappa_j +
+    kappa_l) and C_jl = 1/(kappa_j + kappa_l), V = 4 sum kappa_j beta_j a_j^2,
+    where (diag beta - C) a = 1."""
     n = len(atoms)
-    with mpmath.workdps(20):
-        def rhs(x, y):
-            t, w = y[:n], y[n:]
-            return list(w) + [
-                2 * w[i] * (mpmath.fsum(w[j] / (t[i] - t[j]) for j in range(n) if j != i) - t[i])
-                for i in range(n)
-            ]
-
-        start = [mpmath.mpf(t) for t, _ in atoms] + [mpmath.mpf(w) for _, w in atoms]
-        sol = mpmath.odefun(rhs, 0, start, tol=mpmath.mpf(10) ** -18, degree=12)
-        return np.array([float(-2 * mpmath.fsum(sol(mpmath.mpf(float(x)))[n:])) for x in xs])
+    with mpmath.workdps(60):
+        t = [mpmath.mpf(float(ti)) for ti, _ in atoms]
+        root_w = mpmath.matrix([mpmath.sqrt(float(wi)) for _, wi in atoms])
+        squares = mpmath.eigsy(mpmath.diag([ti * ti for ti in t]) + root_w * root_w.T, eigvals_only=True)
+        kap = [mpmath.sqrt(e) for e in squares]
+        C = mpmath.matrix([[1 / (kj + kl) for kl in kap] for kj in kap])
+        scale = [
+            mpmath.fprod((kj - ti) / (-kj - ti) for ti in t)
+            * mpmath.fprod(kl - kj for l, kl in enumerate(kap) if l != j)
+            / mpmath.fprod(kj + kl for kl in kap)
+            for j, kj in enumerate(kap)
+        ]
+        V = []
+        for x in xs:
+            beta = [s * mpmath.exp(-2 * k * float(x)) for s, k in zip(scale, kap)]
+            a = mpmath.lu_solve(mpmath.diag(beta) - C, mpmath.ones(n, 1))
+            V.append(float(4 * mpmath.fsum(k * b * ai * ai for k, b, ai in zip(kap, beta, a))))
+    return np.array(V)
 
 
 def free_window(N, R=2.0):

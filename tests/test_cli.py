@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import one_soliton_potential
+from helpers import soliton_potential
 import reflectionless
 from reflectionless import schrodinger
 from reflectionless.cli import (
@@ -234,6 +234,15 @@ class TestRun:
         resid = json.loads((tmp_path / "riccati_residual.json").read_text())
         assert resid["max_abs_mismatch"] < 1e-6
 
+    @pytest.mark.parametrize("N", [4, 40])
+    def test_trace_columns(self, tmp_path, N):
+        # x, V and the moments sigma_0 .. sigma_{min(N, 8)}, in every row
+        job = job_from_text(f'{{"command":"schrodinger",{ATOM_S},"N":{N},"x_max":0.4}}')
+        assert run(job, tmp_path) == 0
+        header, *rows = (tmp_path / "potential_trace.csv").read_text().splitlines()
+        assert header == ",".join(["x", "V"] + [f"sigma_{k}" for k in range(min(N, 8) + 1)])
+        assert {len(row.split(",")) for row in rows} == {min(N, 8) + 3}
+
     def test_schrodinger_long_atom_flow(self, tmp_path):
         # R = 2, the atom (0.3, 0.8), --xmax 10 --step 0.1: V within 2e-6 of
         # the one-soliton and within the error figure the job reports
@@ -243,7 +252,7 @@ class TestRun:
                      "--out", str(tmp_path)]) == 0
         header, *rows = (tmp_path / "potential_trace.csv").read_text().splitlines()
         table = np.array([[float(v) for v in row.split(",")] for row in rows])
-        err = np.max(np.abs(table[:, 1] - one_soliton_potential(0.3, 0.8, table[:, 0])))
+        err = np.max(np.abs(table[:, 1] - soliton_potential([(0.3, 0.8)], table[:, 0])))
         resid = json.loads((tmp_path / "riccati_residual.json").read_text())
         assert err <= 2e-6 and err <= resid["est_error"] <= 100.0 * err
         assert table[-1, 0] == 10.0 and len(table) == 201

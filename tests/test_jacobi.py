@@ -16,7 +16,7 @@ from helpers import (
     recurrence_via_cholesky,
     reference_window,
 )
-from reflectionless import herglotz
+from reflectionless import herglotz, jacobi
 from reflectionless.errors import (
     AdmissibilityRequired,
     HankelBreakdown,
@@ -593,3 +593,58 @@ class TestAgainstReference:
             for side in ("plus", "minus"):
                 exact = [m_value(sigma, setting, z, side) for z in z_grid]
                 assert np.max(np.abs(m_oracle(window, z_grid, side) - exact)) <= 1e-8
+
+
+def mirrored(sigma):
+    """sigma(-t): each atom at -t, each piece [a, b] on [-b, -a] with its k-th
+    Chebyshev coefficient times (-1)^k."""
+    return Measure.with_pieces(
+        [(-t, w) for t, w in sigma.atoms],
+        [(-p.b, -p.a, [c if k % 2 == 0 else -c for k, c in enumerate(p.cheb)]) for p in sigma.pieces],
+    )
+
+
+class TestReflection:
+    """sigma(t) -> sigma(-t) maps the window (a_n, b_n) to (a_n, -b_n)."""
+
+    def test_atom_windows_reflect_exactly(self, monkeypatch):
+        # derandomized draws with R in (2.002, 3) and N from 20 to 160, so that
+        # both the Cholesky route (at most CHOLESKY_MAX_ROWS rows) and the sweep
+        # run: every reflected window is the same floats with b negated
+        routes = []
+        cholesky_rows = jacobi._cholesky_rows
+
+        def spy(nu, N):
+            rows = cholesky_rows(nu, N)
+            routes.append(rows is not None)
+            return rows
+
+        monkeypatch.setattr(jacobi, "_cholesky_rows", spy)
+        rng = np.random.RandomState(19)
+        for N in [20, 40, 80, 130, 160] * 6:
+            sigma, setting = random_jacobi_measure(rng, r_hi=3.0)
+            window, image = reconstruct(sigma, setting, N), reconstruct(mirrored(sigma), setting, N)
+            assert np.array_equal(image.a, window.a)
+            assert np.array_equal(image.b, -np.asarray(window.b))
+        assert any(routes) and not all(routes)
+
+    def test_piece_windows_reflect_to_rounding(self):
+        # a piece on one ring and an atom on the other: the graded rule is not
+        # mirror-symmetric in floating point, so the windows agree to 1e-14 of
+        # max a (measured at most 2.7e-15)
+        rng = np.random.RandomState(23)
+        for N in [20, 40, 80, 130, 160] * 2:
+            R = float(rng.uniform(2.002, 3.0))
+            setting, r = Setting.jacobi(R), solve_r(R)
+            ring = 1.0 / r - r
+            a, b, t = np.sort(rng.uniform(r + 0.15 * ring, 1.0 / r - 0.15 * ring, 3))
+            s = float(rng.choice([-1.0, 1.0]))
+            mass = float(rng.uniform(0.02, 0.08)) * ring * ring
+            cheb = [mass / (b - a)] + [c * mass / (b - a) for c in rng.uniform(-0.3, 0.3, 2)]
+            piece = (a, b, cheb) if s > 0 else (-b, -a, cheb)
+            sigma = Measure.with_pieces([(-s * t, 0.3 * mass)], [piece])
+            assert admissible_discrete(validate(sigma, setting), setting).passed
+            window, image = reconstruct(sigma, setting, N), reconstruct(mirrored(sigma), setting, N)
+            gap = max(np.max(np.abs(np.asarray(image.a) - window.a)),
+                      np.max(np.abs(np.asarray(image.b) + window.b)))
+            assert gap <= 1e-14 * np.max(window.a)

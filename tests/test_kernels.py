@@ -18,8 +18,8 @@ from helpers import (
     loop_wheeler,
     m_form_cf_minus,
     m_form_cf_plus,
-    one_soliton_potential,
     random_jacobi_measure,
+    soliton_potential,
 )
 import reflectionless
 from reflectionless import Measure, Setting, _kernels
@@ -77,7 +77,7 @@ def test_flow_figure_bounds_the_error():
     worsts = []
     for h, n in ((0.25, 8), (0.125, 16)):
         states, status, _, worst = _kernels.flow_integrate(y0, h, n, 2.0, 1.0)
-        exact = one_soliton_potential(0.3, 0.8, h * np.arange(n + 1))
+        exact = soliton_potential([(0.3, 0.8)], h * np.arange(n + 1))
         assert status == _kernels.FLOW_OK and states.shape == (n + 1, 2, 1)
         assert np.max(np.abs(-2.0 * states[:, 1, 0] - exact)) <= worst
         worsts.append(worst)

@@ -9,10 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    atom_flow_reference,
     numpy_riccati_path,
-    one_soliton_potential,
     random_schrodinger_measure,
+    soliton_potential,
 )
 from reflectionless.errors import (
     AdmissibilityRequired,
@@ -179,11 +178,11 @@ class TestIntegrateFlow:
     def test_stiff_pass_is_taken_again_in_substeps(self, monkeypatch):
         # the heavy atom overtakes the light one within the first steps of the
         # default grid: one substep per step is refused, and the retry in
-        # substeps matches a flow on a grid 64 times finer
+        # substeps matches the two-soliton within the figure
         sigma, R = Measure.from_atoms([(0.1081, 0.6361), (0.1736, 0.1447)]), 1.227
         trace = integrate_flow(sigma, 8, R, 0.8 / R)
-        fine = integrate_flow(sigma, 8, R, 0.8 / R, step=1.0 / (20.0 * R) / 64)
-        assert np.max(np.abs(trace.V - fine.V[::64])) <= trace.est_error <= 1e-6 * R * R
+        exact = soliton_potential(sigma.atoms, trace.xs)
+        assert np.max(np.abs(trace.V - exact)) <= trace.est_error <= 1e-6 * R * R
         # a budget of the 16 steps' first passes alone leaves no retry
         monkeypatch.setattr(schrodinger, "MAX_FLOW_WORK", 16 * (FLOW_PAIR_COST * 2 + FLOW_STEP_COST))
         with pytest.raises(StepTooLarge, match="error figure exceeded"):
@@ -194,8 +193,8 @@ class TestIntegrateFlow:
         # draw 122 (0-based) of rng = np.random.default_rng(2026), each draw n =
         # rng.choice([1, 2, 3, 4, 6, 8, 12, 16]), R = rng.uniform(1, 4), t =
         # rng.uniform(-0.9 R, 0.9 R, n), w = exp(rng.uniform(log(1e-8), log(0.3), n)) R^2 / n:
-        # the default grid is 4.86e-6 off the flow at step / 32 (whose own figure
-        # is 1.9e-9), against a figure of 5.95e-7 and above STEP_ERR_TOL R^2 = 4.77e-6
+        # the default grid is 4.86e-6 off the 16-soliton, against a figure of
+        # 5.95e-7 and above STEP_ERR_TOL R^2 = 4.77e-6
         t = [-0.6728228093015634, 0.4827229382753053, -1.8309485789214657, 0.8007923605630536,
              1.1885548444541034, -0.5276568952540199, -1.8484550386306295, 0.7990446291147855,
              0.5287935650382156, 0.9963541367654773, -1.4151306544915307, 0.28201638852486344,
@@ -208,8 +207,8 @@ class TestIntegrateFlow:
              1.4342088054158944e-08]
         sigma, R = Measure.from_atoms(zip(t, w)), 2.1835557863083466
         trace = integrate_flow(sigma, 8, R, 0.8 / R)
-        fine = integrate_flow(sigma, 8, R, 0.8 / R, step=1.0 / (20.0 * R) / 32)
-        assert np.max(np.abs(trace.V - fine.V[::32])) <= trace.est_error
+        exact = soliton_potential(sigma.atoms, trace.xs)
+        assert np.max(np.abs(trace.V - exact)) <= trace.est_error
 
     def test_retries_share_the_flow_budget(self, monkeypatch):
         # each side of the stiff pass above needs one retry in 2 substeps, which
@@ -271,11 +270,11 @@ class TestHermiteSampler:
     def test_nodes_and_half_steps(self, sigma, R):
         h = 1.0 / (20.0 * R)
         trace = integrate_flow(sigma, 40, R, 0.8 / R, step=h)
-        fine = integrate_flow(sigma, 40, R, 0.8 / R, step=h / 2)
         table = _quarter_potential(trace.moments(3), trace.step)
         assert table.size == 4 * (len(trace.xs) - 1) + 1
         assert table[::4].tobytes() == trace.V.tobytes()
-        assert np.max(np.abs(table[2::4] - fine.V[1::2])) <= 1e-6
+        exact = soliton_potential(sigma.atoms, trace.xs[:-1] + trace.step / 2)
+        assert np.max(np.abs(table[2::4] - exact)) <= 1e-6
 
     def test_exact_on_quintics(self):
         # V = x^5 - x^2 through s0 = -V/2, s1 = V'/4, s2 = (s0^2 - V''/4)/2
@@ -442,6 +441,37 @@ class TestGeneratingFunction:
         assert generating_function(atoms, 0.25).tolist() == [0.25 / 0.875 + 0j, 0.5 + 0j]
 
 
+class TestRelations:
+    """Relations between the flows of related atom measures on the default
+    grid, which hold at every node in floating point."""
+
+    def test_reflection_reverses_the_trace(self):
+        # sigma(-t) gives V(-x): the same floats in reverse order, est_error included
+        rng = np.random.RandomState(29)
+        for _ in range(10):
+            sigma, setting = random_schrodinger_measure(rng)
+            R = setting.R
+            trace = integrate_flow(sigma, 8, R, 0.8 / R)
+            image = integrate_flow(Measure.from_atoms([(-t, w) for t, w in sigma.atoms]), 8, R, 0.8 / R)
+            assert image.xs.tobytes() == trace.xs.tobytes()
+            assert image.V.tobytes() == trace.V[::-1].tobytes()
+            assert image.est_error == trace.est_error
+
+    def test_scaling_by_two(self):
+        # t -> 2 t, w -> 4 w and R -> 2 R give 4 V(2 x): the default grid halves
+        # exactly, and V and est_error are the same floats times 4
+        rng = np.random.RandomState(31)
+        for _ in range(10):
+            sigma, setting = random_schrodinger_measure(rng)
+            R, x_max = setting.R, 0.8 / setting.R
+            trace = integrate_flow(sigma, 8, R, x_max)
+            scaled = Measure.from_atoms([(2.0 * t, 4.0 * w) for t, w in sigma.atoms])
+            image = integrate_flow(scaled, 8, 2.0 * R, x_max / 2.0)
+            assert image.xs.tobytes() == (trace.xs / 2.0).tobytes()
+            assert image.V.tobytes() == (4.0 * trace.V).tobytes()
+            assert image.est_error == 4.0 * trace.est_error
+
+
 @st.composite
 def one_atom_flows(draw):
     """(t, w, R, N, step, x_max) over the admissible one-atom measures: t
@@ -456,8 +486,8 @@ def one_atom_flows(draw):
 
 
 class TestExactFlow:
-    """The atom flow against references of the same flow: the closed-form
-    one-soliton, mpmath on a few atoms, and a finer rule for pieces."""
+    """The flow against references: the closed-form n-soliton for atoms, and
+    a finer rule for pieces, which have no closed form."""
 
     @settings(max_examples=80)
     @given(one_atom_flows())
@@ -472,7 +502,7 @@ class TestExactFlow:
         except StepTooLarge:
             assert step * math.sqrt(t * t + w) > 0.1  # only a coarse step is refused
             return
-        err = float(np.max(np.abs(trace.V - one_soliton_potential(t, w, trace.xs))))
+        err = float(np.max(np.abs(trace.V - soliton_potential([(t, w)], trace.xs))))
         assert err <= trace.est_error
         assert err <= 1e-12 or trace.est_error <= 100.0 * err
         if (t, w, R, step, x_max) == (0.3, 0.8, 2.0, 0.1, 10.0):
@@ -485,7 +515,7 @@ class TestExactFlow:
         ts = rng.uniform(-0.9 * R, 0.9 * R, n)
         ws = rng.dirichlet(np.ones(n)) * (R * R - ts * ts) * 0.5
         sigma = Measure.from_atoms(zip(ts, ws))
-        ref = atom_flow_reference(list(zip(ts, ws)), [0.1, 0.2, 0.3, 0.4])
+        ref = soliton_potential(list(zip(ts, ws)), [0.1, 0.2, 0.3, 0.4])
         for steps in (40, 400):
             trace = integrate_flow(sigma, 8, R, 0.4, step=0.4 / steps)
             pick = steps + np.arange(1, 5) * (steps // 4)  # x = 0.1, ..., 0.4
