@@ -257,6 +257,8 @@ def herglotz_exp(xi, C, z):
         return cmath.log(t - z) - 0.5 * math.log(t * t + 1.0)
 
     for a, b, v in xi:
+        if not a <= b:  # a reversed piece leaves the upper half-plane, a NaN end gives NaN
+            raise BadParameter(f"xi piece [{a}, {b}] is not an interval")
         if not -1e-12 <= v <= 1.0 + 1e-12:
             raise BadParameter(f"xi value {v} outside [0, 1]")
         if v != 0.0:

@@ -238,7 +238,7 @@ def riccati_mismatch(trace, ws):
 
 def binomial_sum_identity(N1, N2, p):
     """sum_k C(N1+k, k) C(N2-k, p-k) == C(N1+N2+1, p), k = 0..p, exactly."""
-    if N1 < 1 or p < 0 or N2 < p:
-        raise BadParameter("needs N1 >= 1 and N2 >= p >= 0")
+    if not all(isinstance(k, numbers.Integral) for k in (N1, N2, p)) or N1 < 1 or p < 0 or N2 < p:
+        raise BadParameter("needs integers N1 >= 1 and N2 >= p >= 0")
     lhs = sum(math.comb(N1 + k, k) * math.comb(N2 - k, p - k) for k in range(p + 1))
     return lhs == math.comb(N1 + N2 + 1, p)

@@ -8,7 +8,6 @@ import mpmath
 import numpy as np
 
 from reflectionless import Measure, Setting, herglotz
-from reflectionless.errors import HankelBreakdown
 from reflectionless.herglotz import AdmissibilityReport, admissible_continuous, admissible_discrete
 from reflectionless.jacobi import JacobiWindow, RatioReport
 from reflectionless.measure import quadrature_atoms, solve_r, validate
@@ -149,29 +148,6 @@ def adaptive_gauss_legendre(f, a, b, rtol=1e-12, max_depth=40):
     return total
 
 
-def recurrence_via_cholesky(mu, N):
-    """Raw-moment Hankel Cholesky route to (alpha, beta).
-
-    Exponentially ill-conditioned with depth, so never a production route,
-    but at shallow N it independently confirms the modified Chebyshev output.
-    """
-    H = np.array([[mu[i + j] for j in range(N + 1)] for i in range(N + 1)])
-    try:
-        L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:
-        raise HankelBreakdown(N + 1, str(exc)) from None
-    alpha = np.empty(N)
-    beta = np.empty(N)
-    beta[0] = mu[0]
-    for k in range(1, N):
-        beta[k] = (L[k, k] / L[k - 1, k - 1]) ** 2
-    for k in range(N):
-        t1 = L[k + 1, k] / L[k, k]
-        t0 = L[k, k - 1] / L[k - 1, k - 1] if k > 0 else 0.0
-        alpha[k] = t1 - t0
-    return alpha, beta
-
-
 def loop_wheeler(nu_monic, N):
     """jacobi._wheeler with a fresh, zero-padded row array per row: the
     reference the in-place sweep must match bit for bit."""
@@ -217,7 +193,7 @@ def power_moments(m):
 
 
 # ---------------------------------------------------------------------------
-# the mpmath reference for reconstruct
+# the mpmath references for reconstruct
 
 
 def _reference_power_moments(f, count):
@@ -286,46 +262,71 @@ def reference_window(ts, ws, N):
     return np.array(a), np.array(b)
 
 
-def one_atom_window(t, w, N):
-    """reconstruct's window for sigma = w delta_t in the jacobi setting, in
-    closed form, as (a, b) float arrays over sites -N..N.
+def _soliton_eigenvalues(t, w):
+    """The eigenvalues of the atoms t, w (mpf lists), each as the root lam_j
+    inside the unit disk of lam^2 + E_j lam + 1: E_j are the n zeros of g(E)
+    = 1 - s_-2 + sum_i w_i/(t_i^2 + E t_i + 1), which polyroots finds once g
+    is cleared of its denominators."""
+    s2 = mpmath.fsum(wi / (ti * ti) for ti, wi in zip(t, w))
+    g, denominators = [1 - s2], [mpmath.mpf(1)]  # coefficients, constant first
+    for ti, wi in zip(t, w):
+        g = [u * (1 + ti * ti) + v * ti + wi * d for u, v, d in zip(g + [0], [0] + g, denominators + [0])]
+        denominators = [u * (1 + ti * ti) + v * ti for u, v in zip(denominators + [0], [0] + denominators)]
+    # clustered atoms cluster the roots, which polyroots' default steps and digits do not resolve
+    E = [mpmath.re(e) for e in mpmath.polyroots(g[::-1], maxsteps=200, extraprec=200)]
+    return [-2 / (e + mpmath.sign(e) * mpmath.sqrt(e * e - 4)) for e in E]
 
-    sigma's operator is a one-soliton (Teschl, Jacobi Operators and
-    Completely Integrable Nonlinear Lattices, 2000, ch. 13): its eigenvalue E
-    is the zero of g(E) = 1 - s_-2 + w/(t^2 + E t + 1) with |E| > 2, lam the
-    root of lam^2 + E lam + 1 inside the unit disk, tau(n) = 1 + c lam^2n with
-    c = lam (1 - t lam)/(t - lam), a_n^2 = tau(n-1) tau(n+1)/tau(n)^2 and
-    b_n = (lam - 1/lam)(rho_{n-1} - rho_n), rho_n = c lam^2n/tau(n).  Every
-    factor that cancels is taken another way: the outer root, the small one
-    of t - lam and 1 - t lam from d = t^2 + E t + 1 = (t - lam)(t - 1/lam),
-    and, for n <= 0, tau scaled to lam^-2n + c and rho through 1 - rho."""
-    q = 1.0 - w / (t * t)
-    E = -(1.0 + t * t + w / q) / t
-    big = -0.5 * (E + math.copysign(math.sqrt((abs(E) - 2.0) * (abs(E) + 2.0)), E))
-    lam = 1.0 / big
-    d = -w / q
-    if abs(t) < 1.0:  # t - lam = d/(t - big)
-        c = lam * (1.0 - t * lam) * (t - big) / d
-    else:  # 1 - t lam = d/(t (1/t - big))
-        c = lam * d / (t * (1.0 / t - big) * (t - lam))
-    L = lam * lam
 
-    def tau(k, scaled):
-        return L ** -k + c if scaled else 1.0 + c * L ** k
+def _soliton_rows(t, lam, N):
+    """(a_k, b_k), k = 0..N, as mpf lists, of a measure with atoms at t (an
+    mpf list) and eigenvalues lam, from the Toda tau-function; the weights
+    enter only through lam.  With c_j = lam_j (1 - lam_j^2) prod_i (1 - t_i
+    lam_j)/(t_i - lam_j) prod_{l != j} (1 - lam_l lam_j)/(lam_l - lam_j) and
+    K_jl(k) = (lam_j lam_l)^k/(1 - lam_j lam_l),
+    tau(k) = det M(k), M(k) = I + diag(c) K(k), and rho(k) = sum_j (lam_j -
+    1/lam_j)(1 - M(k)^-1_jj).  Then a_k = sqrt(tau(k-1) tau(k+1))/tau(k) and
+    b_k = rho(k-1) - rho(k).
 
-    def rho(k):
-        return c * L ** k / (1.0 + c * L ** k)
+    By Cauchy's determinant, tau(k) is a sum over the subsets S of the
+    eigenvalues of the positive terms x_S L_S^k, with L_S = prod_{j in S}
+    lam_j^2 and x_S = prod_{j in S} c_j/(1 - lam_j^2) prod_{j < l in S}
+    ((lam_j - lam_l)/(1 - lam_j lam_l))^2, and rho(k) tau(k) is the same sum
+    with each term times m_S = sum_{j in S} (lam_j - 1/lam_j).  So no digit
+    cancels, and a tail row keeps all of its own."""
+    x, L, m = [mpmath.mpf(1)], [mpmath.mpf(1)], [mpmath.mpf(0)]  # S = {} first; bit l of an index marks lam_l
+    for j, lj in enumerate(lam):
+        c = lj * mpmath.fprod((1 - ti * lj) / (ti - lj) for ti in t) * mpmath.fprod(
+            (1 - ll * lj) / (ll - lj) for ll in lam[:j] + lam[j + 1:])  # c_j/(1 - lam_j^2)
+        pair = [((lj - ll) / (1 - lj * ll)) ** 2 for ll in lam[:j]]
+        x += [xs * c * mpmath.fprod(p for l, p in enumerate(pair) if s >> l & 1) for s, xs in enumerate(x)]
+        L += [Ls * lj * lj for Ls in L]
+        m += [ms + lj - 1 / lj for ms in m]
+    now = [xs / Ls for xs, Ls in zip(x, L)]  # the terms at k = -1
+    tau, rho = [], []
+    for _ in range(N + 3):  # k = -1..N+1
+        tau.append(mpmath.fsum(now))
+        rho.append(mpmath.fdot(now, m) / tau[-1])
+        now = [xs * Ls for xs, Ls in zip(now, L)]
+    a = [mpmath.sqrt(tau[k] * tau[k + 2]) / tau[k + 1] for k in range(N + 1)]
+    return a, [rho[k] - rho[k + 1] for k in range(N + 1)]
 
-    def one_minus_rho(k):
-        return L ** -k / (L ** -k + c)
 
-    a, b = [], []
-    for n in range(-N, N + 1):
-        left = n <= 0
-        a.append(math.sqrt(tau(n - 1, left) * tau(n + 1, left)) / tau(n, left))
-        diff = one_minus_rho(n) - one_minus_rho(n - 1) if left else rho(n - 1) - rho(n)
-        b.append((lam - big) * diff)
-    return np.array(a), np.array(b)
+def soliton_window(ts, ws, N):
+    """reconstruct's window for the measure sum w delta_t, as (a, b) float
+    arrays over sites -N..N: the Toda n-soliton (Teschl, Jacobi Operators and
+    Completely Integrable Nonlinear Lattices, 2000, ch. 13), the source
+    paper's Marchenko parametrization restricted to atoms, at 60 digits.
+    Sites 0..N are sigma's own rows; sites -N..-1 are those of the mirrored
+    atoms (1/t, w/(t^2 q)), q = 1 - s_-2 + s_0, which have the same
+    eigenvalues and whose a_k and b_k are a_{-1-k} and b_{-k}.  It sums 2^n
+    terms per site: a reference for a few atoms, not for a piece's rule."""
+    with mpmath.workdps(60):
+        t = [mpmath.mpf(float(x)) for x in ts]
+        w = [mpmath.mpf(float(x)) for x in ws]
+        lam = _soliton_eigenvalues(t, w)
+        a_plus, b_plus = _soliton_rows(t, lam, N)
+        a_minus, b_minus = _soliton_rows([1 / ti for ti in t], lam, N)
+        return np.array(a_minus[:N][::-1] + a_plus, dtype=float), np.array(b_minus[1:][::-1] + b_plus, dtype=float)
 
 
 def loop_cf_plus(a, b, z, w):

@@ -310,7 +310,7 @@ class TestRun:
 
 
 # Two jobs at R well above 2 whose windows the CLI once wrote wrong with exit
-# 0; the true rows come from the mpmath reference (helpers.reference_window).
+# 0; the true rows come from the Toda n-soliton (helpers.soliton_window).
 WIDE_R_JOBS = [
     ('{"setting":"jacobi","R":9.159841224713482,"N":10,"atoms":['
      '{"t":-8.845973551509562,"w":0.03389321092778422},'

@@ -424,6 +424,11 @@ _ATOM = Measure.point(0.3, 0.8)
         lambda: phi_inv(Setting.jacobi(2.5), complex(math.nan, 1.0), "upper"),
         lambda: herglotz_exp([(0.0, 1.0, 0.5)], 1.0, complex(math.nan, 1.0)),
         lambda: herglotz_exp([(0.0, 1.0, 0.5)], math.inf, 1j),
+        # a reversed piece (its value leaves the upper half-plane), a NaN end,
+        # and a fractional binomial argument (math.comb's bare TypeError)
+        lambda: herglotz_exp([(2.0, 1.0, 0.5)], 1.0, 1j),
+        lambda: herglotz_exp([(math.nan, 1.0, 0.5)], 1.0, 1j),
+        lambda: binomial_sum_identity(1.5, 2, 1),
     ],
     ids=["reconstruct-N", "init_flow-N", "integrate_flow-x_max", "m_oracle-z", "m_oracle-side",
          "riccati_oracle-w", "phi_inv-region", "m_value-side", "boundary_value-E-nan",
@@ -431,7 +436,8 @@ _ATOM = Measure.point(0.3, 0.8)
          "integrate_flow-x_max-inf", "integrate_flow-step-0", "integrate_flow-step-nan",
          "integrate_flow-step-negative", "integrate_flow-N-fraction", "integrate_flow-ratio-inf",
          "reconstruct-N-fraction", "reconstruct-N-max", "integrate_flow-budget", "integrate_flow-N-huge",
-         "m_oracle-z-nan", "phi_inv-z-nan", "herglotz_exp-z-nan", "herglotz_exp-C-inf"],
+         "m_oracle-z-nan", "phi_inv-z-nan", "herglotz_exp-z-nan", "herglotz_exp-C-inf",
+         "herglotz_exp-xi-reversed", "herglotz_exp-xi-nan", "binomial-fraction"],
 )
 def test_bad_parameter_is_a_typed_value_error(call):
     with pytest.raises(errors.BadParameter) as err:

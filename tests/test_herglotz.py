@@ -518,6 +518,7 @@ class TestHerglotzExp:
     def test_constant(self):
         assert herglotz_exp([], 3.0, 1.7j) == pytest.approx(3.0)
         assert herglotz_exp([(-1.0, 1.0, 0.0)], 3.0, 0.4j) == pytest.approx(3.0)
+        assert herglotz_exp([(1.0, 1.0, 0.5)], 3.0, 0.4j) == 3.0  # an empty piece is still an interval
 
     def test_half_indicator_closed_form(self):
         val = herglotz_exp([(-2.0, 2.0, 0.5)], 1.0, 2j)

@@ -441,12 +441,35 @@ class TestGeneratingFunction:
         assert generating_function(atoms, 0.25).tolist() == [0.25 / 0.875 + 0j, 0.5 + 0j]
 
 
+def cli_riccati_mismatch(trace):
+    """riccati_mismatch at the CLI's w values, (0.3, 0.3i, -0.3)/R."""
+    return riccati_mismatch(trace, np.array([0.3, 0.3j, -0.3]) / trace.R)[0]
+
+
+def assert_scaling(c, rng):
+    """t -> c t, w -> c^2 w and R -> c R give c^2 V(c x): at c = 2^k the default
+    grid scales exactly, V and est_error are the same floats times c^2, and the
+    CLI's Riccati mismatch is the same float times c."""
+    for _ in range(10):
+        sigma, setting = random_schrodinger_measure(rng)
+        R, x_max = setting.R, 0.8 / setting.R
+        trace = integrate_flow(sigma, 8, R, x_max)
+        scaled = Measure.from_atoms([(c * t, c * c * w) for t, w in sigma.atoms])
+        image = integrate_flow(scaled, 8, c * R, x_max / c)
+        assert image.xs.tobytes() == (trace.xs / c).tobytes()
+        assert image.V.tobytes() == (c * c * trace.V).tobytes()
+        assert image.est_error == c * c * trace.est_error
+        assert cli_riccati_mismatch(image) == c * cli_riccati_mismatch(trace)
+
+
 class TestRelations:
     """Relations between the flows of related atom measures on the default
     grid, which hold at every node in floating point."""
 
     def test_reflection_reverses_the_trace(self):
-        # sigma(-t) gives V(-x): the same floats in reverse order, est_error included
+        # sigma(-t) gives V(-x): the same floats in reverse order, est_error
+        # and the CLI's Riccati mismatch (its w values are a mirror pair and a
+        # conjugate) included
         rng = np.random.RandomState(29)
         for _ in range(10):
             sigma, setting = random_schrodinger_measure(rng)
@@ -456,20 +479,13 @@ class TestRelations:
             assert image.xs.tobytes() == trace.xs.tobytes()
             assert image.V.tobytes() == trace.V[::-1].tobytes()
             assert image.est_error == trace.est_error
+            assert cli_riccati_mismatch(image) == cli_riccati_mismatch(trace)
 
     def test_scaling_by_two(self):
-        # t -> 2 t, w -> 4 w and R -> 2 R give 4 V(2 x): the default grid halves
-        # exactly, and V and est_error are the same floats times 4
-        rng = np.random.RandomState(31)
-        for _ in range(10):
-            sigma, setting = random_schrodinger_measure(rng)
-            R, x_max = setting.R, 0.8 / setting.R
-            trace = integrate_flow(sigma, 8, R, x_max)
-            scaled = Measure.from_atoms([(2.0 * t, 4.0 * w) for t, w in sigma.atoms])
-            image = integrate_flow(scaled, 8, 2.0 * R, x_max / 2.0)
-            assert image.xs.tobytes() == (trace.xs / 2.0).tobytes()
-            assert image.V.tobytes() == (4.0 * trace.V).tobytes()
-            assert image.est_error == 4.0 * trace.est_error
+        assert_scaling(2.0, np.random.RandomState(31))
+
+    def test_scaling_by_one_half(self):
+        assert_scaling(0.5, np.random.RandomState(32))
 
 
 @st.composite
