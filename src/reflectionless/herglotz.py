@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,13 @@ from .errors import AdmissibilityRequired, BadParameter, BadR, BranchAmbiguity, 
 from .measure import cauchy, quadrature_atoms, solve_r, validate
 
 ADMISSIBILITY_TOL = 1e-12
-SAMPLES_PER_RAY = 64
+
+
+def _real(R):
+    """float(R) of a real R; a str, bool, complex or None is no radius."""
+    if isinstance(R, bool) or not isinstance(R, numbers.Real):
+        raise BadR(f"R must be a real number, got {R!r}")
+    return float(R)
 
 
 @dataclass(frozen=True)
@@ -42,13 +49,15 @@ class Setting:
 
     @staticmethod
     def jacobi(R):
-        return Setting("jacobi", float(R), solve_r(float(R)))
+        R = _real(R)
+        return Setting("jacobi", R, solve_r(R))
 
     @staticmethod
     def schrodinger(R):
+        R = _real(R)
         if not 0.0 < R < math.inf:
             raise BadR(f"schrodinger setting needs 0 < R < inf, got {R}")
-        return Setting("schrodinger", float(R), None)
+        return Setting("schrodinger", R, None)
 
 
 @dataclass(frozen=True)
@@ -56,7 +65,7 @@ class AdmissibilityReport:
     passed: bool
     min_value: float
     argmin: float
-    samples: tuple  # (spectral parameter E, boundary-function value)
+    samples: tuple  # (E, boundary-function value) at each edge of the spectrum
 
 
 def f_discrete(sigma, lam):
@@ -130,88 +139,70 @@ def m_value(sigma, setting, z, side):
 # admissibility inequalities
 
 
-def _boundary_atoms(sigma, s):
-    """(1 - s_{-2}, t, w) with t and w as columns: sigma as quadrature atoms
-    for the boundary kernels of both rays at every s' <= s, whose poles lie
-    beyond +-s and +-1/s."""
-    ts, ws = quadrature_atoms(sigma, (s, 1.0 / s, -s, -1.0 / s))
-    return 1.0 - sigma.inverse_moments[1], ts[:, None], ws[:, None]
-
-
-def _boundary_on_s_grid(atoms, s, root_sign):
-    """1 - s_{-2} + sum_j w_j / ((t_j - rho1)(t_j - rho2)), with rho1 =
-    root_sign s and rho2 = root_sign / s for each s of an array (root_sign
-    one sign, or one per s): the factored form avoids cancellation on the
-    support."""
-    one_minus_s2, ts, ws = atoms
+def _boundary_values(sigma, c, ps, qs):
+    """c + int ds(t) / ((t - p)(t - q)) for each pair (p, q) of ps and qs: the
+    boundary function of either setting, factored so that it does not cancel
+    on the support, with sigma's pieces graded toward every pole."""
+    ts, ws = quadrature_atoms(sigma, (*ps, *qs))
     with np.errstate(divide="ignore", invalid="ignore"):
-        contrib = ws / ((ts - root_sign * s) * (ts - root_sign / s))
-    return one_minus_s2 + np.sum(contrib, axis=0)
+        return c + np.sum(ws[:, None] / ((ts[:, None] - ps) * (ts[:, None] - qs)), axis=0)
+
+
+def _edge_report(E, vals, passes):
+    """The report on boundary values vals at the spectral edges E: the first
+    least one that is not NaN (NaN when all are), an infinite one read as the
+    -inf that an element on an edge's pole tends to there (delta1 at R = 2)."""
+    vals = np.where(np.isinf(vals), -np.inf, vals)
+    k = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
+    return AdmissibilityReport(
+        passed=bool(passes(vals[k])),
+        min_value=float(vals[k]),
+        argmin=float(E[k]),
+        samples=tuple(zip(map(float, E), map(float, vals))),
+    )
 
 
 def boundary_value_discrete(sigma, E):
     """1 - s_{-2} + int ds(t)/(t^2 + E t + 1) for |E| >= 2, with the
-    quadratic factored as (t - p)(t - 1/p), roots on the sign(-E) side;
-    p = 2 / (|E| + sqrt(E^2 - 4)) is the small root without cancellation."""
+    quadratic factored as (t - p)(t - 1/p); p = -sign(E) 2 / (|E| +
+    sqrt(E^2 - 4)) is the small root without cancellation."""
     E = float(E)
     if not abs(E) >= 2.0:
         raise BadParameter("boundary function needs |E| >= 2")
     a = abs(E)
-    s = 2.0 / (a + math.sqrt((a - 2.0) * (a + 2.0)))
-    atoms = _boundary_atoms(sigma, s)
-    return float(_boundary_on_s_grid(atoms, np.array([s]), math.copysign(1.0, -E))[0])
+    p = math.copysign(2.0 / (a + math.sqrt((a - 2.0) * (a + 2.0))), -E)
+    return float(_boundary_values(sigma, 1.0 - sigma.inverse_moments[1], [p], [1.0 / p])[0])
 
 
 def admissible_discrete(sigma, setting):
-    """Check the boundary inequality over both rays |E| >= R.
+    """Check g(E) = 1 - s_{-2} + int ds(t) / (t^2 + E t + 1) >= 0 over both
+    rays |E| >= R by its values at their ends E = -R, R: the report's samples.
 
-    The substitution E = -rho (s + 1/s), s in (0, r], factors the quadratic:
-    on the ray rho = +-1 the boundary function is g(s) = 1 - s_{-2} +
-    int ds(t) / ((t - rho s)(t - rho/s)).  With u = s + 1/s, an atom on the
-    rho side of the origin contributes w / (t^2 + 1 - rho t u), increasing
-    in u, and one on the other side a term decreasing in u; the ratio of any
-    same-side u-derivative to any other-side one grows in size with s.
-    Hence dg/ds changes sign at most once, from + to -: g rises and then
-    falls on (0, r], and its minimum over any range sits at one of the
-    range's ends.  So each ray is read only at its SAMPLES_PER_RAY reported
-    samples s = r (j + 1/64) / SAMPLES_PER_RAY and at its end s = r
-    (E = -rho R); the least of these values is the minimum of g over
-    [r / 4096, r].
+    For sigma in r < |t| < 1/r, E = -rho (s + 1/s) with s in (0, r] factors
+    the quadratic on the ray rho = +-1: g(s) = 1 - s_{-2} + int ds(t) /
+    ((t - rho s)(t - rho/s)).  With u = s + 1/s, an atom on the rho side of 0
+    contributes w / (t^2 + 1 - rho t u), increasing in u, and one on the
+    other side a term decreasing in u; the ratio of any same-side
+    u-derivative to any other-side one grows in size with s.  So g rises and
+    then falls on (0, r], and its infimum on the ray is g(r) or the limit
+    1 - s_{-2} as s -> 0.  An element adds a negative term to the end of the
+    ray of its own side, and to the other end a positive one, smaller in
+    size as (|t| - r)(1/r - |t|) < (|t| + r)(|t| + 1/r).  So the ends sum to
+    less than 2 (1 - s_{-2}) for nonzero sigma, and the lesser end, E = -R
+    on a tie, is the infimum of g over |E| >= R.
     """
-    r = setting.r
-    s = r * np.append((np.arange(SAMPLES_PER_RAY) + 1 / 64) / SAMPLES_PER_RAY, 1.0)
-    rays = np.repeat([-1.0, 1.0], s.size)  # one grid: the -1 ray, then the +1 ray
-    s = np.tile(s, 2)
-    vals = _boundary_on_s_grid(_boundary_atoms(sigma, r), s, -rays)
-    E = rays * (s + 1.0 / s)
-    # the first least value that is not NaN, so ties go to the -1 ray; NaN
-    # (a failed check) when every value is
-    k = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
-    # every point but each ray's end is a reported sample
-    E_s, v_s = (x.reshape(2, -1)[:, :-1].ravel().tolist() for x in (E, vals))
-    return AdmissibilityReport(
-        passed=bool(vals[k] > ADMISSIBILITY_TOL),
-        min_value=float(vals[k]),
-        argmin=float(E[k]),
-        samples=tuple(zip(E_s, v_s)),
-    )
+    ps = np.array([setting.r, -setting.r])  # the ends E = -R, then E = R
+    vals = _boundary_values(sigma, 1.0 - sigma.inverse_moments[1], ps, 1.0 / ps)
+    return _edge_report(-(ps + 1.0 / ps), vals, lambda least: least > ADMISSIBILITY_TOL)
 
 
 def admissible_continuous(sigma, setting):
-    """Single endpoint check 1 + int ds/(t^2 - R^2) >= 0.
-
-    The integrals increase strictly as the spectral parameter moves to the
-    edge, so the endpoint value is the infimum over the whole ray.
-    """
+    """Check 1 + int ds(t) / (t^2 - R^2) >= 0 at the edge E = -R^2 alone: each
+    term, negative, grows in size as E rises to the edge, so the value there
+    is the infimum over the whole ray below it."""
     R = setting.R
-    ts, ws = quadrature_atoms(sigma, (R, -R))
-    total = 1.0 + float(np.sum(ws / ((ts - R) * (ts + R))))
-    return AdmissibilityReport(
-        passed=bool(total >= -ADMISSIBILITY_TOL),
-        min_value=float(total),
-        argmin=float(-R * R),
-        samples=((float(-R * R), float(total)),),
-    )
+    vals = _boundary_values(sigma, 1.0, [R], [-R])
+    return _edge_report([-R * R], vals, lambda least: least >= -ADMISSIBILITY_TOL)
 
 
 def admissibility(sigma, setting):

@@ -27,7 +27,6 @@ index conventions and cross-validates every reconstruction.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,7 @@ from .errors import (
     MomentMismatch,
 )
 from .herglotz import outer_root, require_admissible
-from .measure import moment, quadrature_atoms
+from .measure import is_integer, moment, quadrature_atoms
 
 BREAKDOWN_TOL = 1e-12
 MIN_EXCESS = 1e-6
@@ -276,7 +275,7 @@ def reconstruct(sigma, setting, N):
     1..N, (a0, b0, a_{-1}) come from the rho- asymptotics, and the rho-
     recurrence fills sites -1..-N (couplings a_{-2}..a_{-N}).
     """
-    if not isinstance(N, numbers.Integral) or not 1 <= N <= MAX_ORDER:
+    if not is_integer(N) or not 1 <= N <= MAX_ORDER:
         raise BadParameter(f"window half-width N must be an integer from 1 to {MAX_ORDER}")
     if setting.kind != "jacobi":
         raise BadR(f"reconstruct needs the jacobi setting, got {setting.kind!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -18,6 +19,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .errors import (
+    BadParameter,
     BadR,
     NegativeMomentAtZero,
     NegativeWeight,
@@ -223,6 +225,11 @@ def quadrature_atoms(mu, poles, order=None, split=None):
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
+def is_integer(k):
+    """k is an integer and not a bool, for an order or a size."""
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool)
+
+
 def moment(mu, n):
     """Generalized moment: sum of w t^n plus density integrals.
 
@@ -235,6 +242,8 @@ def moment(mu, n):
 
 def moments(mu, ns):
     """moment(mu, n) for every n in ns, in one pass over the quadrature atoms."""
+    if not all(is_integer(n) for n in ns):
+        raise BadParameter(f"moment orders must be integers, got {ns!r}")
     ns = np.asarray(ns, dtype=int)
     if np.any(ns < 0) and (0.0 in mu.atom_arrays[0] or any(p.a <= 0.0 <= p.b for p in mu.pieces)):
         raise NegativeMomentAtZero(f"moment {ns.min()} undefined: support touches t = 0")

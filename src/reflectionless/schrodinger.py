@@ -12,7 +12,6 @@ generating function p(x, w) = sum w_i w / (1 - t_i w).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,7 +21,7 @@ from . import _kernels
 from .errors import BadParameter, NonFiniteOutput, RiccatiBlowUp, StepTooLarge
 from .herglotz import Setting, require_admissible
 from .jacobi import MAX_ORDER
-from .measure import quadrature_atoms
+from .measure import is_integer, quadrature_atoms
 
 # the least order of a piece's rule: its gap to a rule of 4 N was measured from N = 4
 MIN_FLOW_ORDER = 4
@@ -46,7 +45,7 @@ class PotentialTrace:
     xs: np.ndarray
     V: np.ndarray
     N_used: int
-    est_error: float  # a figure above |V - V_exact| over the trace
+    est_error: float  # step-doubling estimate of max |V - V_exact|, exceeded on some many-atom flows
     R: float
     atoms: np.ndarray = field(repr=False)  # row k holds (t, w) at xs[k]
     step: float  # h = x_max / n_steps, the step of the trace grid
@@ -76,7 +75,7 @@ def flow_atoms(sigma, N):
 def init_flow(sigma, N, R):
     """The flow's state at x = 0, flow_atoms(sigma, N), once N is an integer
     from MIN_FLOW_ORDER to MAX_ORDER and sigma passes the admissibility gate."""
-    if not isinstance(N, numbers.Integral) or not MIN_FLOW_ORDER <= N <= MAX_ORDER:
+    if not is_integer(N) or not MIN_FLOW_ORDER <= N <= MAX_ORDER:
         raise BadParameter(f"flow order N must be an integer from {MIN_FLOW_ORDER} to {MAX_ORDER}")
     require_admissible(sigma, Setting.schrodinger(R))
     return flow_atoms(sigma, N)
@@ -238,7 +237,7 @@ def riccati_mismatch(trace, ws):
 
 def binomial_sum_identity(N1, N2, p):
     """sum_k C(N1+k, k) C(N2-k, p-k) == C(N1+N2+1, p), k = 0..p, exactly."""
-    if not all(isinstance(k, numbers.Integral) for k in (N1, N2, p)) or N1 < 1 or p < 0 or N2 < p:
+    if not all(map(is_integer, (N1, N2, p))) or N1 < 1 or p < 0 or N2 < p:
         raise BadParameter("needs integers N1 >= 1 and N2 >= p >= 0")
     lhs = sum(math.comb(N1 + k, k) * math.comb(N2 - k, p - k) for k in range(p + 1))
     return lhs == math.comb(N1 + N2 + 1, p)

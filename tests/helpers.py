@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 
 from reflectionless import Measure, Setting, herglotz
-from reflectionless.herglotz import AdmissibilityReport, admissible_continuous, admissible_discrete
+from reflectionless.herglotz import admissible_continuous, admissible_discrete
 from reflectionless.jacobi import JacobiWindow, RatioReport
 from reflectionless.measure import quadrature_atoms, solve_r, validate
 
@@ -57,62 +57,13 @@ SCAN_POINTS = 4096
 
 def boundary_scan(sigma, setting):
     """The jacobi boundary function on a SCAN_POINTS grid s = r k / SCAN_POINTS
-    of each ray: (s grid, {ray: values}), ray = sign(E)."""
-    r = setting.r
-    s_arr = r * np.arange(1, SCAN_POINTS + 1) / SCAN_POINTS
-    atoms = herglotz._boundary_atoms(sigma, r)
-    return s_arr, {ray: herglotz._boundary_on_s_grid(atoms, s_arr, -ray) for ray in (-1.0, 1.0)}
-
-
-def scan_admissible_discrete(sigma, setting):
-    """The dense route to admissible_discrete's report: the minimum of the
-    SCAN_POINTS grid of each ray, refined by golden section between the
-    neighbours of the grid minimum, each step mapping s to E and back."""
-    r = setting.r
-    s_arr, grids = boundary_scan(sigma, setting)
-    atoms = herglotz._boundary_atoms(sigma, r)
-
-    def value(E):
-        s = (abs(E) - math.sqrt(max(E * E - 4.0, 0.0))) / 2.0
-        return float(herglotz._boundary_on_s_grid(atoms, s, math.copysign(1.0, -E))[0])
-
-    best_val, best_E = math.inf, math.nan
-    samples = []
-    for ray, vals in grids.items():
-        E_arr = ray * (s_arr + 1.0 / s_arr)
-        k = int(np.nanargmin(vals))
-        if vals[k] < best_val:
-            best_val, best_E = float(vals[k]), float(E_arr[k])
-        lo = s_arr[max(k - 1, 0)]
-        hi = s_arr[min(k + 1, len(s_arr) - 1)]
-        if hi > lo and np.isfinite(vals[k]):
-            invphi = (math.sqrt(5.0) - 1.0) / 2.0
-            f = lambda x: value(ray * (x + 1.0 / x))
-            c = hi - invphi * (hi - lo)
-            d = lo + invphi * (hi - lo)
-            fc, fd = f(c), f(d)
-            for _ in range(60):
-                if fc < fd:
-                    hi, d, fd = d, c, fc
-                    c = hi - invphi * (hi - lo)
-                    fc = f(c)
-                else:
-                    lo, c, fc = c, d, fd
-                    d = lo + invphi * (hi - lo)
-                    fd = f(d)
-                if hi - lo < 1e-15 * r:
-                    break
-            s_best, f_best = (c, fc) if fc < fd else (d, fd)
-            if f_best < best_val:
-                best_val, best_E = float(f_best), float(ray * (s_best + 1.0 / s_best))
-        step = SCAN_POINTS // 64
-        samples.extend((float(E), float(v)) for E, v in zip(E_arr[::step], vals[::step]))
-    return AdmissibilityReport(
-        passed=bool(best_val > herglotz.ADMISSIBILITY_TOL),
-        min_value=best_val,
-        argmin=best_E,
-        samples=tuple(samples),
-    )
+    of each ray: (s grid, {ray: values}), ray = sign(E).  Both rays are read
+    in one call, so the piece rule is graded toward the poles of both, as in
+    admissible_discrete."""
+    s = setting.r * np.arange(1, SCAN_POINTS + 1) / SCAN_POINTS
+    ps = np.concatenate([s, -s])  # the -1 ray, then the +1 ray
+    vals = herglotz._boundary_values(sigma, 1.0 - sigma.inverse_moments[1], ps, 1.0 / ps)
+    return s, dict(zip((-1.0, 1.0), np.split(vals, 2)))
 
 
 @lru_cache(maxsize=None)

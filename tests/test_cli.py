@@ -20,6 +20,7 @@ from reflectionless.cli import (
     run,
 )
 from reflectionless.errors import NonFiniteOutput, SchemaError, SupportViolation
+from reflectionless.herglotz import m_value
 from reflectionless.jacobi import MAX_ORDER
 from reflectionless.measure import solve_r
 from reflectionless.schrodinger import FLOW_PAIR_COST, FLOW_STEP_COST, MAX_FLOW_WORK, integrate_flow
@@ -233,6 +234,9 @@ class TestRun:
         assert float(mid[1]) == -2.0
         resid = json.loads((tmp_path / "riccati_residual.json").read_text())
         assert resid["max_abs_mismatch"] < 1e-6
+        # the Riccati walk's three w: 0.3/R on the real axis both ways and on
+        # the imaginary axis
+        assert resid["w_values"] == [[0.3 / 2, 0.0], [0.0, 0.3 / 2], [-0.3 / 2, 0.0]]
 
     @pytest.mark.parametrize("N", [4, 40])
     def test_trace_columns(self, tmp_path, N):
@@ -263,6 +267,9 @@ class TestRun:
         rep = json.loads((tmp_path / "verify.json").read_text())
         assert rep["residual"] <= 10 * rep["eta"]
         assert rep["asymptotic_error"] < 1e-4
+        # y m_plus(iy) at y = 1e6, where it is i up to O(1/y^2)
+        val = 1e6 * m_value(job.measure, job.setting, 1e6j, "plus")
+        assert rep["asymptotic_y_m_plus_iy"] == [val.real, val.imag]
 
     def test_example_full_pipeline(self, tmp_path):
         job = job_from_text('{"command":"example","name":"soliton","epsilon":0.25}')

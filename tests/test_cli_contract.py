@@ -34,7 +34,7 @@ from reflectionless.herglotz import (
     phi_inv,
 )
 from reflectionless.jacobi import JacobiWindow, m_oracle, moments_to_recurrence, reconstruct
-from reflectionless.measure import SUPPORT_MARGIN_REL, Measure, solve_r
+from reflectionless.measure import SUPPORT_MARGIN_REL, Measure, moment, moments, solve_r
 from reflectionless.schrodinger import (
     MIN_FLOW_ORDER,
     binomial_sum_identity,
@@ -429,6 +429,16 @@ _ATOM = Measure.point(0.3, 0.8)
         lambda: herglotz_exp([(2.0, 1.0, 0.5)], 1.0, 1j),
         lambda: herglotz_exp([(math.nan, 1.0, 0.5)], 1.0, 1j),
         lambda: binomial_sum_identity(1.5, 2, 1),
+        # a fractional order, which np.asarray(dtype=int) would truncate, and
+        # a bool where an integer belongs, which numbers.Integral admits
+        lambda: moment(_ATOM, 1.5),
+        lambda: moments(_ATOM, [0, 0.5]),
+        lambda: reconstruct(Measure.zero(), Setting.jacobi(2.5), True),
+        lambda: init_flow(_ATOM, True, 2.0),
+        lambda: integrate_flow(_ATOM, True, 2.0, 1.0),
+        lambda: binomial_sum_identity(True, 2, 1),
+        lambda: binomial_sum_identity(1, True, 1),
+        lambda: binomial_sum_identity(1, 2, True),
     ],
     ids=["reconstruct-N", "init_flow-N", "integrate_flow-x_max", "m_oracle-z", "m_oracle-side",
          "riccati_oracle-w", "phi_inv-region", "m_value-side", "boundary_value-E-nan",
@@ -437,7 +447,9 @@ _ATOM = Measure.point(0.3, 0.8)
          "integrate_flow-step-negative", "integrate_flow-N-fraction", "integrate_flow-ratio-inf",
          "reconstruct-N-fraction", "reconstruct-N-max", "integrate_flow-budget", "integrate_flow-N-huge",
          "m_oracle-z-nan", "phi_inv-z-nan", "herglotz_exp-z-nan", "herglotz_exp-C-inf",
-         "herglotz_exp-xi-reversed", "herglotz_exp-xi-nan", "binomial-fraction"],
+         "herglotz_exp-xi-reversed", "herglotz_exp-xi-nan", "binomial-fraction",
+         "moment-n-fraction", "moments-n-fraction", "reconstruct-N-bool", "init_flow-N-bool",
+         "integrate_flow-N-bool", "binomial-N1-bool", "binomial-N2-bool", "binomial-p-bool"],
 )
 def test_bad_parameter_is_a_typed_value_error(call):
     with pytest.raises(errors.BadParameter) as err:

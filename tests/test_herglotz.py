@@ -16,11 +16,10 @@ from helpers import (
     np_m_value,
     random_jacobi_measure,
     random_schrodinger_measure,
-    scan_admissible_discrete,
 )
 from reflectionless import herglotz
 from reflectionless.jacobi import ORACLE_GRID, reconstruct
-from reflectionless.errors import BranchAmbiguity, NonConvergent, OnSupport
+from reflectionless.errors import BadR, BranchAmbiguity, NonConvergent, OnSupport
 from reflectionless.herglotz import (
     Setting,
     admissible_continuous,
@@ -36,6 +35,7 @@ from reflectionless.herglotz import (
     stieltjes_density,
 )
 from reflectionless.measure import Measure, cauchy, moments, quadrature_atoms, solve_r, validate
+from reflectionless.schrodinger import integrate_flow
 
 JAC4 = Setting.jacobi(4.0)
 SCH2 = Setting.schrodinger(2.0)
@@ -49,6 +49,21 @@ class TestSetting:
             setting = Setting.jacobi(R)
             assert 0.0 < setting.r <= 1.0
             assert abs(setting.r + 1.0 / setting.r - R) <= 1e-14 * max(1.0, R)
+
+    @pytest.mark.parametrize("make", [Setting.jacobi, Setting.schrodinger])
+    @pytest.mark.parametrize("R", ["2.5", True, 2.5 + 0j, None], ids=["str", "bool", "complex", "None"])
+    def test_refuses_what_is_not_a_real_number(self, make, R):
+        with pytest.raises(BadR):
+            make(R)
+
+    def test_refuses_a_string_R_of_a_flow(self):
+        with pytest.raises(BadR):
+            integrate_flow(Measure.point(0.3, 0.8), 10, "2", 1.0)
+
+    def test_numpy_numbers_are_real(self):
+        assert Setting.jacobi(np.float64(2.5)) == Setting.jacobi(2.5)
+        assert Setting.schrodinger(np.float32(2.5)) == Setting.schrodinger(2.5)
+        assert Setting.schrodinger(np.int64(2)) == Setting.schrodinger(2)
 
 
 class TestMeasureLifetime:
@@ -234,7 +249,7 @@ class TestAdmissibility:
             assert rep.min_value < 0
 
     def test_all_nan_scan_fails(self):
-        # a NaN weight, which validate refuses, makes every value of the scan NaN
+        # a NaN weight, which validate refuses, makes both edge values NaN
         rep = admissible_discrete(Measure.point(1.5, math.nan), Setting.jacobi(2.5))
         assert not rep.passed and math.isnan(rep.min_value)
 
@@ -269,24 +284,20 @@ class TestAdmissibility:
     def test_ray_ends_match_the_dense_scan(self, case):
         sigma, setting = case
         got = admissible_discrete(sigma, setting)
-        ref = scan_admissible_discrete(sigma, setting)
-        _, grids = boundary_scan(sigma, setting)
-        r = setting.r
-        one_minus_s2, ts, ws = herglotz._boundary_atoms(sigma, r)
-        terms, slope = 0.0, 0.0
-        for rho in (1.0, -1.0):
-            A, B, W = np.abs(ts - rho * r), np.abs(ts - rho / r), np.abs(ws)
-            terms = max(terms, np.sum(W / (A * B)))
-            slope = max(slope, np.sum(W * (1 / A + 1 / (r * r * B)) / (A * B)))
-        tol = 1e-12 * (abs(one_minus_s2) + terms)
-        assert got.passed == ref.passed
-        assert got.samples == ref.samples
+        s, grids = boundary_scan(sigma, setting)
+        # the samples are the scan's two ray ends, and the least of them is
+        # the least value of the whole scan, bit for bit
+        assert got.samples == tuple((ray * (s[-1] + 1.0 / s[-1]), vals[-1]) for ray, vals in grids.items())
         assert got.min_value == min(np.min(vals) for vals in grids.values())
-        # the golden section maps s to E and back, so it may read g up to a
-        # few ulps beyond s = r, where |dg/ds| <= slope
-        assert abs(got.min_value - ref.min_value) <= tol + 4 * np.spacing(r) * slope
+        # nor is the limit 1 - s_{-2} of either ray, as s -> 0, below it
+        one_minus_s2 = 1.0 - sigma.inverse_moments[1]
+        assert one_minus_s2 >= got.min_value
         # the design rests on this shape: on each ray the boundary function
         # rises and then falls, never dipping below values on both sides
+        r = setting.r
+        ts, ws = quadrature_atoms(sigma, (r, 1.0 / r, -r, -1.0 / r))
+        terms = max(np.sum(np.abs(ws / ((ts - rho * r) * (ts - rho / r)))) for rho in (1.0, -1.0))
+        tol = 1e-12 * (abs(one_minus_s2) + terms)
         for vals in grids.values():
             rising = np.maximum.accumulate(vals)
             falling = np.maximum.accumulate(vals[::-1])[::-1]
@@ -377,11 +388,11 @@ class TestPieceRule:
         setting = Setting.jacobi(EDGE_R)
         r = setting.r
         sigma = validate(Measure.with_pieces([], [(r + 2e-9 * EDGE_R, 1.2, EDGE_CHEB)]), setting)
-        grid = herglotz._boundary_on_s_grid(herglotz._boundary_atoms(sigma, r), np.array([r]), 1.0)
+        rep = admissible_discrete(sigma, setting)
         edge = boundary_value_discrete(sigma, -EDGE_R)
-        assert abs(grid[0] - edge) <= 1e-12
+        assert abs(rep.samples[0][1] - edge) <= 1e-12
         assert abs(edge - 0.77) < 1e-3
-        assert admissible_discrete(sigma, setting).min_value <= edge + 1e-12
+        assert rep.min_value <= edge + 1e-12
 
     @pytest.mark.parametrize("case", range(10))
     def test_moments(self, case):
@@ -406,10 +417,9 @@ class TestPieceRule:
     def test_scan_values(self, case):
         sigma, R = _jacobi_cases()[case]
         r = Setting.jacobi(R).r
-        atoms = herglotz._boundary_atoms(sigma, r)
         for s in (0.3 * r, 0.999 * r, r):
             for sign in (1.0, -1.0):
-                got = herglotz._boundary_on_s_grid(atoms, np.array([s]), sign)[0] - atoms[0]
+                got = herglotz._boundary_values(sigma, 0.0, [sign * s], [sign / s])[0]
                 refs = []
                 for p in sigma.pieces:
                     near, far = sorted((sign * s, sign / s), key=lambda z: abs(z - p.a) * abs(z - p.b))
