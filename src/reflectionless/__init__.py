@@ -34,15 +34,12 @@ from .herglotz import (
     AdmissibilityReport,
     DensityEstimate,
     Setting,
-    admissible_continuous,
+    admissibility,
     admissible_discrete,
     boundary_value_discrete,
     default_residual_grid,
-    f_continuous,
-    f_discrete,
     herglotz_exp,
     m_value,
-    phi_inv,
     reflectionless_residual,
     stieltjes_density,
 )
@@ -50,26 +47,21 @@ from .jacobi import (
     JacobiWindow,
     RatioReport,
     m_oracle,
-    moments_to_recurrence,
+    oracle_residual,
     prop311_check,
     reconstruct,
-    rho_minus_moments,
-    rho_plus_moments,
 )
 from .measure import (
     Measure,
     Piece,
-    cauchy,
     moment,
     validate,
 )
 from .schrodinger import (
     PotentialTrace,
     binomial_sum_identity,
-    generating_function,
-    init_flow,
     integrate_flow,
-    riccati_oracle,
+    riccati_mismatch,
 )
 
 __version__ = "0.1.0"

@@ -29,14 +29,15 @@ from .errors import (
     SchemaError,
 )
 from .herglotz import (
+    MAX_GRID,
     Setting,
     admissibility,
     default_residual_grid,
     m_value,
     reflectionless_residual,
 )
-from .jacobi import MAX_ORDER, ORACLE_GRID, oracle_residual, reconstruct
-from .measure import Measure, moment
+from .jacobi import ORACLE_GRID, oracle_residual, reconstruct
+from .measure import MAX_ORDER, Measure, moment
 from .schrodinger import MIN_FLOW_ORDER, default_step, flow_budget, integrate_flow, riccati_mismatch
 
 COMMANDS = ("check", "jacobi", "schrodinger", "verify", "example")
@@ -87,8 +88,6 @@ def _objects(obj, key):
 
 
 _PARAM_KEYS = ("N", "eta", "grid", "x_max", "step")
-# largest accepted grid: one beyond it can exhaust memory or run for minutes
-MAX_GRID = 512
 
 
 def _json_object(json_text):

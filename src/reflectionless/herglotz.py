@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityRequired, BadParameter, BadR, BranchAmbiguity, NonConvergent
-from .measure import cauchy, quadrature_atoms, solve_r, validate
+from .measure import cauchy, is_integer, quadrature_atoms, solve_r, validate
 
 ADMISSIBILITY_TOL = 1e-12
 
@@ -69,13 +69,15 @@ class AdmissibilityReport:
 
 
 def f_discrete(sigma, lam):
-    """F(lam) = -s_{-1} + (1 - s_{-2}) lam + Cauchy transform, jacobi setting."""
+    """F(lam) = -s_{-1} + (1 - s_{-2}) lam + Cauchy transform, jacobi setting;
+    sigma must already pass validate(sigma, setting)."""
     s1, s2 = sigma.inverse_moments
     return -s1 + (1.0 - s2) * complex(lam) + cauchy(sigma, lam)
 
 
 def f_continuous(sigma, lam):
-    """F(lam) = lam + Cauchy transform, schrodinger setting."""
+    """F(lam) = lam + Cauchy transform, schrodinger setting; sigma must
+    already pass validate(sigma, setting)."""
     return complex(lam) + cauchy(sigma, lam)
 
 
@@ -199,7 +201,8 @@ def admissible_discrete(sigma, setting):
 def admissible_continuous(sigma, setting):
     """Check 1 + int ds(t) / (t^2 - R^2) >= 0 at the edge E = -R^2 alone: each
     term, negative, grows in size as E rises to the edge, so the value there
-    is the infimum over the whole ray below it."""
+    is the infimum over the whole ray below it.  sigma must already pass
+    validate(sigma, setting)."""
     R = setting.R
     vals = _boundary_values(sigma, 1.0, [R], [-R])
     return _edge_report([-R * R], vals, lambda least: least >= -ADMISSIBILITY_TOL)
@@ -293,9 +296,16 @@ def stieltjes_density(sigma, setting, side, x):
     return DensityEstimate(value=float(est), error=float(err))
 
 
+# largest residual grid: one beyond it can exhaust memory or run for minutes
+MAX_GRID = 512
+
+
 def default_residual_grid(setting, n=64):
-    """Evaluation grid for the reflectionless identity, away from the edges
-    of S where the analytic continuation's derivative blows up."""
+    """Evaluation grid of n points, an integer from 1 to MAX_GRID, for the
+    reflectionless identity, away from the edges of S where the analytic
+    continuation's derivative blows up."""
+    if not is_integer(n) or not 1 <= n <= MAX_GRID:
+        raise BadParameter(f"residual grid size n must be an integer from 1 to {MAX_GRID}, got {n!r}")
     if setting.kind == "jacobi":
         return np.linspace(-1.6, 1.6, n)
     return np.linspace(0.5, 10.0, n)
@@ -305,11 +315,14 @@ def reflectionless_residual(sigma, setting, grid, eta):
     """max over the grid of |m_plus(x + i eta) + conj m_minus(x + i eta)|.
 
     Zero at eta = 0 by construction; the off-axis value is a pure
-    discretization diagnostic of size O(eta).
+    discretization diagnostic of size O(eta).  An empty grid is refused.
     """
+    grid = np.asarray(grid, dtype=float)
+    if not grid.size:
+        raise BadParameter("the residual grid holds no point")
     diffs = [
         abs(m_value(sigma, setting, x + 1j * eta, "plus")
             + np.conj(m_value(sigma, setting, x + 1j * eta, "minus")))
-        for x in np.asarray(grid, dtype=float)
+        for x in grid
     ]
-    return float(np.max(diffs, initial=0.0))  # NaN stays NaN
+    return float(np.max(diffs))  # NaN stays NaN

@@ -40,7 +40,7 @@ from .errors import (
     MomentMismatch,
 )
 from .herglotz import outer_root, require_admissible
-from .measure import is_integer, moment, quadrature_atoms
+from .measure import MAX_ORDER, is_integer, moment, quadrature_atoms
 
 BREAKDOWN_TOL = 1e-12
 MIN_EXCESS = 1e-6
@@ -111,7 +111,8 @@ def _deflated_moments(ts, ws, K):
 
 def rho_plus_moments(sigma, K):
     """(nu, (E, mass)) of rho+, read off the lambda -> 0 expansion of F:
-    m_plus(z) = F(lam(z)) with lam the unit-disk root of lam^2 + z lam + 1 = 0."""
+    m_plus(z) = F(lam(z)) with lam the unit-disk root of lam^2 + z lam + 1 = 0.
+    sigma must already pass validate(sigma, setting)."""
     return _deflated_moments(*quadrature_atoms(sigma, (0.0,), K + 2), K)
 
 
@@ -121,7 +122,8 @@ def rho_minus_moments(sigma, K):
     a0 = (1 - s_{-2})^{-1/2} and b0 = -s_{-1}/(1 - s_{-2}); the |lambda| ->
     infinity expansion of -F then carries rho- through a0^2 m_-(z) = z - b0
     - a_{-1}^2 sum mu_k z^{-k-1}, which is rho+ of the mirrored nodes
-    (1/t, w/(t^2 q)) with q = 1 - s_{-2} + s_0.
+    (1/t, w/(t^2 q)) with q = 1 - s_{-2} + s_0.  sigma must already pass
+    validate(sigma, setting).
     """
     s1, s2 = sigma.inverse_moments
     s0 = moment(sigma, 0)
@@ -262,10 +264,6 @@ def moments_to_recurrence(m, N):
 
 # ---------------------------------------------------------------------------
 # window assembly
-
-
-# the widest window: one beyond it can exhaust memory or run for minutes
-MAX_ORDER = 10_000
 
 
 def reconstruct(sigma, setting, N):

@@ -152,6 +152,9 @@ PANEL_NODES = 20
 PANEL_RATIO = 0.2
 MAX_LEVELS = 16
 MIN_PANEL_ULPS = 2 ** 12  # rounding leaves 20 distinct, well-spread nodes
+# the highest moment order, window half-width or flow order: one beyond it can
+# exhaust memory or run for minutes
+MAX_ORDER = 10_000
 
 
 @lru_cache(maxsize=None)
@@ -233,17 +236,17 @@ def is_integer(k):
 def moment(mu, n):
     """Generalized moment: sum of w t^n plus density integrals.
 
-    Negative n requires the support to stay away from zero.  The atom
-    convention 0^0 = 1 makes moment(mu, 0) the total mass even for an atom
-    pinned at the origin.
+    n is an integer with |n| <= MAX_ORDER, and a negative n requires the
+    support to stay away from zero.  The atom convention 0^0 = 1 makes
+    moment(mu, 0) the total mass even for an atom pinned at the origin.
     """
     return float(moments(mu, [n])[0])
 
 
 def moments(mu, ns):
     """moment(mu, n) for every n in ns, in one pass over the quadrature atoms."""
-    if not all(is_integer(n) for n in ns):
-        raise BadParameter(f"moment orders must be integers, got {ns!r}")
+    if not all(is_integer(n) and -MAX_ORDER <= n <= MAX_ORDER for n in ns):
+        raise BadParameter(f"moment orders must be integers from -{MAX_ORDER} to {MAX_ORDER}, got {ns!r}")
     ns = np.asarray(ns, dtype=int)
     if np.any(ns < 0) and (0.0 in mu.atom_arrays[0] or any(p.a <= 0.0 <= p.b for p in mu.pieces)):
         raise NegativeMomentAtZero(f"moment {ns.min()} undefined: support touches t = 0")
@@ -252,7 +255,8 @@ def moments(mu, ns):
 
 
 def cauchy(mu, lam):
-    """Cauchy transform: integral of d mu(t) / (t - lam), lam off the support."""
+    """Cauchy transform: integral of d mu(t) / (t - lam), lam off the support.
+    mu must already pass validate(mu, setting)."""
     lam = complex(lam)
     if not cmath.isfinite(lam):
         raise NonFiniteOutput(f"Cauchy transform at a non-finite point {lam}")

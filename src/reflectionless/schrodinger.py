@@ -20,8 +20,7 @@ import numpy as np
 from . import _kernels
 from .errors import BadParameter, NonFiniteOutput, RiccatiBlowUp, StepTooLarge
 from .herglotz import Setting, require_admissible
-from .jacobi import MAX_ORDER
-from .measure import is_integer, quadrature_atoms
+from .measure import MAX_ORDER, is_integer, quadrature_atoms
 
 # the least order of a piece's rule: its gap to a rule of 4 N was measured from N = 4
 MIN_FLOW_ORDER = 4

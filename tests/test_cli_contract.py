@@ -8,6 +8,7 @@ traceback or a warning.
 """
 
 import ast
+import inspect
 import io
 import json
 import math
@@ -29,12 +30,14 @@ from reflectionless.herglotz import (
     AdmissibilityReport,
     Setting,
     boundary_value_discrete,
+    default_residual_grid,
     herglotz_exp,
     m_value,
     phi_inv,
+    reflectionless_residual,
 )
 from reflectionless.jacobi import JacobiWindow, m_oracle, moments_to_recurrence, reconstruct
-from reflectionless.measure import SUPPORT_MARGIN_REL, Measure, moment, moments, solve_r
+from reflectionless.measure import MAX_ORDER, SUPPORT_MARGIN_REL, Measure, moment, moments, solve_r
 from reflectionless.schrodinger import (
     MIN_FLOW_ORDER,
     binomial_sum_identity,
@@ -384,6 +387,37 @@ def test_every_error_type_is_exported():
             assert getattr(reflectionless, name, None) is obj, name
 
 
+# the package namespace holds the paper's chain: a measure validated, its
+# boundary inequality, a Jacobi window or a potential, and their checks
+PUBLIC = {
+    "Measure", "Piece", "Setting", "validate", "moment", "m_value", "admissibility",
+    "admissible_discrete", "boundary_value_discrete", "reconstruct", "prop311_check", "m_oracle",
+    "oracle_residual", "integrate_flow", "riccati_mismatch", "reflectionless_residual",
+    "default_residual_grid", "stieltjes_density", "herglotz_exp", "binomial_sum_identity",
+    "AdmissibilityReport", "DensityEstimate", "JacobiWindow", "RatioReport", "PotentialTrace",
+}
+# pipeline stages, importable from their modules alone
+STAGES = {
+    "herglotz": ("f_discrete", "f_continuous", "phi_inv", "admissible_continuous"),
+    "measure": ("cauchy",),
+    "jacobi": ("moments_to_recurrence", "rho_plus_moments", "rho_minus_moments"),
+    "schrodinger": ("generating_function", "init_flow", "riccati_oracle"),
+}
+
+
+def test_the_namespace_is_the_documented_interface():
+    names = {name for name, obj in vars(reflectionless).items()
+             if not name.startswith("_") and not inspect.ismodule(obj)}
+    typed = {name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, errors.ReflectionlessError)}
+    assert len(PUBLIC) == 25 and len(typed) == 19
+    assert names == PUBLIC | typed
+    assert reflectionless.__version__
+    for module, stages in STAGES.items():
+        for name in stages:
+            assert callable(getattr(getattr(reflectionless, module), name)), f"{module}.{name}"
+
+
 _DELTA0 = Measure.point(0.0, 1.0)
 _FREE = free_window(3)
 _ATOM = Measure.point(0.3, 0.8)
@@ -439,6 +473,17 @@ _ATOM = Measure.point(0.3, 0.8)
         lambda: binomial_sum_identity(True, 2, 1),
         lambda: binomial_sum_identity(1, True, 1),
         lambda: binomial_sum_identity(1, 2, True),
+        # an order beyond MAX_ORDER, before np.asarray(dtype=int) can overflow
+        lambda: moment(Measure.point(0.5, 1.0), 10**30),
+        lambda: moments(_ATOM, [0, MAX_ORDER + 1]),
+        # a residual grid it cannot sample: none, a fraction, a negative or bool
+        # size, one beyond MAX_GRID, and an empty grid, whose residual reads 0
+        lambda: default_residual_grid(Setting.jacobi(2.5), 0),
+        lambda: default_residual_grid(Setting.jacobi(2.5), 2.5),
+        lambda: default_residual_grid(Setting.jacobi(2.5), -3),
+        lambda: default_residual_grid(Setting.jacobi(2.5), True),
+        lambda: default_residual_grid(Setting.jacobi(2.5), herglotz.MAX_GRID + 1),
+        lambda: reflectionless_residual(Measure.zero(), Setting.jacobi(2.5), [], 1e-4),
     ],
     ids=["reconstruct-N", "init_flow-N", "integrate_flow-x_max", "m_oracle-z", "m_oracle-side",
          "riccati_oracle-w", "phi_inv-region", "m_value-side", "boundary_value-E-nan",
@@ -449,7 +494,9 @@ _ATOM = Measure.point(0.3, 0.8)
          "m_oracle-z-nan", "phi_inv-z-nan", "herglotz_exp-z-nan", "herglotz_exp-C-inf",
          "herglotz_exp-xi-reversed", "herglotz_exp-xi-nan", "binomial-fraction",
          "moment-n-fraction", "moments-n-fraction", "reconstruct-N-bool", "init_flow-N-bool",
-         "integrate_flow-N-bool", "binomial-N1-bool", "binomial-N2-bool", "binomial-p-bool"],
+         "integrate_flow-N-bool", "binomial-N1-bool", "binomial-N2-bool", "binomial-p-bool",
+         "moment-n-huge", "moments-n-beyond-max", "grid-n-zero", "grid-n-fraction", "grid-n-negative",
+         "grid-n-bool", "grid-n-beyond-max", "residual-grid-empty"],
 )
 def test_bad_parameter_is_a_typed_value_error(call):
     with pytest.raises(errors.BadParameter) as err:

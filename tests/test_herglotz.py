@@ -34,7 +34,7 @@ from reflectionless.herglotz import (
     reflectionless_residual,
     stieltjes_density,
 )
-from reflectionless.measure import Measure, cauchy, moments, quadrature_atoms, solve_r, validate
+from reflectionless.measure import SUPPORT_MARGIN_REL, Measure, cauchy, moments, quadrature_atoms, solve_r, validate
 from reflectionless.schrodinger import integrate_flow
 
 JAC4 = Setting.jacobi(4.0)
@@ -237,6 +237,19 @@ def _two_ring_measures(draw):
     return validate(Measure.with_pieces(atoms, pieces), setting), setting
 
 
+@st.composite
+def _one_atom_measures(draw):
+    """One atom w delta_t anywhere in the jacobi support region, R
+    log-uniform on [2.0005, 12] and w/t^2 from 1e-8 to 1."""
+    log = math.log
+    setting = Setting.jacobi(math.exp(draw(st.floats(log(2.0005), log(12.0)))))
+    r, d = setting.r, SUPPORT_MARGIN_REL
+    t = math.exp(draw(st.floats(log(r * (1.0 + 2.0 * d)), log((1.0 - 2.0 * d) / r))))
+    t = t if draw(st.booleans()) else -t
+    w = 10.0 ** draw(st.floats(-8.0, 0.0)) * t * t
+    return validate(Measure.point(t, w), setting), setting
+
+
 class TestAdmissibility:
     def test_zero_measure_passes(self):
         rep = admissible_discrete(ZERO, JAC4)
@@ -302,6 +315,26 @@ class TestAdmissibility:
             rising = np.maximum.accumulate(vals)
             falling = np.maximum.accumulate(vals[::-1])[::-1]
             assert np.max(np.minimum(rising[:-2], falling[2:]) - vals[1:-1]) <= tol
+
+    @settings(max_examples=300)
+    @given(_one_atom_measures())
+    def test_one_atom_gate_against_its_closed_form(self, case):
+        # 1 - w/t^2 + w/((t - p)(t - q)) at 50 digits, at the gate's own float
+        # edges p = +-r and q = 1.0/p (at E = -+R exactly, R's rounding alone
+        # moves the value by tens of ulps)
+        sigma, setting = case
+        (t, w), = sigma.atoms
+        got = admissible_discrete(sigma, setting)
+        with mpmath.workdps(50):
+            t, w = mpmath.mpf(t), mpmath.mpf(w)
+            edges = []
+            for p in (setting.r, -setting.r):
+                q = 1.0 / p
+                term = w / ((t - p) * (t - q))
+                edges.append((1 - w / t ** 2 + term, 1 + w / t ** 2 + abs(term), -(p + q)))
+            exact, scale, E = min(edges)
+            assert abs(got.min_value - exact) <= 4 * math.ulp(float(scale))
+        assert math.copysign(1.0, got.argmin) == math.copysign(1.0, E)
 
     def test_continuous_examples(self):
         rep = admissible_continuous(ZERO, SCH2)
